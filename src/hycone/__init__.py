@@ -9,8 +9,10 @@ classification) for both the hyperbolic space and a spherical baseline.
 
 from .analysis import (
     Classification,
+    ClassScores,
     EmbeddingIndex,
     TraversalResult,
+    class_scores,
     classify,
     estimate_root,
     interpolate_steps,

@@ -9,13 +9,26 @@ Works on an :class:`EmbeddingIndex` in either representation space:
 * "sphere"  - rows are unit vectors; [ROOT] is the L2-normalized mean of
   all rows.
 
-Indexes are immutable after load; every query here is read-only.
+Indexes are immutable after load; every query here is read-only.  Each
+row is validated once, when the index is built.  Labels are kept as
+their sidecar lines (:class:`Labels`), split into (class, text) on
+access, and the per-row class as one code array that class lookups and
+statistics share.
+
+Classification is batched: :func:`class_scores` builds the K class
+embeddings once and scores all I images against them in one matrix
+product; the typed single-image :func:`classify` is a thin wrapper over
+it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,6 +39,100 @@ from .losses import LossParams
 LABEL_CLASSES = ("text", "image", "root")
 ROOT_LABEL = "[ROOT]"
 SPHERE_NORM_TOL = 1e-6
+# Relative gap tolerated between an image curvature and the clamped
+# curvature of LossParams, which stores c in log space: exp(log(c)) can
+# miss c by an ulp or two.
+CURV_RTOL = 1e-12
+
+_CLASS_CODES = {cls: code for code, cls in enumerate(LABEL_CLASSES)}
+_ROOT_CODE = _CLASS_CODES["root"]
+_LINE_PREFIXES = tuple(f"{cls}\t" for cls in LABEL_CLASSES)
+# A valid line's first character names its class: the classes' initials differ.
+_CODE_OF_INITIAL = bytes.maketrans(
+    "".join(cls[0] for cls in LABEL_CLASSES).encode("ascii"), bytes(range(len(LABEL_CLASSES)))
+)
+
+
+class LabelClassError(ValueError):
+    """A label line that does not start with a class in LABEL_CLASSES and a tab."""
+
+    def __init__(self, row: int, line: str):
+        super().__init__(f"unknown label class at row {row}: {line!r}")
+        self.row = row
+
+
+class Labels(Sequence):
+    """(class, text) per row, kept as "class<TAB>text" lines (the label
+    sidecar's format) and split on access.  Reading a dump therefore
+    builds one string per row and no per-row tuple."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self, lines):
+        self.lines = tuple(lines)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "Labels":
+        pairs = tuple(pairs)
+        if not set(map(itemgetter(0), pairs)) <= _CLASS_CODES.keys():
+            row = next(i for i, (c, _) in enumerate(pairs) if c not in _CLASS_CODES)
+            raise LabelClassError(row, f"{pairs[row][0]}\t{pairs[row][1]}")
+        return cls([f"{c}\t{t}" for c, t in pairs])
+
+    def class_codes(self) -> np.ndarray:
+        """Per-row index into LABEL_CLASSES; raises LabelClassError."""
+        if not all(map(str.startswith, self.lines, repeat(_LINE_PREFIXES))):
+            row = next(i for i, line in enumerate(self.lines) if not line.startswith(_LINE_PREFIXES))
+            raise LabelClassError(row, self.lines[row])
+        initials = "".join(map(itemgetter(0), self.lines)).encode("ascii")
+        return np.frombuffer(initials.translate(_CODE_OF_INITIAL), dtype=np.int8)
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Labels(self.lines[i])
+        cls, _, text = self.lines[i].partition("\t")
+        return cls, text
+
+    def __iter__(self):
+        for cls, _, text in map(str.partition, self.lines, repeat("\t")):
+            yield cls, text
+
+    def __add__(self, other) -> "Labels":
+        other = other if isinstance(other, Labels) else Labels.from_pairs(other)
+        return Labels(self.lines + other.lines)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Labels):
+            return self.lines == other.lines
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(map(tuple, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Labels({list(self)!r})"
+
+
+def _check_rows(space: str, curvature, rows: np.ndarray, first_row: int) -> None:
+    """Validate the space and the rows of an index; `first_row` numbers
+    the first of `rows` in error messages."""
+    if space == "lorentz":
+        if curvature is None or not (curvature > 0):
+            raise ValueError("lorentz index requires a positive curvature")
+    elif space == "sphere":
+        if rows.shape[0]:
+            norms = np.linalg.norm(rows, axis=1)
+            off = np.abs(norms - 1.0)
+            if not float(off.max()) <= SPHERE_NORM_TOL:   # NaN rows fail too
+                bad = int(np.argmax(off))
+                raise ValueError(
+                    f"sphere row {first_row + bad} has norm {norms[bad]:.8f}, "
+                    f"expected 1 within {SPHERE_NORM_TOL}"
+                )
+    else:
+        raise ValueError(f"unknown space {space!r}")
 
 
 @dataclass(frozen=True)
@@ -33,36 +140,28 @@ class EmbeddingIndex:
     space: str                        # "lorentz" | "sphere"
     curvature: float | None           # lorentz only
     vectors: np.ndarray               # N x n float64 space components
-    labels: tuple[tuple[str, str], ...]   # (class, text) per row
-    root_id: int | None = None
+    labels: Labels                    # (class, text) per row; pairs are converted
+    root_id: int | None = None        # default: the first row of class "root", if any
+    classes: np.ndarray = field(init=False, repr=False, compare=False)  # codes into LABEL_CLASSES
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError(f"index vectors must be N x n, got shape {vectors.shape}")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "labels", tuple((str(c), str(t)) for c, t in self.labels))
-        if vectors.shape[0] != len(self.labels):
+        labels = self.labels if isinstance(self.labels, Labels) else Labels.from_pairs(self.labels)
+        if vectors.shape[0] != len(labels):
             raise ValueError(
-                f"row count {vectors.shape[0]} != label count {len(self.labels)}"
+                f"row count {vectors.shape[0]} != label count {len(labels)}"
             )
-        for i, (cls, _) in enumerate(self.labels):
-            if cls not in LABEL_CLASSES:
-                raise ValueError(f"unknown label class {cls!r} at row {i}")
-        if self.space == "lorentz":
-            if self.curvature is None or not (self.curvature > 0):
-                raise ValueError("lorentz index requires a positive curvature")
-        elif self.space == "sphere":
-            if vectors.shape[0]:
-                norms = np.linalg.norm(vectors, axis=1)
-                off = np.abs(norms - 1.0)
-                if float(off.max()) > SPHERE_NORM_TOL:
-                    bad = int(np.argmax(off))
-                    raise ValueError(
-                        f"sphere row {bad} has norm {norms[bad]:.8f}, expected 1 within {SPHERE_NORM_TOL}"
-                    )
-        else:
-            raise ValueError(f"unknown space {self.space!r}")
+        classes = labels.class_codes()
+        _check_rows(self.space, self.curvature, vectors, 0)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "classes", classes)
+        if self.root_id is None:
+            roots = np.flatnonzero(classes == _ROOT_CODE)
+            if roots.size:
+                object.__setattr__(self, "root_id", int(roots[0]))
 
     @property
     def count(self) -> int:
@@ -78,7 +177,7 @@ class EmbeddingIndex:
         return Curvature(float(self.curvature))
 
     def rows_of_class(self, cls: str) -> np.ndarray:
-        return np.array([i for i, (c, _) in enumerate(self.labels) if c == cls], dtype=int)
+        return np.flatnonzero(self.classes == _CLASS_CODES.get(cls, -1))
 
 
 def estimate_root(index: EmbeddingIndex) -> np.ndarray:
@@ -96,16 +195,24 @@ def estimate_root(index: EmbeddingIndex) -> np.ndarray:
 
 
 def with_root(index: EmbeddingIndex) -> EmbeddingIndex:
-    """Index with a [ROOT] entry appended (no-op if already present)."""
+    """Index with a [ROOT] entry appended (no-op if already present).
+
+    The existing rows were validated when `index` was built; only the
+    appended row is checked.
+    """
     if index.root_id is not None:
         return index
-    root = estimate_root(index)
-    return replace(
-        index,
-        vectors=np.vstack([index.vectors, root[None, :]]),
-        labels=index.labels + (("root", ROOT_LABEL),),
-        root_id=index.count,
-    )
+    root = estimate_root(index)[None, :]
+    _check_rows(index.space, index.curvature, root, index.count)
+    out = copy.copy(index)   # a frozen dataclass copy; __post_init__ does not run
+    for name, value in (
+        ("vectors", np.vstack([index.vectors, root])),
+        ("labels", index.labels + (("root", ROOT_LABEL),)),
+        ("classes", np.append(index.classes, np.int8(_ROOT_CODE))),
+        ("root_id", index.count),
+    ):
+        object.__setattr__(out, name, value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +409,21 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
 # Retrieval and classification
 # ---------------------------------------------------------------------------
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the k highest scores, descending; ties keep the lower row
+    first (the first k of a stable argsort of -scores)."""
+    neg = -scores
+    if k < neg.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        # Every row that can make the top k, in row order: those at or
+        # above the k-th score.  NaN compares false, so a NaN kth keeps
+        # every row and NaN rows still sort last, as in a full argsort.
+        cand = np.flatnonzero(~(neg > kth))
+    else:
+        cand = np.arange(neg.size)
+    return cand[np.argsort(neg[cand], kind="stable")[:k]]
+
+
 @dataclass(frozen=True)
 class Retrieved:
     row: int
@@ -341,7 +463,7 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
             scores = e / e.sum()
         else:
             scores = inner
-    order = np.argsort(-scores, kind="stable")[:k]
+    order = _top_k(scores, k)
     return [
         Retrieved(
             row=int(i),
@@ -359,46 +481,74 @@ class Classification:
     predicted: str
 
 
-def classify(image_embedding, prompt_sets: dict[str, list], params: LossParams) -> Classification:
-    """Zero-shot classification with prompt ensembling.
+@dataclass(frozen=True)
+class ClassScores:
+    """Scores of I images (rows) against K classes (columns)."""
+
+    names: tuple[str, ...]     # class names in sorted order
+    scores: np.ndarray         # I x K
+
+    def predicted(self) -> list[str]:
+        """Best class per image; ties go to the first name in sorted order."""
+        return [self.names[k] for k in np.argmax(self.scores, axis=1)]
+
+
+def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
+                 curvature: float | None = None) -> ClassScores:
+    """Zero-shot classification with prompt ensembling, for I images at once.
 
     Each class embeds as the arithmetic mean of its pre-lift prompt
-    vectors; for a hyperbolic image embedding the mean is scaled by the
-    text scale and lifted at the clamped curvature, then scored by
-    Lorentzian inner product.  For a unit-vector (sphere) image the mean
-    is re-normalized and scored by cosine.  Ties predict the first class
-    in sorted name order.
+    vectors.  With a curvature, `images` are hyperboloid space components
+    at that curvature (it must match the clamped curvature of `params`):
+    each mean is scaled by the text scale, lifted once, and all I x K
+    pairs are scored by Lorentzian inner product in one matrix product.
+    Without one, `images` are unit vectors (sphere): the means are
+    re-normalized and scored by cosine.
     """
     if not prompt_sets:
         raise ValueError("need at least one class")
-    means: dict[str, np.ndarray] = {}
-    for name, prompts in prompt_sets.items():
+    names = tuple(sorted(prompt_sets))
+    means = []
+    for name in names:
+        prompts = prompt_sets[name]
         if len(prompts) == 0:
             raise ValueError(f"class {name!r} has no prompt vectors")
         mat = np.asarray(prompts, dtype=np.float64)
         if mat.ndim != 2:
             raise ValueError(f"class {name!r} prompts must be a list of vectors")
-        means[name] = mat.mean(axis=0)
+        means.append(mat.mean(axis=0))
+    means = np.stack(means)
+    images = np.asarray(images, dtype=np.float64)
 
-    scores: dict[str, float] = {}
-    if isinstance(image_embedding, HyperbolicPoint):
+    if curvature is not None:
         c = params.curv().c
-        if image_embedding.curv.c != c:
-            raise ValueError("image embedding curvature differs from params")
-        q_sp, q_t = image_embedding.space, image_embedding.time
-        for name in sorted(means):
-            v = means[name] * params.scale_txt()
-            sp = np.asarray(geometry.exp_space(v, c))
-            t = float(np.asarray(geometry.time_part(sp, c)).item())
-            scores[name] = float(np.dot(q_sp, sp) - q_t * t)
+        if not math.isclose(curvature, c, rel_tol=CURV_RTOL):
+            raise ValueError(
+                f"image embedding curvature {curvature} differs from params curvature {c}"
+            )
+        sp = np.asarray(geometry.exp_space(means * params.scale_txt(), c))
+        t = np.asarray(geometry.time_part(sp, c))[:, 0]
+        q_t = np.asarray(geometry.time_part(images, c))
+        scores = images @ sp.T - q_t * t
     else:
-        q = np.asarray(image_embedding, dtype=np.float64)
-        for name in sorted(means):
-            m = means[name]
-            norm = float(np.linalg.norm(m))
-            if norm < 1e-9:
-                raise ValueError(f"class {name!r} mean prompt has near-zero norm")
-            scores[name] = float(q @ (m / norm))
+        norms = np.linalg.norm(means, axis=1)
+        small = np.flatnonzero(norms < 1e-9)
+        if small.size:
+            raise ValueError(f"class {names[small[0]]!r} mean prompt has near-zero norm")
+        scores = images @ (means / norms[:, None]).T
+    return ClassScores(names=names, scores=scores)
 
-    predicted = max(sorted(scores), key=lambda nm: scores[nm])
-    return Classification(scores=scores, predicted=predicted)
+
+def classify(image_embedding, prompt_sets: dict[str, list], params: LossParams) -> Classification:
+    """Zero-shot classification of one image: :func:`class_scores` for a
+    :class:`HyperbolicPoint` (Lorentzian inner product at its curvature)
+    or a unit vector (cosine).  Ties predict the first class in sorted
+    name order.
+    """
+    if isinstance(image_embedding, HyperbolicPoint):
+        row, curvature = image_embedding.space, image_embedding.curv.c
+    else:
+        row, curvature = np.asarray(image_embedding, dtype=np.float64), None
+    res = class_scores(row[None, :], prompt_sets, params, curvature)
+    return Classification(scores=dict(zip(res.names, res.scores[0].tolist())),
+                          predicted=res.predicted()[0])

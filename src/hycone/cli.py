@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dumpio, gradcheck, trainer
-from .geometry import HyperbolicPoint
 from .losses import LossParams
 from .trainer import TrainConfig
 
@@ -174,8 +173,12 @@ def cmd_retrieve(args) -> int:
 def cmd_classify(args) -> int:
     prompts = dumpio.read_dump(args.prompts)
     images = dumpio.read_dump(args.images)
+    # Image rows are scored at the curvature they were dumped at; a
+    # checkpoint at another curvature is rejected by class_scores.
     if args.checkpoint:
         params = trainer.load_checkpoint(args.checkpoint).encoder.loss_params()
+    elif images.space == "lorentz":
+        params = LossParams.init(prompts.dim, curv=images.curvature)
     else:
         params = LossParams.init(prompts.dim)
     prompt_sets: dict[str, list] = {}
@@ -184,15 +187,11 @@ def cmd_classify(args) -> int:
             raise ValueError(f"prompt dump rows must have class 'text', got {cls!r}")
         prompt_sets.setdefault(label, []).append(row)
 
-    results = []
-    curv = params.curv()
-    for (cls, label), row in zip(images.labels, images.vectors):
-        if images.space == "lorentz":
-            embedding = HyperbolicPoint(space=row, curv=curv)
-        else:
-            embedding = row
-        res = analysis.classify(embedding, prompt_sets, params)
-        results.append({"image": label, "predicted": res.predicted, "scores": res.scores})
+    res = analysis.class_scores(images.vectors, prompt_sets, params, images.curvature)
+    results = [
+        {"image": label, "predicted": predicted, "scores": dict(zip(res.names, scores))}
+        for (_, label), predicted, scores in zip(images.labels, res.predicted(), res.scores.tolist())
+    ]
     _emit(json.dumps({"predictions": results}, indent=2) + "\n", args.out)
     return EXIT_OK
 

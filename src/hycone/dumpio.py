@@ -11,7 +11,10 @@ Layout (all little-endian):
     payload count * dim float32 space components
 
 The sidecar shares the dump's basename with a ".labels" extension; one
-"class<TAB>text" line per row, class in {text, image, root}.  Dumps are
+"class<TAB>text" line per row, class in {text, image, root}.  Lines end
+in "\n" (read in text mode, so "\r\n" and "\r" count as "\n" too); the
+text may hold tabs and any other character, and the writer refuses
+labels holding "\n" or "\r", which could not be read back.  Dumps are
 interchange artifacts: storage is 32-bit, all math promotes to 64-bit on
 load.  Writes are atomic (temp file + rename).
 """
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import LABEL_CLASSES, EmbeddingIndex
+from .analysis import EmbeddingIndex, LabelClassError, Labels
 
 MAGIC = b"HYPB"
 VERSION = 1
@@ -61,12 +64,16 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
     header = _HEADER.pack(
         MAGIC, VERSION, SPACE_CODES[index.space], index.dim, index.count, curv
     )
+    sidecar = "\n".join([*index.labels.lines, ""])
+    if sidecar.count("\n") != index.count or "\r" in sidecar:
+        row, text = next((i, text) for i, (_, text) in enumerate(index.labels)
+                         if "\n" in text or "\r" in text)
+        raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
     payload = np.ascontiguousarray(index.vectors, dtype="<f4").tobytes()
     _atomic_write(path, header + payload)
 
     lpath = labels_path(path)
-    lines = "".join(f"{cls}\t{text}\n" for cls, text in index.labels)
-    _atomic_write(lpath, lines.encode("utf-8"))
+    _atomic_write(lpath, sidecar.encode("utf-8"))
     return path, lpath
 
 
@@ -103,24 +110,19 @@ def read_dump(path) -> EmbeddingIndex:
         text = lpath.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise DumpFormatError(f"missing label sidecar {lpath}") from exc
-    labels: list[tuple[str, str]] = []
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        cls, sep, lbl = line.partition("\t")
-        if not sep or cls not in LABEL_CLASSES:
-            raise DumpFormatError(f"bad label line {i}: {line!r}")
-        labels.append((cls, lbl))
-    if len(labels) != count:
+    lines = text.split("\n")
+    if lines[-1] == "":     # after the last line's "\n" (or in an empty sidecar)
+        lines.pop()
+    if len(lines) != count:
         raise DumpFormatError(
-            f"label count mismatch: dump has {count} rows, sidecar has {len(labels)}"
+            f"label count mismatch: dump has {count} rows, sidecar has {len(lines)}"
         )
-
-    root_rows = [i for i, (cls, _) in enumerate(labels) if cls == "root"]
-    root_id = root_rows[0] if root_rows else None
-    return EmbeddingIndex(
-        space=SPACE_NAMES[space_code],
-        curvature=curv if space_code == 0 else None,
-        vectors=vectors,
-        labels=tuple(labels),
-        root_id=root_id,
-    )
+    try:
+        return EmbeddingIndex(
+            space=SPACE_NAMES[space_code],
+            curvature=curv if space_code == 0 else None,
+            vectors=vectors,
+            labels=Labels(lines),
+        )
+    except LabelClassError as exc:
+        raise DumpFormatError(f"bad label line {exc.row}: {lines[exc.row]!r}") from exc

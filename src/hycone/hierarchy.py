@@ -166,15 +166,16 @@ class PairSampler:
 def held_out_images(tree: ConceptTree, per_leaf: int, seed: int) -> tuple[np.ndarray, list[str]]:
     """Evaluation image latents never seen by the pair sampler.
 
-    Returns (latents, labels); labels are "<leaf path>/h<j>".
+    Returns (latents, labels), grouped by leaf; labels are
+    "<leaf path>/h<j>".  One noise draw covers all leaves: it yields the
+    same numbers as one (per_leaf, latent_dim) draw per leaf in turn.
     """
+    if per_leaf < 1:
+        raise ValueError(f"need at least one held-out image per leaf, got {per_leaf}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    latents = []
-    labels = []
-    for leaf in tree.leaves:
-        node = tree.nodes[leaf]
-        noise = rng.standard_normal((per_leaf, tree.latent_dim))
-        for j in range(per_leaf):
-            latents.append(node.latent + tree.noise * noise[j])
-            labels.append(f"{node.path}/h{j}")
-    return np.stack(latents), labels
+    latents = rng.standard_normal((len(tree.leaves) * per_leaf, tree.latent_dim))
+    latents *= tree.noise      # in place, so a large draw needs no second temporary
+    latents += np.repeat(tree.leaf_latents(), per_leaf, axis=0)
+    paths = [tree.nodes[leaf].path for leaf in tree.leaves]
+    labels = [f"{path}/h{j}" for path in paths for j in range(per_leaf)]
+    return latents, labels

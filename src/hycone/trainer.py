@@ -16,13 +16,14 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import EmbeddingIndex
+from .analysis import EmbeddingIndex, Labels
 from .autodiff import Tape
 from .hierarchy import ConceptTree, PairSampler, generate_tree, held_out_images
 from .losses import (
@@ -340,7 +341,6 @@ def build_embedding_index(enc: EncoderParams, config: TrainConfig,
     txt_latents = np.stack([tree.nodes[i].latent for i in tree.internal])
     txt_labels = [("text", tree.nodes[i].path) for i in tree.internal]
     img_latents, img_names = held_out_images(tree, per_leaf, config.seed)
-    img_labels = [("image", name) for name in img_names]
 
     txt_rows = np.asarray(encoder_forward(enc.tensors, txt_latents, "txt", config.hidden_dim))
     img_rows = np.asarray(encoder_forward(enc.tensors, img_latents, "img", config.hidden_dim))
@@ -357,7 +357,7 @@ def build_embedding_index(enc: EncoderParams, config: TrainConfig,
         space=config.space,
         curvature=curvature,
         vectors=vectors,
-        labels=tuple(txt_labels + img_labels),
+        labels=Labels.from_pairs(chain(txt_labels, zip(repeat("image"), img_names))),
     )
 
 
@@ -427,8 +427,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
     cfg = json.loads(take(cfg_len).decode("utf-8"))
-    cfg["betas"] = tuple(cfg["betas"])
-    config = TrainConfig(**cfg)
+    if not isinstance(cfg, dict):
+        raise ValueError("checkpoint config is not a JSON object")
+    known = {f.name for f in fields(TrainConfig)}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"unknown checkpoint config key {unknown[0]!r}")
+    try:
+        if "betas" in cfg:
+            cfg["betas"] = tuple(cfg["betas"])
+        config = TrainConfig(**cfg)
+    except TypeError as exc:    # a value of the wrong type
+        raise ValueError(f"bad checkpoint config: {exc}") from exc
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):

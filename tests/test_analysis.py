@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hycone import analysis, geometry
 from hycone.analysis import (
     EmbeddingIndex,
+    Labels,
+    class_scores,
     classify,
     estimate_root,
     interpolate_steps,
@@ -332,3 +335,190 @@ class TestEdgeContracts:
         img = exp_map_origin(TangentVector([1.0, 0.0]), Curvature(2.0))
         with pytest.raises(ValueError, match="curvature"):
             classify(img, {"a": [np.array([1.0, 0.0])]}, params)
+
+
+class TestTopKTies:
+    """Many rows tie at the k-th score; the documented order (lower row
+    first) must hold across the cut, as with a full stable argsort."""
+
+    K = 5
+    labels = tuple(("image", str(i)) for i in range(68))
+
+    def tied_vectors(self, unit: bool):
+        rng = np.random.default_rng(11)
+        best = rng.standard_normal((3, 3))
+        tied = np.tile(rng.standard_normal(3), (40, 1))
+        worse = rng.standard_normal((25, 3))
+        vecs = np.vstack([tied[:15], best, worse, tied[15:]])   # ties before and after the best
+        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True) if unit else vecs
+
+    def query_between(self, idx, scores_of):
+        """A query that puts 3 rows above the tied block and the rest below."""
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            q = rng.standard_normal(idx.dim)
+            s = scores_of(q)
+            tie = s[0]
+            if np.sum(s > tie) == 3 and np.sum(s == tie) == 40:
+                return q, s
+        raise AssertionError("no query separates the fixture")
+
+    def check(self, idx, calibrated=False):
+        def scores_of(q):
+            return np.array([h.score for h in sorted(
+                retrieve(q, idx, k=idx.count, calibrated=calibrated, tau=0.07),
+                key=lambda h: h.row)])
+
+        q, s = self.query_between(idx, scores_of)
+        want = np.argsort(-s, kind="stable")[: self.K]
+        got = [h.row for h in retrieve(q, idx, k=self.K, calibrated=calibrated, tau=0.07)]
+        assert got == list(want)
+        assert got[3:] == [0, 1]       # the lowest tied rows fill the cut
+
+    def test_raw_lorentz(self):
+        idx = EmbeddingIndex(space="lorentz", curvature=1.3, vectors=self.tied_vectors(False),
+                             labels=self.labels)
+        self.check(idx)
+
+    def test_calibrated_lorentz(self):
+        idx = EmbeddingIndex(space="lorentz", curvature=1.3, vectors=self.tied_vectors(False),
+                             labels=self.labels)
+        self.check(idx, calibrated=True)
+
+    def test_sphere(self):
+        idx = EmbeddingIndex(space="sphere", curvature=None, vectors=self.tied_vectors(True),
+                             labels=self.labels)
+        self.check(idx)
+
+    def test_all_equal(self):
+        idx = EmbeddingIndex(space="sphere", curvature=None, vectors=np.tile([[0.6, 0.8]], (9, 1)),
+                             labels=tuple(("text", str(i)) for i in range(9)))
+        assert [h.row for h in retrieve(np.array([1.0, 0.0]), idx, k=4)] == [0, 1, 2, 3]
+
+
+def seed_classify(image_embedding, prompt_sets, params):
+    """Per-image reference: lift every class mean for this one image."""
+    means = {name: np.asarray(p, dtype=np.float64).mean(axis=0) for name, p in prompt_sets.items()}
+    scores = {}
+    if isinstance(image_embedding, HyperbolicPoint):
+        c = params.curv().c
+        q_sp, q_t = image_embedding.space, image_embedding.time
+        for name in sorted(means):
+            sp = np.asarray(geometry.exp_space(means[name] * params.scale_txt(), c))
+            t = float(np.asarray(geometry.time_part(sp, c)).item())
+            scores[name] = float(np.dot(q_sp, sp) - q_t * t)
+    else:
+        q = np.asarray(image_embedding, dtype=np.float64)
+        for name in sorted(means):
+            m = means[name]
+            scores[name] = float(q @ (m / np.linalg.norm(m)))
+    return max(sorted(scores), key=lambda nm: scores[nm]), scores
+
+
+class TestBatchedClassify:
+    def prompt_sets(self, rng, n):
+        return {f"class{k:02d}": list(rng.standard_normal((int(rng.integers(1, 6)), n)))
+                for k in rng.permutation(30)}
+
+    def test_lorentz_matches_per_image(self):
+        rng = np.random.default_rng(21)
+        params = LossParams(log_inv_temp=2.0, log_curv=float(np.log(0.9454)),
+                            log_scale_img=-1.0, log_scale_txt=-0.7)
+        c = params.curv()
+        images = np.asarray(geometry.exp_space(rng.standard_normal((50, 6)), c.c))
+        prompts = self.prompt_sets(rng, 6)
+        res = class_scores(images, prompts, params, c.c)
+        assert list(res.names) == sorted(prompts)
+        for i, row in enumerate(images):
+            pred, scores = seed_classify(HyperbolicPoint(space=row, curv=c), prompts, params)
+            assert res.predicted()[i] == pred
+            np.testing.assert_allclose(res.scores[i], [scores[nm] for nm in res.names],
+                                       rtol=1e-12, atol=0)
+
+    def test_sphere_matches_per_image(self):
+        rng = np.random.default_rng(22)
+        params = LossParams.init(5)
+        images = rng.standard_normal((50, 5))
+        images /= np.linalg.norm(images, axis=1, keepdims=True)
+        prompts = self.prompt_sets(rng, 5)
+        res = class_scores(images, prompts, params)
+        for i, row in enumerate(images):
+            pred, scores = seed_classify(row, prompts, params)
+            assert res.predicted()[i] == pred
+            np.testing.assert_allclose(res.scores[i], [scores[nm] for nm in res.names],
+                                       rtol=1e-12, atol=0)
+
+    def test_wrapper_is_one_row_of_the_batch(self):
+        rng = np.random.default_rng(23)
+        params = LossParams.init(4)
+        images = np.asarray(geometry.exp_space(rng.standard_normal((3, 4)), 1.0))
+        prompts = self.prompt_sets(rng, 4)
+        res = class_scores(images, prompts, params, 1.0)
+        one = classify(HyperbolicPoint(space=images[2], curv=Curvature(1.0)), prompts, params)
+        assert one.predicted == res.predicted()[2]
+        np.testing.assert_allclose(list(one.scores.values()), res.scores[2], rtol=1e-12, atol=0)
+
+    def test_ties_go_to_first_sorted_name(self):
+        params = LossParams.init(2)
+        same = [np.array([1.0, 0.5])]
+        res = class_scores(np.zeros((2, 2)), {"b": same, "a": same, "c": same}, params, 1.0)
+        assert res.predicted() == ["a", "a"]
+
+    def test_curvature_log_roundtrip_accepted(self):
+        # LossParams keeps c in log space; exp(log(c)) may miss c by an ulp.
+        c = next(c for c in np.linspace(0.5, 2.0, 200) if np.exp(np.log(c)) != c)
+        params = LossParams.init(2, curv=float(c))
+        res = class_scores(np.zeros((1, 2)), {"a": [np.ones(2)]}, params, float(c))
+        assert res.predicted() == ["a"]
+
+
+class TestIndexClasses:
+    def test_rows_of_class_and_root_default(self):
+        idx = lorentz_index([ray_point(r) for r in (0.5, 1.0, 0.0, 2.0)],
+                            [("image", "a"), ("text", "b"), ("root", "[ROOT]"), ("image", "c")])
+        assert idx.rows_of_class("image").tolist() == [0, 3]
+        assert idx.rows_of_class("text").tolist() == [1]
+        assert idx.rows_of_class("caption").tolist() == []
+        assert idx.root_id == 2          # the first "root" row
+        assert with_root(idx) is idx
+
+    def test_with_root_appends_one_validated_row(self):
+        idx = lorentz_index([ray_point(1.0)], [("image", "a")], root=True)
+        assert idx.labels == (("image", "a"), ("root", "[ROOT]"))
+        assert idx.rows_of_class("root").tolist() == [1] and idx.root_id == 1
+        np.testing.assert_array_equal(idx.vectors[1], np.zeros(2))
+
+    def test_with_root_rejects_bad_root_row(self, monkeypatch):
+        idx = EmbeddingIndex(space="sphere", curvature=None, vectors=np.array([[1.0, 0.0]]),
+                             labels=(("text", "t"),))
+        monkeypatch.setattr(analysis, "estimate_root", lambda index: np.array([2.0, 0.0]))
+        with pytest.raises(ValueError, match="sphere row 1 has norm 2"):
+            with_root(idx)
+
+    def test_nan_sphere_row_rejected(self):
+        with pytest.raises(ValueError, match="sphere row 1"):
+            EmbeddingIndex(space="sphere", curvature=None,
+                           vectors=np.array([[1.0, 0.0], [np.nan, 0.0]]),
+                           labels=(("text", "a"), ("text", "b")))
+
+
+class TestLabels:
+    def test_sequence_of_pairs(self):
+        pairs = (("text", "a\tb"), ("image", ""), ("root", "[ROOT]"))
+        labels = Labels.from_pairs(pairs)
+        assert labels.lines == ("text\ta\tb", "image\t", "root\t[ROOT]")
+        assert len(labels) == 3 and labels[0] == ("text", "a\tb") and labels[-1][1] == "[ROOT]"
+        assert list(labels) == list(pairs) and labels == pairs and labels == list(pairs)
+        assert labels[1:] == pairs[1:] and labels != pairs[1:]
+        assert labels + (("text", "z"),) == pairs + (("text", "z"),)
+        assert labels.class_codes().tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("pairs", [[("text\tx", "a")], [("Text", "a")], [("image", "a"), (None, "b")]])
+    def test_unknown_class_rejected(self, pairs):
+        with pytest.raises(ValueError, match="unknown label class at row"):
+            Labels.from_pairs(pairs)
+
+    @pytest.mark.parametrize("line", ["text", "texts\ta", "", "image a"])
+    def test_bad_line_rejected(self, line):
+        with pytest.raises(ValueError, match="unknown label class at row 1"):
+            Labels(["root\tr", line]).class_codes()

@@ -1,11 +1,14 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from hycone import analysis, geometry, trainer
 from hycone.analysis import EmbeddingIndex
 from hycone.cli import main
 from hycone.dumpio import read_dump, write_dump
+from hycone.losses import LossParams
 
 TINY = [
     "--steps", "30", "--warmup", "3", "--batch-size", "8",
@@ -145,6 +148,81 @@ class TestClassifyCommand:
         first = payload["predictions"][0]
         assert first["predicted"] in ("alpha", "beta")
         assert set(first["scores"]) == {"alpha", "beta"}
+
+
+class TestClassifyCurvature:
+    def image_dump(self, tmp_path, out, c):
+        """The train dump's image rows re-lifted at curvature c, plus a prompt dump."""
+        emb = read_dump(out / "embeddings.hypb")
+        rows = emb.rows_of_class("image")
+        tangent = np.asarray(geometry.log_space(emb.vectors[rows], emb.curvature))
+        images = EmbeddingIndex(space="lorentz", curvature=c,
+                                vectors=np.asarray(geometry.exp_space(tangent, c)),
+                                labels=tuple(emb.labels[i] for i in rows))
+        write_dump(images, tmp_path / "img.hypb")
+        rng = np.random.default_rng(1)
+        prompts = EmbeddingIndex(space="lorentz", curvature=1.0,
+                                 vectors=rng.standard_normal((4, emb.dim)),
+                                 labels=(("text", "p"), ("text", "p"), ("text", "q"), ("text", "r")))
+        write_dump(prompts, tmp_path / "p.hypb")
+        return ["classify", "--prompts", str(tmp_path / "p.hypb"),
+                "--images", str(tmp_path / "img.hypb")]
+
+    def test_checkpoint_at_other_curvature_rejected(self, tmp_path, capsys):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        c = trainer.load_checkpoint(out / "checkpoint.bin").encoder.loss_params().curv().c
+        argv = self.image_dump(tmp_path, out, c * 1.02)
+        assert main([*argv, "--checkpoint", str(out / "checkpoint.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "curvature" in err and err.count("\n") == 1
+
+    def test_without_checkpoint_uses_dump_curvature(self, tmp_path, capsys):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        argv = self.image_dump(tmp_path, out, 0.9454)
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        images = read_dump(tmp_path / "img.hypb")
+        prompts = read_dump(tmp_path / "p.hypb")
+        sets = {"p": list(prompts.vectors[:2]), "q": [prompts.vectors[2]], "r": [prompts.vectors[3]]}
+        params = LossParams.init(prompts.dim, curv=0.9454)
+        want = analysis.class_scores(images.vectors, sets, params, 0.9454)
+        assert [p["predicted"] for p in payload["predictions"]] == want.predicted()
+        got = [list(p["scores"].values()) for p in payload["predictions"]]
+        np.testing.assert_array_equal(got, want.scores)
+
+
+def with_config_key(src, dst, key, value):
+    """Copy a checkpoint, adding one key to its config JSON."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    cfg = json.loads(raw[12:12 + n])
+    cfg[key] = value
+    blob = json.dumps(cfg).encode("utf-8")
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+    return dst
+
+
+class TestCheckpointConfigKeys:
+    def test_unknown_key_is_one_line_error(self, tmp_path, capsys):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        bad = with_config_key(out / "checkpoint.bin", tmp_path / "bad.bin", "learning_rat", 0.1)
+        commands = [
+            ["embed", "--checkpoint", str(bad), "--out", str(tmp_path / "e.hypb")],
+            ["classify", "--prompts", str(out / "embeddings.hypb"),
+             "--images", str(out / "embeddings.hypb"), "--checkpoint", str(bad)],
+        ]
+        for argv in commands:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "'learning_rat'" in err
+
+    def test_value_of_wrong_type_is_one_line_error(self, tmp_path, capsys):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        bad = with_config_key(out / "checkpoint.bin", tmp_path / "bad.bin", "steps", "many")
+        assert main(["embed", "--checkpoint", str(bad), "--out", str(tmp_path / "e.hypb")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint config") and err.count("\n") == 1
 
 
 class TestGradcheckCommand:

@@ -108,3 +108,62 @@ class TestFormatErrors:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="norm"):
             read_dump(path)
+
+
+class TestLabelSidecar:
+    def test_tabs_and_rare_separators_roundtrip(self, tmp_path):
+        texts = ["a\tb", "\t", "", "x\x1cy", "line\u2028sep\u2029", "nel\x85", "vt\x0bff\x0c", "tail\t"]
+        idx = lorentz_index(np.zeros((len(texts), 2)), [("text", t) for t in texts])
+        path, _ = write_dump(idx, tmp_path / "d.hypb")
+        assert read_dump(path).labels == idx.labels
+
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "end\r", "\n"])
+    def test_line_breaks_rejected_at_write(self, tmp_path, bad):
+        idx = lorentz_index(np.zeros((3, 2)), [("text", "ok"), ("image", "fine"), ("text", bad)])
+        with pytest.raises(ValueError, match="row 2"):
+            write_dump(idx, tmp_path / "d.hypb")
+        assert list(tmp_path.iterdir()) == []    # nothing half-written
+
+    def test_crlf_sidecar_reads_like_lf(self, tmp_path):
+        path, lpath = write_dump(
+            lorentz_index(np.zeros((2, 2)), [("text", "a"), ("image", "b")]), tmp_path / "d.hypb"
+        )
+        lpath.write_bytes(b"text\ta\r\nimage\tb\r\n")
+        assert read_dump(path).labels == (("text", "a"), ("image", "b"))
+
+    def test_line_without_tab_rejected(self, tmp_path):
+        path, lpath = write_dump(
+            lorentz_index(np.zeros((2, 2)), [("text", "a"), ("text", "b")]), tmp_path / "d.hypb"
+        )
+        lpath.write_text("text\ta\ntext\n", encoding="utf-8")
+        with pytest.raises(DumpFormatError, match="bad label line 1: 'text'"):
+            read_dump(path)
+
+
+def seed_labels(lpath):
+    """The sidecar parsed line by line, as the reader did before it was batched."""
+    labels = []
+    for line in lpath.read_text(encoding="utf-8").splitlines():
+        cls, _, text = line.partition("\t")
+        labels.append((cls, text))
+    return tuple(labels)
+
+
+class TestTrainedDump:
+    def test_read_with_root_rows_of_class(self, tmp_path):
+        from hycone.analysis import with_root
+        from hycone.trainer import TrainConfig, train
+
+        chk = train(TrainConfig(steps=20, warmup=2, batch_size=16, seed=3, held_out_per_leaf=3))
+        path, lpath = write_dump(chk.index, tmp_path / "t.hypb")
+        loaded = read_dump(path)
+        labels = seed_labels(lpath)
+        assert loaded.labels == labels == chk.index.labels
+        assert loaded.root_id is None
+        rooted = with_root(loaded)
+        assert rooted.labels == labels + (("root", "[ROOT]"),)
+        assert rooted.root_id == len(labels)
+        for cls in ("text", "image", "root"):
+            want = [i for i, (c, _) in enumerate(rooted.labels) if c == cls]
+            assert rooted.rows_of_class(cls).tolist() == want
+        np.testing.assert_array_equal(rooted.vectors[:-1], loaded.vectors)

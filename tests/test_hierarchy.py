@@ -98,3 +98,22 @@ class TestHeldOut:
         held, _ = held_out_images(tree, per_leaf=1, seed=8)
         batch = PairSampler(tree, seed=8).next_batch(4)
         assert not np.array_equal(held[: len(batch.image_latents)], batch.image_latents)
+
+    def test_matches_per_leaf_draws(self):
+        tree = generate_tree(3, 3, 5, 0.3, seed=4)
+        rng = np.random.default_rng(np.random.SeedSequence([4, 2]))
+        want, want_names = [], []
+        for leaf in tree.leaves:
+            node = tree.nodes[leaf]
+            noise = rng.standard_normal((7, tree.latent_dim))
+            for j in range(7):
+                want.append(node.latent + tree.noise * noise[j])
+                want_names.append(f"{node.path}/h{j}")
+        lat, names = held_out_images(tree, per_leaf=7, seed=4)
+        assert np.array_equal(lat, np.stack(want))
+        assert names == want_names
+
+    def test_needs_one_image_per_leaf(self):
+        tree = generate_tree(2, 2, 4, 0.1, seed=6)
+        with pytest.raises(ValueError, match="at least one"):
+            held_out_images(tree, per_leaf=0, seed=6)

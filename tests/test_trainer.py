@@ -184,6 +184,18 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("cfg_json, match", [
+        (b'{"batch_size":8,"stepz":30}', "unknown checkpoint config key 'stepz'"),
+        (b'[1, 2]', "not a JSON object"),
+        (b'{"betas":0.9}', "bad checkpoint config"),
+    ])
+    def test_bad_config_json_is_value_error(self, tmp_path, cfg_json, match):
+        p = tmp_path / "c.bin"
+        p.write_bytes(b"HYEC" + (1).to_bytes(4, "little") + len(cfg_json).to_bytes(4, "little")
+                      + cfg_json)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(p)
+
     def test_curve_csv_header(self):
         chk = train(TrainConfig(seed=11, **TINY))
         text = curve_csv(chk.curve)
