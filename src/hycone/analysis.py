@@ -2,12 +2,11 @@
 geodesic traversals with cone-filtered retrieval, ranked retrieval and
 prompt-ensembled classification.
 
-Works on an :class:`EmbeddingIndex` in either representation space:
-
-* "lorentz" - rows are hyperboloid space components at one curvature; the
-  most generic concept [ROOT] is the hyperboloid origin.
-* "sphere"  - rows are unit vectors; [ROOT] is the L2-normalized mean of
-  all rows.
+Works on an :class:`EmbeddingIndex` in either representation space,
+:class:`Lorentz` (hyperboloid, [ROOT] at the origin, entailment cones) or
+:class:`Sphere` (unit vectors, [ROOT] at the normalized mean, no cones).
+Both have the same methods, and :func:`space_of` picks one per index:
+nothing else branches on the space.
 
 Indexes are immutable after load; every query here is read-only.  Each
 row is validated once, when the index is built.  Labels are kept as
@@ -33,7 +32,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import entailment, geometry
-from .geometry import Curvature, HyperbolicPoint
+from .geometry import HyperbolicPoint
 from .losses import LossParams
 
 LABEL_CLASSES = ("text", "image", "root")
@@ -115,13 +114,67 @@ class Labels(Sequence):
         return f"Labels({list(self)!r})"
 
 
-def _check_rows(space: str, curvature, rows: np.ndarray, first_row: int) -> None:
-    """Validate the space and the rows of an index; `first_row` numbers
-    the first of `rows` in error messages."""
-    if space == "lorentz":
-        if curvature is None or not (curvature > 0):
+@dataclass(frozen=True)
+class Lorentz:
+    """Hyperboloid of curvature -c.  Rows are space components, [ROOT] is
+    the origin, scores are Lorentzian inner products, and the cone filter
+    keeps the texts whose entailment cone holds a step."""
+
+    c: float
+
+    def __post_init__(self):
+        if self.c is None or not (self.c > 0):
             raise ValueError("lorentz index requires a positive curvature")
-    elif space == "sphere":
+
+    def check_rows(self, rows: np.ndarray, first_row: int) -> None:
+        """Every row is a point: its time component is derived."""
+
+    def root(self, vectors: np.ndarray, root_id: int | None = None) -> np.ndarray:
+        return np.zeros(vectors.shape[1])
+
+    def root_proxy(self, rows: np.ndarray, root: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(rows, axis=-1)
+
+    def interpolate(self, y: np.ndarray, root: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
+        v = np.asarray(geometry.log_space(y, self.c))
+        return [np.asarray(geometry.exp_space(v * (1.0 - t), self.c)) for t in ts]
+
+    def inner(self, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Scores of N rows against one vector (N,) or K rows (N x K)."""
+        rows_t = np.asarray(geometry.time_part(rows, self.c))
+        other_t = np.asarray(geometry.time_part(other, self.c))
+        prod = rows @ other.T
+        return prod - (rows_t * other_t.T).reshape(prod.shape)
+
+    def distance(self, inner: np.ndarray) -> np.ndarray:
+        return np.asarray(geometry.dist_from_inner(inner, self.c))
+
+    def lift(self, rows: np.ndarray, scale: float) -> np.ndarray:
+        """Pre-lift rows, scaled, through the origin exponential map."""
+        return np.asarray(geometry.exp_space(rows * scale, self.c))
+
+    def cone(self, apexes: np.ndarray, y: np.ndarray, boundary: float, slack: float) -> np.ndarray:
+        """Apexes whose cone holds y (hinge <= slack); none at the origin,
+        where the cone formula is undefined."""
+        if float(np.dot(y, y)) == 0.0:
+            return np.zeros(apexes.shape[0], dtype=bool)
+        apex_t = np.asarray(geometry.time_part(apexes, self.c))
+        y_t = np.broadcast_to(np.asarray(geometry.time_part(y, self.c)), apex_t.shape)
+        hinge = entailment.hinge_rows(apexes, apex_t, np.broadcast_to(y, apexes.shape), y_t,
+                                      self.c, boundary)
+        return np.asarray(hinge)[:, 0] <= slack
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """Unit sphere of the CLIP-style baseline.  Rows are unit vectors,
+    [ROOT] is the normalized mean of all rows, scores are cosines, and the
+    cone filter keeps every row."""
+
+    c = None    # no curvature parameter
+
+    def check_rows(self, rows: np.ndarray, first_row: int) -> None:
+        """Unit norms; `first_row` numbers the first of `rows` in errors."""
         if rows.shape[0]:
             norms = np.linalg.norm(rows, axis=1)
             off = np.abs(norms - 1.0)
@@ -131,18 +184,65 @@ def _check_rows(space: str, curvature, rows: np.ndarray, first_row: int) -> None
                     f"sphere row {first_row + bad} has norm {norms[bad]:.8f}, "
                     f"expected 1 within {SPHERE_NORM_TOL}"
                 )
-    else:
-        raise ValueError(f"unknown space {space!r}")
+
+    def root(self, vectors: np.ndarray, root_id: int | None = None) -> np.ndarray:
+        """Row `root_id` if given, else the normalized mean of all rows."""
+        if root_id is not None:
+            return vectors[root_id]
+        mean = vectors.mean(axis=0)
+        norm = float(np.linalg.norm(mean))
+        if not norm >= 1e-9:
+            raise ValueError("degenerate sphere root: mean embedding has near-zero norm")
+        return mean / norm
+
+    def root_proxy(self, rows: np.ndarray, root: np.ndarray) -> np.ndarray:
+        return 0.5 * (1.0 - rows @ root)
+
+    def interpolate(self, y: np.ndarray, root: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
+        out = []
+        for t in ts:
+            mix = (1.0 - t) * y + t * root
+            norm = float(np.linalg.norm(mix))
+            if norm < 1e-9:
+                raise ValueError(f"sphere interpolation passes through zero at t={t:.4f}")
+            out.append(mix / norm)
+        return out
+
+    def inner(self, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+        return rows @ other.T
+
+    def distance(self, inner: np.ndarray) -> np.ndarray:
+        raise ValueError("calibrated scores are defined for lorentz indexes only")
+
+    def lift(self, rows: np.ndarray, scale: float) -> np.ndarray:
+        """Pre-lift rows normalized to unit length; the scale cancels."""
+        norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+        small = np.flatnonzero(norms < 1e-9)
+        if small.size:
+            raise ValueError(f"row {small[0]} has near-zero norm and no direction on the sphere")
+        return rows / norms
+
+    def cone(self, apexes: np.ndarray, y: np.ndarray, boundary: float, slack: float) -> np.ndarray:
+        return np.ones(apexes.shape[0], dtype=bool)
+
+
+def space_of(name: str, curvature: float | None = None) -> Lorentz | Sphere:
+    if name == "lorentz":
+        return Lorentz(curvature)
+    if name == "sphere":
+        return Sphere()
+    raise ValueError(f"unknown space {name!r}")
 
 
 @dataclass(frozen=True)
 class EmbeddingIndex:
     space: str                        # "lorentz" | "sphere"
-    curvature: float | None           # lorentz only
+    curvature: float | None           # lorentz only; set to None on the sphere
     vectors: np.ndarray               # N x n float64 space components
     labels: Labels                    # (class, text) per row; pairs are converted
     root_id: int | None = None        # default: the first row of class "root", if any
     classes: np.ndarray = field(init=False, repr=False, compare=False)  # codes into LABEL_CLASSES
+    geom: Lorentz | Sphere = field(init=False, repr=False, compare=False)  # space_of(space, curvature)
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -154,7 +254,10 @@ class EmbeddingIndex:
                 f"row count {vectors.shape[0]} != label count {len(labels)}"
             )
         classes = labels.class_codes()
-        _check_rows(self.space, self.curvature, vectors, 0)
+        geom = space_of(self.space, self.curvature)
+        geom.check_rows(vectors, 0)
+        object.__setattr__(self, "geom", geom)
+        object.__setattr__(self, "curvature", geom.c)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "classes", classes)
@@ -171,11 +274,6 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def curv(self) -> Curvature:
-        if self.space != "lorentz":
-            raise ValueError("curvature is only defined for lorentz indexes")
-        return Curvature(float(self.curvature))
-
     def rows_of_class(self, cls: str) -> np.ndarray:
         return np.flatnonzero(self.classes == _CLASS_CODES.get(cls, -1))
 
@@ -185,13 +283,7 @@ def estimate_root(index: EmbeddingIndex) -> np.ndarray:
     components) for lorentz, the normalized mean of all rows for sphere."""
     if index.count == 0:
         raise ValueError("cannot estimate a root for an empty index")
-    if index.space == "lorentz":
-        return np.zeros(index.dim)
-    mean = index.vectors.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-9:
-        raise ValueError("degenerate sphere root: mean embedding has near-zero norm")
-    return mean / norm
+    return index.geom.root(index.vectors)
 
 
 def with_root(index: EmbeddingIndex) -> EmbeddingIndex:
@@ -203,7 +295,7 @@ def with_root(index: EmbeddingIndex) -> EmbeddingIndex:
     if index.root_id is not None:
         return index
     root = estimate_root(index)[None, :]
-    _check_rows(index.space, index.curvature, root, index.count)
+    index.geom.check_rows(root, index.count)
     out = copy.copy(index)   # a frozen dataclass copy; __post_init__ does not run
     for name, value in (
         ("vectors", np.vstack([index.vectors, root])),
@@ -225,14 +317,7 @@ def root_distance_proxy(index: EmbeddingIndex, rows: np.ndarray | None = None) -
     lorentz: ||z_space||; sphere: 0.5 * (1 - <z, root>).
     """
     vectors = index.vectors if rows is None else np.asarray(rows, dtype=np.float64)
-    if index.space == "lorentz":
-        return np.linalg.norm(vectors, axis=-1)
-    root = (
-        index.vectors[index.root_id]
-        if index.root_id is not None
-        else estimate_root(index)
-    )
-    return 0.5 * (1.0 - vectors @ root)
+    return index.geom.root_proxy(vectors, index.geom.root(index.vectors, index.root_id))
 
 
 @dataclass(frozen=True)
@@ -306,28 +391,9 @@ def interpolate_steps(y, index: EmbeddingIndex, steps: int = 50) -> list[np.ndar
     if steps < 2:
         raise ValueError("need at least 2 interpolation steps")
     y = np.asarray(y, dtype=np.float64)
-    ts = np.linspace(0.0, 1.0, steps)
-    if index.space == "lorentz":
-        c = index.curv().c
-        v = np.asarray(geometry.log_space(y, c))
-        out = [np.asarray(geometry.exp_space(v * (1.0 - t), c)) for t in ts]
-        out[0] = y.copy()
-        out[-1] = np.zeros_like(y)
-        return out
-    root = (
-        index.vectors[index.root_id]
-        if index.root_id is not None
-        else estimate_root(index)
-    )
-    out = []
-    for t in ts:
-        mix = (1.0 - t) * y + t * root
-        norm = float(np.linalg.norm(mix))
-        if norm < 1e-9:
-            raise ValueError(f"sphere interpolation passes through zero at t={t:.4f}")
-        out.append(mix / norm)
-    out[0] = y.copy()
-    out[-1] = root.copy()
+    root = index.geom.root(index.vectors, index.root_id)
+    out = index.geom.interpolate(y, root, np.linspace(0.0, 1.0, steps))
+    out[0], out[-1] = y.copy(), root.copy()
     return out
 
 
@@ -339,64 +405,27 @@ class TraversalResult:
     unique: tuple[str, ...]
 
 
-def _entails(txt_sp: np.ndarray, step_sp: np.ndarray, c: float, boundary: float,
-             slack: float) -> np.ndarray:
-    """Hinge losses of every text apex against one step embedding."""
-    n = txt_sp.shape[0]
-    txt_t = np.asarray(geometry.time_part(txt_sp, c))
-    step_rows = np.broadcast_to(step_sp, txt_sp.shape)
-    step_t = np.broadcast_to(np.asarray(geometry.time_part(step_sp, c)), (n, 1))
-    losses = np.asarray(
-        entailment.hinge_rows(txt_sp, txt_t, step_rows, step_t, c, boundary)
-    )[:, 0]
-    return losses <= slack
-
-
 def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float = 0.0,
              cone_boundary: float = 0.1) -> TraversalResult:
     """Walk an embedding to [ROOT], retrieving the best text at each step.
 
-    lorentz: candidates are restricted to texts whose cone contains the
-    step (hinge loss <= cone_slack); [ROOT] always qualifies, and a step
-    at the exact origin retrieves [ROOT] directly (the cone formula is
-    undefined there).  Scoring is by Lorentzian inner product.  sphere:
-    plain cosine retrieval, no cone filter.  Ties prefer [ROOT], then the
-    lowest row index.
+    Candidates are [ROOT], which always qualifies, and the texts whose
+    cone holds the step (the space's cone filter): on lorentz, hinge loss
+    <= cone_slack, and no text at the exact origin, where the cone formula
+    is undefined; on the sphere, every text.  Scoring is by the space's
+    inner product.  Ties prefer [ROOT], then the lowest row index.
     """
     if text_index.root_id is None:
         raise ValueError("traversal needs an index with a [ROOT] entry")
-    text_rows = text_index.rows_of_class("text")
-    path = interpolate_steps(y, text_index, steps=steps)
-    root_label = text_index.labels[text_index.root_id][1]
-
+    cand = np.concatenate([[text_index.root_id], text_index.rows_of_class("text")])
+    vectors = text_index.vectors[cand]
+    geom = text_index.geom
     retrieved: list[tuple[int, str]] = []
-    if text_index.space == "sphere":
-        cand_ids = np.concatenate([[text_index.root_id], text_rows])
-        cand = text_index.vectors[cand_ids]
-        for k, step in enumerate(path):
-            scores = cand @ step
-            best = int(np.argmax(scores))  # argmax keeps the first (root-first) on ties
-            retrieved.append((k, text_index.labels[cand_ids[best]][1]))
-    else:
-        c = text_index.curv().c
-        txt_sp = text_index.vectors[text_rows]
-        txt_t = np.asarray(geometry.time_part(txt_sp, c))
-        for k, step in enumerate(path):
-            if float(np.dot(step, step)) == 0.0:
-                retrieved.append((k, root_label))
-                continue
-            step_t = float(np.asarray(geometry.time_part(step, c)).item())
-            mask = _entails(txt_sp, step, c, cone_boundary, cone_slack)
-            root_score = -step_t / math.sqrt(c)      # <step, O>_L
-            best_label = root_label
-            best_score = root_score
-            if np.any(mask):
-                scores = txt_sp[mask] @ step - txt_t[mask][:, 0] * step_t
-                j = int(np.argmax(scores))
-                if scores[j] > best_score:
-                    best_score = float(scores[j])
-                    best_label = text_index.labels[text_rows[mask][j]][1]
-            retrieved.append((k, best_label))
+    for k, step in enumerate(interpolate_steps(y, text_index, steps=steps)):
+        scores = geom.inner(vectors, step)
+        scores[1:][~geom.cone(vectors[1:], step, cone_boundary, cone_slack)] = -np.inf
+        best = int(np.argmax(scores))   # the first maximum: [ROOT], then the lowest row
+        retrieved.append((k, text_index.labels[cand[best]][1]))
 
     unique: list[str] = []
     for _, label in retrieved:
@@ -445,24 +474,14 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
         raise ValueError(f"k must be in [0, {index.count}]")
     if k == 0:
         return []
-    query = np.asarray(query, dtype=np.float64)
-    if index.space == "sphere":
-        if calibrated:
-            raise ValueError("calibrated scores are defined for lorentz indexes only")
-        scores = index.vectors @ query
-    else:
-        c = index.curv().c
-        q_t = float(np.asarray(geometry.time_part(query, c)).item())
-        times = np.asarray(geometry.time_part(index.vectors, c))[:, 0]
-        inner = index.vectors @ query - times * q_t
-        if calibrated:
-            d = np.asarray(geometry.dist_from_inner(inner[:, None], c))[:, 0]
-            z = -d / tau
-            z -= z.max()
-            e = np.exp(z)
-            scores = e / e.sum()
-        else:
-            scores = inner
+    if calibrated and not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be a finite positive number, got {tau}")
+    scores = index.geom.inner(index.vectors, np.asarray(query, dtype=np.float64))
+    if calibrated:
+        z = -index.geom.distance(scores) / tau
+        z -= z.max()
+        e = np.exp(z)
+        scores = e / e.sum()
     order = _top_k(scores, k)
     return [
         Retrieved(
@@ -517,26 +536,16 @@ def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
         if mat.ndim != 2:
             raise ValueError(f"class {name!r} prompts must be a list of vectors")
         means.append(mat.mean(axis=0))
-    means = np.stack(means)
-    images = np.asarray(images, dtype=np.float64)
-
-    if curvature is not None:
-        c = params.curv().c
-        if not math.isclose(curvature, c, rel_tol=CURV_RTOL):
-            raise ValueError(
-                f"image embedding curvature {curvature} differs from params curvature {c}"
-            )
-        sp = np.asarray(geometry.exp_space(means * params.scale_txt(), c))
-        t = np.asarray(geometry.time_part(sp, c))[:, 0]
-        q_t = np.asarray(geometry.time_part(images, c))
-        scores = images @ sp.T - q_t * t
+    if curvature is None:
+        space = Sphere()
     else:
-        norms = np.linalg.norm(means, axis=1)
-        small = np.flatnonzero(norms < 1e-9)
-        if small.size:
-            raise ValueError(f"class {names[small[0]]!r} mean prompt has near-zero norm")
-        scores = images @ (means / norms[:, None]).T
-    return ClassScores(names=names, scores=scores)
+        space = Lorentz(params.curv().c)
+        if not math.isclose(curvature, space.c, rel_tol=CURV_RTOL):
+            raise ValueError(
+                f"image embedding curvature {curvature} differs from params curvature {space.c}"
+            )
+    classes = space.lift(np.stack(means), params.scale_txt())
+    return ClassScores(names=names, scores=space.inner(np.asarray(images, dtype=np.float64), classes))
 
 
 def classify(image_embedding, prompt_sets: dict[str, list], params: LossParams) -> Classification:

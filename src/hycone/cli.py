@@ -9,6 +9,7 @@ is a pure function of its flags, input files and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dumpio, gradcheck, trainer
-from .losses import LossParams
+from .losses import CURV_INIT, LossParams
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -24,54 +25,36 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
+# TrainConfig fields that are not flags: optimizer and initial-scalar
+# settings stay at their defaults from the command line.
+_NOT_FLAGS = {"tau_init", "curv_init", "betas", "adam_eps"}
+_SWITCH_HELP = {
+    "no_entailment": "drop the entailment term (entail weight 0)",
+    "fixed_curvature": "freeze the curvature parameter at its initial value",
+    "inner_product_logits":
+        "contrastive logits from the Lorentzian inner product instead of negative distance",
+}
+_CHOICES = {"space": trainer.SPACES}
+
+
+def _flag_fields() -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(TrainConfig) if f.name not in _NOT_FLAGS]
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    d = TrainConfig()
-    p.add_argument("--batch-size", type=int, default=d.batch_size)
-    p.add_argument("--steps", type=int, default=d.steps)
-    p.add_argument("--warmup", type=int, default=d.warmup)
-    p.add_argument("--peak-lr", type=float, default=d.peak_lr)
-    p.add_argument("--weight-decay", type=float, default=d.weight_decay)
-    p.add_argument("--seed", type=int, default=d.seed)
-    p.add_argument("--no-entailment", action="store_true",
-                   help="drop the entailment term (entail weight 0)")
-    p.add_argument("--fixed-curvature", action="store_true",
-                   help="freeze the curvature parameter at its initial value")
-    p.add_argument("--inner-product-logits", action="store_true",
-                   help="contrastive logits from the Lorentzian inner product instead of negative distance")
-    p.add_argument("--space", choices=trainer.SPACES, default=d.space)
-    p.add_argument("--depth", type=int, default=d.depth)
-    p.add_argument("--branching", type=int, default=d.branching)
-    p.add_argument("--latent-dim", type=int, default=d.latent_dim)
-    p.add_argument("--embed-dim", type=int, default=d.embed_dim)
-    p.add_argument("--noise", type=float, default=d.noise)
-    p.add_argument("--hidden-dim", type=int, default=d.hidden_dim)
-    p.add_argument("--entail-weight", type=float, default=d.entail_weight)
-    p.add_argument("--cone-boundary", type=float, default=d.cone_boundary)
-    p.add_argument("--held-out-per-leaf", type=int, default=d.held_out_per_leaf)
+    """One flag per TrainConfig field: a switch for each bool, otherwise a
+    value of the default's type."""
+    for f in _flag_fields():
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true", help=_SWITCH_HELP[f.name])
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default,
+                           choices=_CHOICES.get(f.name))
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        steps=args.steps,
-        warmup=args.warmup,
-        peak_lr=args.peak_lr,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-        no_entailment=args.no_entailment,
-        fixed_curvature=args.fixed_curvature,
-        inner_product_logits=args.inner_product_logits,
-        space=args.space,
-        depth=args.depth,
-        branching=args.branching,
-        latent_dim=args.latent_dim,
-        embed_dim=args.embed_dim,
-        noise=args.noise,
-        hidden_dim=args.hidden_dim,
-        entail_weight=args.entail_weight,
-        cone_boundary=args.cone_boundary,
-        held_out_per_leaf=args.held_out_per_leaf,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in _flag_fields()})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -89,6 +72,8 @@ def _query_vector(args: argparse.Namespace, index: analysis.EmbeddingIndex) -> n
     if args.vector is None:
         raise ValueError("provide --row or --vector")
     vec = np.array([float(v) for v in args.vector.split(",")])
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"query vector has a non-finite component: {args.vector}")
     if vec.shape[0] != index.dim:
         raise ValueError(f"query has dim {vec.shape[0]}, index has {index.dim}")
     return vec
@@ -174,13 +159,12 @@ def cmd_classify(args) -> int:
     prompts = dumpio.read_dump(args.prompts)
     images = dumpio.read_dump(args.images)
     # Image rows are scored at the curvature they were dumped at; a
-    # checkpoint at another curvature is rejected by class_scores.
+    # checkpoint at another curvature is rejected by class_scores.  The
+    # sphere has none, and scoring there reads no curvature.
     if args.checkpoint:
         params = trainer.load_checkpoint(args.checkpoint).encoder.loss_params()
-    elif images.space == "lorentz":
-        params = LossParams.init(prompts.dim, curv=images.curvature)
     else:
-        params = LossParams.init(prompts.dim)
+        params = LossParams.init(prompts.dim, curv=images.curvature or CURV_INIT)
     prompt_sets: dict[str, list] = {}
     for (cls, label), row in zip(prompts.labels, prompts.vectors):
         if cls != "text":

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,24 +44,27 @@ def labels_path(path) -> Path:
     return Path(path).with_suffix(".labels")
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then rename it over
+    `path`: readers see the old bytes or the new, never a partial file.
+    The temp file is created exclusively, under a random name, with the
+    mode a plain write gives (0o666 less the umask)."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
     """Write an index as a dump/labels file pair; returns both paths."""
     path = Path(path)
-    curv = float(index.curvature) if index.space == "lorentz" else 0.0
     header = _HEADER.pack(
-        MAGIC, VERSION, SPACE_CODES[index.space], index.dim, index.count, curv
+        MAGIC, VERSION, SPACE_CODES[index.space], index.dim, index.count, index.curvature or 0.0
     )
     sidecar = "\n".join([*index.labels.lines, ""])
     if sidecar.count("\n") != index.count or "\r" in sidecar:
@@ -70,10 +72,10 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
                          if "\n" in text or "\r" in text)
         raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
     payload = np.ascontiguousarray(index.vectors, dtype="<f4").tobytes()
-    _atomic_write(path, header + payload)
+    atomic_write(path, header + payload)
 
     lpath = labels_path(path)
-    _atomic_write(lpath, sidecar.encode("utf-8"))
+    atomic_write(lpath, sidecar.encode("utf-8"))
     return path, lpath
 
 
@@ -120,7 +122,7 @@ def read_dump(path) -> EmbeddingIndex:
     try:
         return EmbeddingIndex(
             space=SPACE_NAMES[space_code],
-            curvature=curv if space_code == 0 else None,
+            curvature=curv,     # the index drops it on the sphere
             vectors=vectors,
             labels=Labels(lines),
         )

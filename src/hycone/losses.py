@@ -166,22 +166,18 @@ def cosine_logits(img_rows, txt_rows, inv_temp):
 
 
 def objective(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_scale_txt,
-              *, mode: SimilarityMode, entail_weight: float, cone_boundary: float,
-              space: str = "lorentz"):
+              *, mode: SimilarityMode, entail_weight: float, cone_boundary: float):
     """Full training objective on pre-lift rows; returns (total, contrastive,
     entailment) scalars (tape nodes when the inputs are nodes).
 
-    space="sphere" uses unit-normalized embeddings with cosine logits and
-    no entailment term (cones are undefined on the sphere).
+    mode=COSINE is the spherical baseline: unit-normalized embeddings with
+    cosine logits and no entailment term (cones are undefined on the
+    sphere), whatever the entailment weight.
     """
     inv_temp = clamped_inv_temp(log_inv_temp)
-    if space == "sphere":
-        if mode is not SimilarityMode.COSINE:
-            raise ValueError("spherical space requires COSINE similarity")
+    if mode is SimilarityMode.COSINE:
         cont = contrastive_from_logits(cosine_logits(img_rows, txt_rows, inv_temp))
         return cont, cont, 0.0
-    if mode is SimilarityMode.COSINE:
-        raise ValueError("COSINE similarity is only valid for the spherical baseline")
     c = clamped_curv(log_curv)
     img_sp, img_t = lift_rows(img_rows, log_scale_img, c)
     txt_sp, txt_t = lift_rows(txt_rows, log_scale_txt, c)
@@ -273,8 +269,8 @@ def contrastive_loss(logits: np.ndarray) -> float:
 
 def total_loss(batch: BatchEmbeddings, params: LossParams, mode: SimilarityMode) -> LossBreakdown:
     """Contrastive term plus entail_weight times the mean pair hinge, the
-    text embedding acting as cone apex for its paired image."""
-    space = "sphere" if mode is SimilarityMode.COSINE else "lorentz"
+    text embedding acting as cone apex for its paired image (no hinge
+    under COSINE)."""
     total, cont, ent = objective(
         batch.images,
         batch.texts,
@@ -283,9 +279,8 @@ def total_loss(batch: BatchEmbeddings, params: LossParams, mode: SimilarityMode)
         params.log_scale_img,
         params.log_scale_txt,
         mode=mode,
-        entail_weight=params.entail_weight if space == "lorentz" else 0.0,
+        entail_weight=params.entail_weight,
         cone_boundary=params.cone_boundary,
-        space=space,
     )
     return LossBreakdown(
         contrastive=float(np.asarray(cont)),

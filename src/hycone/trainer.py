@@ -23,17 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import EmbeddingIndex, Labels
+from .analysis import EmbeddingIndex, Labels, space_of
 from .autodiff import Tape
+from .dumpio import atomic_write
+from .geometry import CURV_MAX, CURV_MIN
 from .hierarchy import ConceptTree, PairSampler, generate_tree, held_out_images
 from .losses import (
     ENTAIL_WEIGHT_DEFAULT,
+    INV_TEMP_MAX,
     LossParams,
     SimilarityMode,
     clamped_curv,
     clamped_inv_temp,
-    lift_rows,
-    normalize_rows,
     objective,
 )
 
@@ -78,6 +79,8 @@ class TrainConfig:
             raise ValueError("need 0 <= warmup < steps")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
+        if self.entail_weight < 0.0:
+            raise ValueError("entailment weight must be >= 0")
 
     def mode(self) -> SimilarityMode:
         if self.space == "sphere":
@@ -85,11 +88,6 @@ class TrainConfig:
         if self.inner_product_logits:
             return SimilarityMode.LORENTZ_INNER
         return SimilarityMode.NEG_LORENTZ_DISTANCE
-
-    def effective_entail_weight(self) -> float:
-        if self.no_entailment or self.space == "sphere":
-            return 0.0
-        return self.entail_weight
 
 
 def reference_config(seed: int = 7, space: str = "lorentz") -> TrainConfig:
@@ -263,7 +261,7 @@ def train(config: TrainConfig) -> Checkpoint:
     state = AdamState.zeros(params)
     decay_mask = default_decay_mask(params)
     mode = config.mode()
-    lam = config.effective_entail_weight()
+    lam = 0.0 if config.no_entailment else config.entail_weight
     frozen = {"log_curv"} if config.fixed_curvature else set()
 
     curve = np.zeros((config.steps, len(CURVE_COLUMNS)))
@@ -287,7 +285,6 @@ def train(config: TrainConfig) -> Checkpoint:
                 mode=mode,
                 entail_weight=lam,
                 cone_boundary=config.cone_boundary,
-                space=config.space,
             )
             total_v = float(total.value)
             if not np.isfinite(total_v):
@@ -307,9 +304,9 @@ def train(config: TrainConfig) -> Checkpoint:
 
         tau_raw = float(np.exp(params["log_inv_temp"]))
         curv_raw = float(np.exp(params["log_curv"]))
-        if tau_raw > 100.0:
+        if tau_raw > INV_TEMP_MAX:
             clamp_hits["tau"] += 1
-        if not (0.1 <= curv_raw <= 10.0):
+        if not (CURV_MIN <= curv_raw <= CURV_MAX):
             clamp_hits["curv"] += 1
         inv_t = float(np.asarray(clamped_inv_temp(params["log_inv_temp"])))
         tau_eff = 1.0 / inv_t if inv_t > 0.0 else float("inf")
@@ -344,19 +341,14 @@ def build_embedding_index(enc: EncoderParams, config: TrainConfig,
 
     txt_rows = np.asarray(encoder_forward(enc.tensors, txt_latents, "txt", config.hidden_dim))
     img_rows = np.asarray(encoder_forward(enc.tensors, img_latents, "img", config.hidden_dim))
-    if config.space == "sphere":
-        vectors = np.vstack([normalize_rows(txt_rows), normalize_rows(img_rows)])
-        curvature = None
-    else:
-        c = float(np.asarray(clamped_curv(enc.tensors["log_curv"])))
-        txt_sp, _ = lift_rows(txt_rows, enc.tensors["log_scale_txt"], c)
-        img_sp, _ = lift_rows(img_rows, enc.tensors["log_scale_img"], c)
-        vectors = np.vstack([np.asarray(txt_sp), np.asarray(img_sp)])
-        curvature = c
+    space = space_of(config.space, float(np.asarray(clamped_curv(enc.tensors["log_curv"]))))
     return EmbeddingIndex(
         space=config.space,
-        curvature=curvature,
-        vectors=vectors,
+        curvature=space.c,
+        vectors=np.vstack([
+            space.lift(txt_rows, np.exp(enc.tensors["log_scale_txt"])),
+            space.lift(img_rows, np.exp(enc.tensors["log_scale_img"])),
+        ]),
         labels=Labels.from_pairs(chain(txt_labels, zip(repeat("image"), img_names))),
     )
 
@@ -404,7 +396,7 @@ def checkpoint_bytes(chk: Checkpoint) -> bytes:
 
 def save_checkpoint(chk: Checkpoint, path) -> Path:
     path = Path(path)
-    path.write_bytes(checkpoint_bytes(chk))
+    atomic_write(path, checkpoint_bytes(chk))
     return path
 
 
@@ -449,8 +441,16 @@ def load_checkpoint(path) -> Checkpoint:
         n_items = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
         tensors[name] = arr if ndim else arr.reshape(())
+    expected = set(EncoderParams.init(config).tensors)
+    if set(tensors) != expected:
+        raise ValueError(
+            f"checkpoint tensors do not match its config: missing {sorted(expected - set(tensors))}, "
+            f"unexpected {sorted(set(tensors) - expected)}"
+        )
     (meta_len,) = struct.unpack("<I", take(4))
     meta = json.loads(take(meta_len).decode("utf-8"))
+    if not (isinstance(meta, dict) and isinstance(meta.get("clamp_hits"), dict)):
+        raise ValueError("checkpoint metadata lacks a clamp_hits mapping")
     enc = EncoderParams(
         tensors=tensors,
         hidden_dim=config.hidden_dim,
@@ -476,5 +476,5 @@ def curve_csv(curve: np.ndarray) -> str:
 
 def save_curve(curve: np.ndarray, path) -> Path:
     path = Path(path)
-    path.write_text(curve_csv(curve), encoding="utf-8")
+    atomic_write(path, curve_csv(curve).encode("utf-8"))
     return path

@@ -522,3 +522,64 @@ class TestLabels:
     def test_bad_line_rejected(self, line):
         with pytest.raises(ValueError, match="unknown label class at row 1"):
             Labels(["root\tr", line]).class_codes()
+
+
+class TestTraverseTies:
+    """On both spaces a tie goes to [ROOT], then to the lower text row."""
+
+    def test_lorentz_equal_texts_give_lower_row(self):
+        t = ray_point(0.5)
+        idx = lorentz_index([t, t], [("text", "first"), ("text", "second")], root=True)
+        res = traverse(ray_point(2.5).space, idx, steps=5)
+        assert res.steps[0][1] == "first"
+        assert "second" not in res.unique
+
+    def test_lorentz_text_tying_root_gives_root(self):
+        # A text at the origin scores exactly as [ROOT] (row 1, after it);
+        # the slack puts every step but the last inside its cone.
+        idx = lorentz_index([ray_point(0.0)], [("text", "origin")], root=True)
+        y = ray_point(2.5).space
+        assert idx.geom.cone(idx.vectors[:1], y, 0.1, 0.01).all()
+        res = traverse(y, idx, steps=5, cone_slack=0.01)
+        assert res.unique == ("[ROOT]",)
+
+    def test_sphere_equal_texts_give_lower_row(self):
+        idx = with_root(EmbeddingIndex(
+            space="sphere", curvature=None,
+            vectors=np.array([[0.6, 0.8], [0.0, 1.0], [0.0, 1.0]]),
+            labels=(("image", "img"), ("text", "first"), ("text", "second")),
+        ))
+        res = traverse(np.array([0.0, 1.0]), idx, steps=5)
+        assert res.steps[0][1] == "first"
+        assert "second" not in res.unique
+
+    def test_sphere_text_tying_root_gives_root(self):
+        idx = EmbeddingIndex(
+            space="sphere", curvature=None, vectors=np.array([[0.6, 0.8], [0.6, 0.8]]),
+            labels=(("text", "same"), ("root", "[ROOT]")),
+        )
+        res = traverse(np.array([0.0, 1.0]), idx, steps=5)
+        assert res.unique == ("[ROOT]",)
+
+
+class TestSpaces:
+    def test_unknown_space_rejected(self):
+        with pytest.raises(ValueError, match="unknown space 'poincare'"):
+            EmbeddingIndex(space="poincare", curvature=1.0,
+                           vectors=np.zeros((1, 2)), labels=(("text", "a"),))
+
+    def test_sphere_index_has_no_curvature(self):
+        idx = EmbeddingIndex(space="sphere", curvature=2.0,
+                             vectors=np.array([[1.0, 0.0]]), labels=(("text", "a"),))
+        assert idx.curvature is None and isinstance(idx.geom, analysis.Sphere)
+
+    @pytest.mark.parametrize("space", [analysis.Lorentz(1.3), analysis.Sphere()])
+    def test_inner_of_one_vector_is_a_column_of_k_rows(self, space):
+        rng = np.random.default_rng(31)
+        rows = space.lift(rng.standard_normal((7, 3)), 0.8)
+        others = space.lift(rng.standard_normal((4, 3)), 0.8)
+        full = space.inner(rows, others)
+        assert full.shape == (7, 4)
+        for k in range(4):
+            np.testing.assert_allclose(space.inner(rows, others[k]), full[:, k],
+                                       rtol=1e-12, atol=1e-15)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import struct
 
@@ -6,7 +8,7 @@ import pytest
 
 from hycone import analysis, geometry, trainer
 from hycone.analysis import EmbeddingIndex
-from hycone.cli import main
+from hycone.cli import _config_from_args, build_parser, main
 from hycone.dumpio import read_dump, write_dump
 from hycone.losses import LossParams
 
@@ -242,3 +244,95 @@ class TestHelp:
         for flag in ("--no-entailment", "--fixed-curvature", "--inner-product-logits",
                      "--space", "--seed", "--entail-weight"):
             assert flag in out
+
+
+class TestTrainFlags:
+    NOT_FLAGS = {"tau_init", "curv_init", "betas", "adam_eps"}
+
+    def train_parser(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices["train"]
+
+    def test_flags_and_defaults_are_the_config_fields(self):
+        actions = {a.dest: a for a in self.train_parser()._actions if a.dest not in ("help", "out")}
+        fields = {f.name: f for f in dataclasses.fields(trainer.TrainConfig)
+                  if f.name not in self.NOT_FLAGS}
+        assert list(actions) == list(fields)
+        for name, f in fields.items():
+            action = actions[name]
+            assert action.option_strings == ["--" + name.replace("_", "-")]
+            assert action.default == f.default and type(action.default) is type(f.default)
+            if isinstance(f.default, bool):
+                assert isinstance(action, argparse._StoreTrueAction) and action.help
+            else:
+                assert action.type is type(f.default)
+        assert actions["space"].choices == trainer.SPACES
+
+    def test_default_flags_give_the_default_config(self):
+        args = build_parser().parse_args(["train", "--out", "x"])
+        assert _config_from_args(args) == trainer.TrainConfig()
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestCheckpointReader:
+    def embed(self, tmp_path, chk_path):
+        return main(["embed", "--checkpoint", str(chk_path), "--out", str(tmp_path / "e.hypb")])
+
+    def test_metadata_without_clamp_hits(self, tmp_path, capsys):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        raw = (out / "checkpoint.bin").read_bytes()
+        chk = trainer.load_checkpoint(out / "checkpoint.bin")
+        meta = json.dumps({"clamp_hits": chk.clamp_hits}, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        assert raw.endswith(struct.pack("<I", len(meta)) + meta)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:-4 - len(meta)] + struct.pack("<I", 2) + b"{}")
+        assert self.embed(tmp_path, bad) == 1
+        assert "clamp_hits" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("old, new", [("txt_w", None), ("txt_w", "txt_w9")])
+    def test_tensor_names_must_match_config(self, tmp_path, capsys, old, new):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        chk = trainer.load_checkpoint(out / "checkpoint.bin")
+        value = chk.encoder.tensors.pop(old)
+        if new is not None:
+            chk.encoder.tensors[new] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(trainer.checkpoint_bytes(chk))
+        assert self.embed(tmp_path, bad) == 1
+        assert "'txt_w'" in one_error_line(capsys)
+
+    def test_negative_entail_weight_rejected_before_training(self, tmp_path, capsys):
+        code = main(["train", *TINY, "--entail-weight=-1", "--out", str(tmp_path / "n")])
+        assert code == 1
+        assert "entailment weight" in one_error_line(capsys)
+        assert not (tmp_path / "n").exists()
+
+
+class TestQueryValidation:
+    @pytest.fixture
+    def dump(self, tmp_path):
+        vecs = np.asarray(geometry.exp_space(np.random.default_rng(5).standard_normal((6, 3)), 1.0))
+        idx = EmbeddingIndex(space="lorentz", curvature=1.0, vectors=vecs,
+                             labels=tuple(("text", f"t{i}") for i in range(6)))
+        write_dump(idx, tmp_path / "q.hypb")
+        return str(tmp_path / "q.hypb")
+
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
+    def test_calibrated_tau_must_be_finite_positive(self, dump, capsys, tau):
+        assert main(["retrieve", "--dump", dump, "--row", "1", "--calibrated", f"--tau={tau}"]) == 1
+        assert "tau" in one_error_line(capsys)
+
+    def test_raw_retrieve_ignores_tau(self, dump, capsys):
+        assert main(["retrieve", "--dump", dump, "--row", "1", "--tau=0"]) == 0
+
+    @pytest.mark.parametrize("command", ["retrieve", "traverse"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_vector_must_be_finite(self, dump, capsys, command, bad):
+        assert main([command, "--dump", dump, f"--vector={bad},0.5,0.5"]) == 1
+        assert "non-finite" in one_error_line(capsys)

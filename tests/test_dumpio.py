@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hycone.analysis import EmbeddingIndex
-from hycone.dumpio import DumpFormatError, labels_path, read_dump, write_dump
+from hycone.dumpio import DumpFormatError, atomic_write, labels_path, read_dump, write_dump
 
 
 def lorentz_index(vectors, labels, c=1.0):
@@ -167,3 +167,12 @@ class TestTrainedDump:
             want = [i for i, (c, _) in enumerate(rooted.labels) if c == cls]
             assert rooted.rows_of_class(cls).tolist() == want
         np.testing.assert_array_equal(rooted.vectors[:-1], loaded.vectors)
+
+
+class TestAtomicWrite:
+    def test_mode_is_that_of_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        atomic_write(tmp_path / "atomic", b"x")
+        assert (tmp_path / "atomic").stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hycone import dumpio
 from hycone.losses import SimilarityMode, logit_matrix
 from hycone.trainer import (
     AdamState,
@@ -14,6 +17,7 @@ from hycone.trainer import (
     load_checkpoint,
     lr_at,
     save_checkpoint,
+    save_curve,
     train,
 )
 
@@ -201,3 +205,22 @@ class TestCheckpointIO:
         text = curve_csv(chk.curve)
         assert text.splitlines()[0] == "step,contrastive,entailment,total,lr,tau,c"
         assert len(text.splitlines()) == 31
+
+
+class TestAtomicWrites:
+    def test_failed_replace_keeps_previous_bytes(self, tmp_path, monkeypatch):
+        chk = train(TrainConfig(seed=11, **TINY))
+        paths = (save_checkpoint(chk, tmp_path / "c.bin"), save_curve(chk.curve, tmp_path / "curve.csv"))
+        before = [p.read_bytes() for p in paths]
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dumpio.os, "replace", fail)
+        changed = replace(chk, clamp_hits={"tau": 1, "curv": 2})
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(changed, paths[0])
+        with pytest.raises(OSError, match="disk full"):
+            save_curve(chk.curve[:3], paths[1])
+        assert [p.read_bytes() for p in paths] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "curve.csv"]
