@@ -127,7 +127,12 @@ class Lorentz:
             raise ValueError("lorentz index requires a positive curvature")
 
     def check_rows(self, rows: np.ndarray, first_row: int) -> None:
-        """Every row is a point: its time component is derived."""
+        """Every finite row is a point: its time component is derived.
+        One sum screens all rows; a non-finite one is located only then."""
+        if not np.isfinite(rows.sum()):
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad.size:    # else the sum overflowed on finite rows
+                raise ValueError(f"lorentz row {first_row + int(bad[0])} has a non-finite component")
 
     def root(self, vectors: np.ndarray, root_id: int | None = None) -> np.ndarray:
         return np.zeros(vectors.shape[1])
@@ -413,8 +418,10 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
     cone holds the step (the space's cone filter): on lorentz, hinge loss
     <= cone_slack, and no text at the exact origin, where the cone formula
     is undefined; on the sphere, every text.  Scoring is by the space's
-    inner product.  Ties prefer [ROOT], then the lowest row index.
+    inner product.  Ties prefer [ROOT], then the lowest row index.  A
+    cone boundary that is not finite and positive is a ValueError.
     """
+    cone_boundary = entailment.ConeParams(cone_boundary).boundary
     if text_index.root_id is None:
         raise ValueError("traversal needs an index with a [ROOT] entry")
     cand = np.concatenate([[text_index.root_id], text_index.rows_of_class("text")])

@@ -1,5 +1,7 @@
 """Gradient verification suites: per-primitive checks against central
-finite differences, and end-to-end checks of the training objective.
+finite differences, and end-to-end checks of the training objective: the
+tape's gradient against central differences, and the closed form the
+trainer runs (`losses.objective_grad`) against the tape.
 
 End-to-end sample points whose forward pass runs within a margin of any
 clamp or hinge boundary are skipped (the analytic subgradient and the
@@ -16,13 +18,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import PRIMITIVES, GradReport, Tape, boundary_monitor, finite_diff, make_report
-from .losses import SimilarityMode, objective
+from .losses import SimilarityMode, objective, objective_grad
 
 BOUNDARY_MARGIN = 1e-3
 END_TO_END_RTOL = 1e-4
 END_TO_END_ATOL = 1e-6
 PRIMITIVE_RTOL = 1e-6
 PRIMITIVE_ATOL = 1e-9
+# Cone boundary of every end-to-end sample point, tape and closed form alike.
+CONE_BOUNDARY = 0.1
+# The closed form repeats the tape's arithmetic, so it should agree to
+# rounding; the atol only covers entries that cancel to near zero.
+CLOSED_FORM_RTOL = 1e-10
+CLOSED_FORM_ATOL = 1e-15
 
 
 @dataclass
@@ -102,16 +110,15 @@ def _sample_case(seed: int, batch: int, dim: int):
     return imgs, txts, scalars
 
 
-def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float,
-                      batch: int = 4, dim: int = 8, h: float = 1e-5) -> GradReport | None:
-    """Gradient report of the objective w.r.t. encoder outputs and the four
-    log scalars; None if the point lies within the boundary margin."""
+def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
+    """(imgs, txts, scalars, run) at a sample point, or None if the forward
+    pass runs within the boundary margin of a clamp or hinge kink."""
     imgs, txts, scalars = _sample_case(seed, batch, dim)
 
     def run(img_rows, txt_rows, sc):
         total, _, _ = objective(
             img_rows, txt_rows, sc[0], sc[1], sc[2], sc[3],
-            mode=mode, entail_weight=entail_weight, cone_boundary=0.1,
+            mode=mode, entail_weight=entail_weight, cone_boundary=CONE_BOUNDARY,
         )
         return total
 
@@ -119,17 +126,38 @@ def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float,
         run(imgs, txts, scalars)
     if rec.min_margin < BOUNDARY_MARGIN:
         return None
+    return imgs, txts, scalars, run
 
+
+def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
+    """The first `seeds` admissible cases of the deterministic seed stream."""
+    collected = candidate = 0
+    while collected < seeds:
+        case = _admissible_case(candidate, mode, entail_weight, batch, dim)
+        candidate += 1
+        if candidate > 50 * seeds:
+            raise RuntimeError("could not find enough admissible gradcheck points")
+        if case is not None:
+            collected += 1
+            yield case
+
+
+def _flat(g_imgs, g_txts, g_scalars) -> np.ndarray:
+    return np.concatenate([g_imgs.ravel(), g_txts.ravel()] + [np.atleast_1d(g) for g in g_scalars])
+
+
+def _tape_gradient(case) -> np.ndarray:
+    """Tape gradient w.r.t. both row matrices and the four log scalars, flat."""
+    imgs, txts, scalars, run = case
     tape = Tape()
     vi, vt = tape.var(imgs), tape.var(txts)
     vs = [tape.var(s) for s in scalars]
-    out = run(vi, vt, vs)
-    grads = tape.backward(out)
-    analytic = np.concatenate(
-        [grads[vi.idx].ravel(), grads[vt.idx].ravel()]
-        + [np.atleast_1d(grads[v.idx]) for v in vs]
-    )
+    grads = tape.backward(run(vi, vt, vs))
+    return _flat(grads[vi.idx], grads[vt.idx], [grads[v.idx] for v in vs])
 
+
+def _numeric_gradient(case, h: float) -> np.ndarray:
+    imgs, txts, scalars, run = case
     sizes = (imgs.size, txts.size)
 
     def f(flat):
@@ -138,43 +166,59 @@ def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float,
         sc = flat[sizes[0] + sizes[1]:]
         return float(np.asarray(run(fi, ft, sc)))
 
-    numeric = finite_diff(f, np.concatenate([imgs.ravel(), txts.ravel(), scalars]), h=h)
-    return make_report(analytic, numeric)
+    return finite_diff(f, np.concatenate([imgs.ravel(), txts.ravel(), scalars]), h=h)
+
+
+def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> np.ndarray:
+    imgs, txts, scalars, _ = case
+    *_, g = objective_grad(
+        imgs, txts, *scalars, mode=mode, entail_weight=entail_weight, cone_boundary=CONE_BOUNDARY,
+    )
+    scalar_names = ("log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")
+    return _flat(g["img_rows"], g["txt_rows"], [g[k] for k in scalar_names])
+
+
+def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float,
+                      batch: int = 4, dim: int = 8, h: float = 1e-5) -> GradReport | None:
+    """Gradient report of the objective w.r.t. encoder outputs and the four
+    log scalars; None if the point lies within the boundary margin."""
+    case = _admissible_case(seed, mode, entail_weight, batch, dim)
+    if case is None:
+        return None
+    return make_report(_tape_gradient(case), _numeric_gradient(case, h))
+
+
+def _worst(name: str, reports: list[GradReport], rtol: float, atol: float) -> CheckResult:
+    return CheckResult(
+        name=name,
+        passed=all(rep.within(rtol, atol) for rep in reports),
+        report=max(reports, key=lambda rep: rep.max_abs_err),
+    )
 
 
 def check_total_loss(seeds: int = 20, batch: int = 4, dim: int = 8,
                      rtol: float = END_TO_END_RTOL, atol: float = END_TO_END_ATOL,
                      ) -> list[CheckResult]:
-    """Objective gradcheck over both hyperbolic similarity modes and
-    entailment weights {0, 0.2}, at `seeds` admissible random points each."""
-    results = []
-    for mode in (SimilarityMode.NEG_LORENTZ_DISTANCE, SimilarityMode.LORENTZ_INNER):
+    """Objective gradchecks at `seeds` admissible random points for every
+    similarity mode and entailment weight {0, 0.2}: the tape gradient
+    against central differences (the two hyperbolic modes, at rtol/atol),
+    then at the same points `objective_grad` against the tape (every mode,
+    at CLOSED_FORM_RTOL)."""
+    tape_results, closed_results = [], []
+    for mode in SimilarityMode:
         for lam in (0.0, 0.2):
-            collected = 0
-            candidate = 0
-            worst: GradReport | None = None
-            ok = True
-            while collected < seeds:
-                rep = total_loss_report(candidate, mode, lam, batch=batch, dim=dim)
-                candidate += 1
-                if candidate > 50 * seeds:
-                    raise RuntimeError("could not find enough admissible gradcheck points")
-                if rep is None:
-                    continue
-                collected += 1
-                if worst is None or rep.max_abs_err > worst.max_abs_err:
-                    worst = rep
-                if not rep.within(rtol, atol):
-                    ok = False
-            assert worst is not None
-            results.append(
-                CheckResult(
-                    name=f"total_loss/{mode.value}/entail_weight={lam}",
-                    passed=ok,
-                    report=worst,
-                )
-            )
-    return results
+            tape_reports, closed_reports = [], []
+            for case in _admissible_cases(seeds, mode, lam, batch, dim):
+                tape_grad = _tape_gradient(case)
+                closed_reports.append(make_report(_closed_form_gradient(case, mode, lam), tape_grad))
+                if mode is not SimilarityMode.COSINE:
+                    tape_reports.append(make_report(tape_grad, _numeric_gradient(case, 1e-5)))
+            variant = f"{mode.value}/entail_weight={lam}"
+            if tape_reports:
+                tape_results.append(_worst(f"total_loss/{variant}", tape_reports, rtol, atol))
+            closed_results.append(_worst(f"closed_form/{variant}", closed_reports,
+                                         CLOSED_FORM_RTOL, CLOSED_FORM_ATOL))
+    return tape_results + closed_results
 
 
 def run_suite(points: int = 100, seeds: int = 20, verbose: bool = True) -> bool:

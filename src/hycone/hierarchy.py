@@ -134,7 +134,10 @@ class PairSampler:
     def __init__(self, tree: ConceptTree, seed: int):
         self.tree = tree
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        self._chains = [tree.ancestors(leaf) for leaf in tree.leaves]
+        self._leaves = np.array(tree.leaves)
+        # (n_leaves x depth): row i is leaf i's ancestor chain, root first
+        self._chains = np.array([tree.ancestors(leaf) for leaf in tree.leaves])
+        self._latents = np.stack([node.latent for node in tree.nodes])
 
     def next_batch(self, batch_size: int) -> PairBatch:
         tree = self.tree
@@ -147,17 +150,11 @@ class PairSampler:
         anc_pick = rng.integers(0, tree.depth, size=batch_size)
         noise = rng.standard_normal((batch_size, tree.latent_dim))
 
-        leaf_nodes = np.array([tree.leaves[i] for i in sel])
-        text_nodes = np.array(
-            [self._chains[i][anc_pick[j]] for j, i in enumerate(sel)]
-        )
-        image_latents = (
-            np.stack([tree.nodes[n].latent for n in leaf_nodes]) + tree.noise * noise
-        )
-        text_latents = np.stack([tree.nodes[n].latent for n in text_nodes])
+        leaf_nodes = self._leaves[sel]
+        text_nodes = self._chains[sel, anc_pick]
         return PairBatch(
-            text_latents=text_latents,
-            image_latents=image_latents,
+            text_latents=self._latents[text_nodes],
+            image_latents=self._latents[leaf_nodes] + tree.noise * noise,
             text_nodes=text_nodes,
             leaf_nodes=leaf_nodes,
         )

@@ -9,6 +9,12 @@ entailment term is the mean cone hinge with the text embedding as apex.
 The learnable scalars (temperature, curvature, modality scales) are held
 in log space; clamps are applied on read, never to the stored values, so
 optimizer state is not mutated by clamping.
+
+`objective` builds the loss from the generic kernels, so on tape nodes it
+records the graph the reverse tape differentiates.  `objective_grad`
+computes the same loss and its gradient in closed form, in plain numpy,
+with the tape's subgradient conventions; the trainer runs it, and the tape
+stays the oracle it is checked against (`gradcheck`).
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import entailment, geometry
+from .autodiff import ACOSH_EPS, NORM_FLOOR, dsinhc_kernel, sinhc_kernel
+from .entailment import ANGLE_EPS, SQRT_FLOOR
 from .geometry import CURV_MAX, CURV_MIN, Curvature, HyperbolicPoint
 
 # tau is clamped to >= 0.01, i.e. 1/tau <= 100.
@@ -189,6 +197,238 @@ def objective(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_sca
     ent = ad.mean(entailment.hinge_rows(txt_sp, txt_t, img_sp, img_t, c, cone_boundary))
     total = cont + entail_weight * ent
     return total, cont, ent
+
+
+# ---------------------------------------------------------------------------
+# Closed-form objective and gradient (plain numpy)
+# ---------------------------------------------------------------------------
+#
+# The backward pass unrolls the tape's: every adjoint is the expression the
+# tape registers for the primitive it undoes, and where a value feeds
+# several ops, their adjoints are added in the tape's order (the reverse of
+# the forward's).  So the subgradient conventions are the tape's (a clamp
+# passes gradient only strictly inside its bounds, acosh's adjoint is taken
+# at max(arg, 1 + ACOSH_EPS), asin/acos use the 1e-16 floor, sinh(t)/t
+# keeps its Taylor branch, NORM_FLOOR / SQRT_FLOOR zero what they floor),
+# and under the same numpy and BLAS the result is the tape's to the bit.
+# Adjoints of the scalars are summed axis by axis, as the tape reduces them.
+
+
+def _total(x):
+    """Sum to a scalar one axis at a time, as the tape reduces a
+    broadcast scalar's adjoint."""
+    return x.sum(axis=0).sum(axis=0)
+
+
+def _safe_norm(rows):
+    """`geometry.safe_norm` of rows: (norm (B, 1), unclamped mask (B, 1))."""
+    sq = np.sum(rows * rows, axis=-1, keepdims=True)
+    return np.sqrt(np.clip(sq, NORM_FLOOR, None)), sq > NORM_FLOOR
+
+
+def _norm_adjoint(g_norm, norm, unclamped):
+    """Adjoint of a safe norm's squared norm; its rows' gradient is
+    `rows` times this, added twice (x * x has two operands)."""
+    return g_norm * 0.5 / norm * unclamped
+
+
+class _Lift:
+    """`lift_rows` forward, keeping what its backward needs."""
+
+    def __init__(self, rows, log_scale, c, sqrt_c):
+        self.rows, self.scale = rows, np.exp(log_scale)
+        self.v = rows * self.scale
+        self.norm, self.unclamped = _safe_norm(self.v)
+        self.t = sqrt_c * self.norm
+        self.k = sinhc_kernel(self.t)
+        self.sp = self.k * self.v
+        self.time = np.sqrt(np.sum(self.sp * self.sp, axis=-1, keepdims=True) + 1.0 / c)
+
+    def backward(self, g_sp, g_time, c, sqrt_c):
+        """(d rows, d log_scale, [d c through 1/c, d c through sqrt(c)]),
+        given the adjoints of the space and time parts from their other
+        uses."""
+        g_u = g_time * 0.5 / self.time
+        g_c_inv = -_total(g_u) / (c * c)
+        q = g_u * self.sp
+        g_sp = (g_sp + q) + q
+        g_t = np.sum(g_sp * self.v, axis=-1, keepdims=True) * dsinhc_kernel(self.t)
+        g_c_sqrt = _total(g_t * self.norm) * 0.5 / sqrt_c
+        q = _norm_adjoint(g_t * sqrt_c, self.norm, self.unclamped) * self.v
+        g_v = (g_sp * self.k + q) + q
+        return g_v * self.scale, _total(g_v * self.rows) * self.scale, [g_c_inv, g_c_sqrt]
+
+
+class _Hinge:
+    """`entailment.hinge_rows` forward (x the cone apex), keeping what its
+    backward needs; `total` is the sum over rows."""
+
+    def __init__(self, x_sp, x_t, y_sp, y_t, c, sqrt_c, boundary):
+        self.x_sp, self.x_t, self.y_sp, self.y_t = x_sp, x_t, y_sp, y_t
+        self.ip = np.sum(x_sp * y_sp, axis=-1, keepdims=True) - x_t * y_t
+        self.cip = c * self.ip
+        self.num = y_t + x_t * self.cip
+        self.nx, self.nx_unclamped = _safe_norm(x_sp)
+        self.r_arg = self.cip * self.cip - 1.0
+        self.r = np.sqrt(np.clip(self.r_arg, SQRT_FLOOR, None))
+        self.den = self.nx * self.r
+        self.q = self.num / self.den
+        self.ratio = np.clip(self.q, -1.0 + ANGLE_EPS, 1.0 - ANGLE_EPS)
+        self.a_den = sqrt_c * self.nx
+        self.a = (2.0 * boundary) / self.a_den
+        self.a_cl = np.clip(self.a, None, 1.0 - ANGLE_EPS)
+        self.z = np.arccos(self.ratio) - np.arcsin(self.a_cl)
+        self.total = np.sum(np.maximum(self.z, 0.0))
+        self.boundary = boundary
+
+    def backward(self, g_h, c, sqrt_c):
+        """Adjoints (x_sp, x_t, y_sp, y_t, [c through sqrt(c), c through
+        c * ip]) of g_h times the row sum."""
+        g_z = g_h * (self.z > 0.0)
+        g_a_cl = -g_z / np.sqrt(np.maximum(1.0 - self.a_cl * self.a_cl, 1e-16))
+        g_a = g_a_cl * (self.a < 1.0 - ANGLE_EPS)
+        g_a_den = -g_a * (2.0 * self.boundary) / (self.a_den * self.a_den)
+        g_c_sqrt = _total(g_a_den * self.nx) * 0.5 / sqrt_c
+        qa = _norm_adjoint(g_a_den * sqrt_c, self.nx, self.nx_unclamped) * self.x_sp
+        in_range = (self.q > -1.0 + ANGLE_EPS) & (self.q < 1.0 - ANGLE_EPS)
+        g_q = -g_z / np.sqrt(np.maximum(1.0 - self.ratio * self.ratio, 1e-16)) * in_range
+        g_num = g_q / self.den
+        g_den = -g_q * self.num / (self.den * self.den)
+        g_rr = g_den * self.nx * 0.5 / self.r * (self.r_arg > SQRT_FLOOR)
+        qe = _norm_adjoint(g_den * self.r, self.nx, self.nx_unclamped) * self.x_sp
+        g_cip = (g_rr * self.cip + g_rr * self.cip) + g_num * self.x_t
+        g_ip = g_cip * c
+        g_pm = -g_ip
+        g_x_sp = (((qa + qa) + qe) + qe) + g_ip * self.y_sp
+        g_x_t = g_num * self.cip + g_pm * self.y_t
+        g_y_t = g_num + g_pm * self.x_t
+        return g_x_sp, g_x_t, g_ip * self.x_sp, g_y_t, [g_c_sqrt, _total(g_cip * self.ip)]
+
+
+def _contrastive_grad(logits):
+    """`contrastive_from_logits` and its gradient w.r.t. the logits.
+
+    The text->image direction reduces the same contiguous matrix over
+    axis 0, which gives the tape's numbers without a transposed operand.
+    Each direction's softmax is exp(logits - logsumexp), as the tape's
+    adjoint computes it: dividing the loss's exp(logits - max) by its sum
+    instead differs in the last bit, which a long run can amplify.
+    """
+    b = logits.shape[0]
+    w = 0.5 / b
+    mx_r = np.max(logits, axis=1, keepdims=True)
+    mx_c = np.max(logits, axis=0, keepdims=True)
+    g_r = np.exp(logits - mx_r)
+    lse_r = np.log(np.sum(g_r, axis=1)) + mx_r[:, 0]
+    lse_c = np.log(np.sum(np.exp(np.subtract(logits, mx_c, out=g_r), out=g_r), axis=0)) + mx_c[0]
+    diag = np.diagonal(logits)
+    cont = 0.5 * (np.sum(lse_r - diag) / b + np.sum(lse_c - diag) / b)
+    g_r = np.exp(np.subtract(logits, lse_r[:, None], out=g_r), out=g_r)
+    g_r *= w
+    g = np.exp(logits - lse_c)
+    g *= w
+    g_diag = ((np.diagonal(g) - w) - w) + np.diagonal(g_r)
+    g += g_r
+    np.fill_diagonal(g, g_diag)
+    return float(cont), g
+
+
+def _normalize_grad(g_n, rows, norm, unclamped):
+    """Gradient w.r.t. rows of rows / safe_norm(rows)."""
+    g_norm = np.sum(-g_n * rows / (norm * norm), axis=-1, keepdims=True)
+    q = _norm_adjoint(g_norm, norm, unclamped) * rows
+    return (g_n / norm + q) + q
+
+
+def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_scale_txt,
+                   *, mode: SimilarityMode, entail_weight: float, cone_boundary: float):
+    """`objective` on plain arrays, plus its gradient in closed form.
+
+    Returns (total, contrastive, entailment, grads): the three floats
+    `objective` computes, and `grads` mapping "img_rows", "txt_rows" and
+    the four log-scalar argument names to d total / d input.  The
+    arithmetic is the tape's (see above), so the gradient is the tape's to
+    rounding (`gradcheck` checks rtol 1e-10).  That holds also where a text
+    row, a cone apex, sits at the origin and the cone is undefined: the
+    tape's gradient there is the residue of cancelling ~1e147 terms, and
+    the closed form, adding them in the same order, gives the same residue.
+    """
+    img_rows = np.asarray(img_rows, dtype=np.float64)
+    txt_rows = np.asarray(txt_rows, dtype=np.float64)
+    e_it = np.exp(np.asarray(log_inv_temp, dtype=np.float64))
+    inv_temp = np.clip(e_it, None, INV_TEMP_MAX)
+    grads = dict.fromkeys(("log_curv", "log_scale_img", "log_scale_txt"), 0.0)
+
+    if mode is SimilarityMode.COSINE:
+        img_norm, img_unclamped = _safe_norm(img_rows)
+        txt_norm, txt_unclamped = _safe_norm(txt_rows)
+        img_n, txt_n = img_rows / img_norm, txt_rows / txt_norm
+        sim = img_n @ txt_n.T
+        cont, g = _contrastive_grad(sim * inv_temp)
+        grads["log_inv_temp"] = _total(g * sim) * (e_it < INV_TEMP_MAX) * e_it
+        g *= inv_temp
+        grads["img_rows"] = _normalize_grad(g @ txt_n, img_rows, img_norm, img_unclamped)
+        grads["txt_rows"] = _normalize_grad((img_n.T @ g).T, txt_rows, txt_norm, txt_unclamped)
+        return cont, cont, 0.0, grads
+
+    e_c = np.exp(np.asarray(log_curv, dtype=np.float64))
+    c = np.clip(e_c, CURV_MIN, CURV_MAX)
+    sqrt_c = np.sqrt(c)
+    img, txt = _Lift(img_rows, log_scale_img, c, sqrt_c), _Lift(txt_rows, log_scale_txt, c, sqrt_c)
+    # times as an outer product: one rounding per entry, as the tape's (B, 1) @ (1, B)
+    inner = img.sp @ txt.sp.T - img.time * txt.time.T
+    if mode is SimilarityMode.LORENTZ_INNER:
+        sim = inner
+    elif mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
+        neg_ic = -(inner * c)
+        arg = np.clip(neg_ic, 1.0, None)
+        acosh = np.arccosh(arg)
+        sim = -(acosh / sqrt_c)
+    else:
+        raise ValueError(f"mode {mode} is not a similarity mode")
+    cont, g = _contrastive_grad(sim * inv_temp)
+    tmp = np.multiply(g, sim)      # a B x B work buffer from here on
+    g_inv_temp = _total(tmp)
+    g *= inv_temp
+    sim_c = []
+    if mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
+        # sim = -acosh(max(-(inner * c), 1)) / sqrt(c)
+        np.multiply(g, acosh, out=tmp)
+        tmp /= sqrt_c * sqrt_c
+        sim_c.append(_total(tmp) * 0.5 / sqrt_c)
+        g /= -sqrt_c
+        np.maximum(arg, 1.0 + ACOSH_EPS, out=tmp)
+        np.square(tmp, out=tmp)
+        tmp -= 1.0
+        g /= np.sqrt(tmp, out=tmp)
+        g *= neg_ic > 1.0
+        np.negative(g, out=g)
+        sim_c.append(_total(np.multiply(g, inner, out=tmp)))
+        g *= c
+    g_neg = np.negative(g, out=tmp)
+    g_img_sp, g_img_t = g @ txt.sp, g_neg @ txt.time
+    g_txt_sp, g_txt_t = (img.sp.T @ g).T, (img.time.T @ g_neg).T
+
+    total, ent, hinge_c = cont, 0.0, []
+    if entail_weight != 0.0:
+        b = img_rows.shape[0]
+        hinge = _Hinge(txt.sp, txt.time, img.sp, img.time, c, sqrt_c, cone_boundary)
+        ent = float(hinge.total / b)
+        total = cont + entail_weight * ent
+        h_txt_sp, h_txt_t, h_img_sp, h_img_t, hinge_c = hinge.backward(entail_weight / b, c, sqrt_c)
+        g_txt_sp, g_txt_t = g_txt_sp + h_txt_sp, g_txt_t + h_txt_t
+        g_img_sp, g_img_t = g_img_sp + h_img_sp, g_img_t + h_img_t
+
+    grads["txt_rows"], grads["log_scale_txt"], txt_c = txt.backward(g_txt_sp, g_txt_t, c, sqrt_c)
+    grads["img_rows"], grads["log_scale_img"], img_c = img.backward(g_img_sp, g_img_t, c, sqrt_c)
+    # c's adjoints add up in the tape's order: the ops that ran last first.
+    c_terms = hinge_c + sim_c + txt_c + img_c
+    g_c = c_terms[0]
+    for term in c_terms[1:]:
+        g_c = g_c + term
+    grads["log_inv_temp"] = g_inv_temp * (e_it < INV_TEMP_MAX) * e_it
+    grads["log_curv"] = g_c * ((e_c > CURV_MIN) & (e_c < CURV_MAX)) * e_c
+    return total, cont, ent, grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Desk-scale deterministic trainer on synthetic concept trees.
 
 Two small encoders (affine, or one tanh hidden layer) map text/image
-latents to pre-lift embeddings; the objective, its gradients (reverse
-tape) and the AdamW updates run in 64-bit floats end to end, so a fixed
-config and seed reproduce checkpoints bit for bit.
+latents to pre-lift embeddings; the objective, its gradients and the AdamW
+updates run in 64-bit floats end to end, so a fixed config and seed
+reproduce checkpoints bit for bit.
+
+`train` loops over the pure `train_step`.  A step takes its gradient in
+closed form (`losses.objective_grad`, then `encoder_backward`).  The
+reverse tape stays the oracle: `encoder_forward` on tape nodes followed by
+`objective` records the same step's graph, and tests and `gradcheck`
+check the closed form against it.
 
 The learning rate warms up linearly, then follows cosine decay to zero.
 Weight decay is decoupled and disabled for biases and the learnable
@@ -24,10 +30,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .analysis import EmbeddingIndex, Labels, space_of
-from .autodiff import Tape
 from .dumpio import atomic_write
 from .geometry import CURV_MAX, CURV_MIN
-from .hierarchy import ConceptTree, PairSampler, generate_tree, held_out_images
+from .hierarchy import ConceptTree, PairBatch, PairSampler, generate_tree, held_out_images
 from .losses import (
     ENTAIL_WEIGHT_DEFAULT,
     INV_TEMP_MAX,
@@ -35,7 +40,8 @@ from .losses import (
     SimilarityMode,
     clamped_curv,
     clamped_inv_temp,
-    objective,
+    objective,  # noqa: F401  the tape oracle's step objective; bench/spec.py traces it here
+    objective_grad,
 )
 
 SPACES = ("lorentz", "sphere")
@@ -177,6 +183,19 @@ def encoder_forward(tensors, latents, modality: str, hidden_dim: int):
     return ad.matmul(latents, tensors[f"{modality}_w"]) + tensors[f"{modality}_b"]
 
 
+def encoder_backward(tensors, latents, modality: str, hidden_dim: int,
+                     g_rows) -> dict[str, np.ndarray]:
+    """Gradients of one encoder's tensors, given d loss / d (its output
+    rows); the tanh layer's activation is recomputed from `latents`."""
+    if hidden_dim > 0:
+        w1, b1, w2, b2 = (f"{modality}_{k}" for k in ("w1", "b1", "w2", "b2"))
+        act = np.tanh(latents @ tensors[w1] + tensors[b1])
+        g_h = (g_rows @ tensors[w2].T) * (1.0 - act * act)
+        return {w1: latents.T @ g_h, b1: g_h.sum(axis=0),
+                w2: act.T @ g_rows, b2: g_rows.sum(axis=0)}
+    return {f"{modality}_w": latents.T @ g_rows, f"{modality}_b": g_rows.sum(axis=0)}
+
+
 # ---------------------------------------------------------------------------
 # Learning-rate schedule and AdamW
 # ---------------------------------------------------------------------------
@@ -250,6 +269,63 @@ class Checkpoint:
     index: EmbeddingIndex | None = None
 
 
+def _closed_form_gradients(params, batch: PairBatch, config: TrainConfig, lam: float,
+                           img_rows, txt_rows):
+    """((total, contrastive, entailment), grads) of the step's objective,
+    given the encoders' output rows; `grads` holds every trained tensor."""
+    total, cont, ent, g = objective_grad(
+        img_rows, txt_rows,
+        params["log_inv_temp"], params["log_curv"], params["log_scale_img"], params["log_scale_txt"],
+        mode=config.mode(), entail_weight=lam, cone_boundary=config.cone_boundary,
+    )
+    grads = {
+        **encoder_backward(params, batch.image_latents, "img", config.hidden_dim, g.pop("img_rows")),
+        **encoder_backward(params, batch.text_latents, "txt", config.hidden_dim, g.pop("txt_rows")),
+        **g,
+    }
+    if config.fixed_curvature:
+        del grads["log_curv"]
+    return (total, cont, ent), grads
+
+
+def train_step(params: dict[str, np.ndarray], state: AdamState, batch: PairBatch,
+               config: TrainConfig, step: int):
+    """One optimisation step; pure.  Returns (params, state, metrics):
+    the updated tensors and Adam state, and the step's curve values
+    (`CURVE_COLUMNS` after "step") plus whether tau and c were clamped.
+    """
+    lam = 0.0 if config.no_entailment else config.entail_weight
+    with np.errstate(all="ignore"):
+        img_rows = encoder_forward(params, batch.image_latents, "img", config.hidden_dim)
+        txt_rows = encoder_forward(params, batch.text_latents, "txt", config.hidden_dim)
+        (total, cont, ent), grads = _closed_form_gradients(
+            params, batch, config, lam, img_rows, txt_rows
+        )
+    if not np.isfinite(total):
+        raise DivergenceError(f"non-finite loss at step {step}")
+
+    lr = lr_at(step, config)
+    with np.errstate(all="ignore"):   # runaway params surface as divergence
+        updated, state = adamw_step(
+            {k: params[k] for k in grads}, grads, state, lr,
+            betas=config.betas, weight_decay=config.weight_decay, eps=config.adam_eps,
+        )
+    params = {**params, **updated}
+
+    inv_t = float(np.asarray(clamped_inv_temp(params["log_inv_temp"])))
+    metrics = {
+        "contrastive": cont,
+        "entailment": ent,
+        "total": total,
+        "lr": lr,
+        "tau": 1.0 / inv_t if inv_t > 0.0 else float("inf"),
+        "c": float(np.asarray(clamped_curv(params["log_curv"]))),
+        "tau_clamped": float(np.exp(params["log_inv_temp"])) > INV_TEMP_MAX,
+        "curv_clamped": not (CURV_MIN <= float(np.exp(params["log_curv"])) <= CURV_MAX),
+    }
+    return params, state, metrics
+
+
 def train(config: TrainConfig) -> Checkpoint:
     """Run the full training loop; deterministic for a fixed config."""
     tree = generate_tree(
@@ -259,67 +335,15 @@ def train(config: TrainConfig) -> Checkpoint:
     enc = EncoderParams.init(config)
     params = enc.tensors
     state = AdamState.zeros(params)
-    decay_mask = default_decay_mask(params)
-    mode = config.mode()
-    lam = 0.0 if config.no_entailment else config.entail_weight
-    frozen = {"log_curv"} if config.fixed_curvature else set()
 
     curve = np.zeros((config.steps, len(CURVE_COLUMNS)))
     clamp_hits = {"tau": 0, "curv": 0}
     for step in range(config.steps):
         batch = sampler.next_batch(config.batch_size)
-        tape = Tape()
-        tvars = {
-            k: (tape.const(v) if k in frozen else tape.var(v)) for k, v in params.items()
-        }
-        with np.errstate(all="ignore"):
-            img_rows = encoder_forward(tvars, batch.image_latents, "img", config.hidden_dim)
-            txt_rows = encoder_forward(tvars, batch.text_latents, "txt", config.hidden_dim)
-            total, cont, ent = objective(
-                img_rows,
-                txt_rows,
-                tvars["log_inv_temp"],
-                tvars["log_curv"],
-                tvars["log_scale_img"],
-                tvars["log_scale_txt"],
-                mode=mode,
-                entail_weight=lam,
-                cone_boundary=config.cone_boundary,
-            )
-            total_v = float(total.value)
-            if not np.isfinite(total_v):
-                raise DivergenceError(f"non-finite loss at step {step}")
-            grads_by_id = tape.backward(total)
-
-        live = {k: v for k, v in params.items() if k not in frozen}
-        grads = {k: grads_by_id[tvars[k].idx] for k in live}
-        lr = lr_at(step, config)
-        with np.errstate(all="ignore"):   # runaway params surface as divergence
-            updated, state = adamw_step(
-                live, grads, state, lr,
-                betas=config.betas, weight_decay=config.weight_decay,
-                eps=config.adam_eps, decay_mask=decay_mask,
-            )
-        params = {**params, **updated}
-
-        tau_raw = float(np.exp(params["log_inv_temp"]))
-        curv_raw = float(np.exp(params["log_curv"]))
-        if tau_raw > INV_TEMP_MAX:
-            clamp_hits["tau"] += 1
-        if not (CURV_MIN <= curv_raw <= CURV_MAX):
-            clamp_hits["curv"] += 1
-        inv_t = float(np.asarray(clamped_inv_temp(params["log_inv_temp"])))
-        tau_eff = 1.0 / inv_t if inv_t > 0.0 else float("inf")
-        c_eff = float(np.asarray(clamped_curv(params["log_curv"])))
-        curve[step] = (
-            step,
-            float(np.asarray(ad.value_of(cont))),
-            float(np.asarray(ad.value_of(ent))),
-            total_v,
-            lr,
-            tau_eff,
-            c_eff,
-        )
+        params, state, metrics = train_step(params, state, batch, config, step)
+        curve[step] = (step, *(metrics[k] for k in CURVE_COLUMNS[1:]))
+        for k in clamp_hits:
+            clamp_hits[k] += metrics[f"{k}_clamped"]
 
     enc = replace(enc, tensors=params)
     index = build_embedding_index(enc, config, tree)

@@ -234,6 +234,14 @@ class TestGradcheckCommand:
         assert "gradient check passed" in out
         assert "[ok] primitive/acosh" in out
 
+    def test_closed_form_line_per_variant(self, capsys):
+        assert main(["gradcheck", "--points", "1", "--seeds", "2"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if "closed_form/" in l]
+        assert [l.split(":")[0] for l in lines] == [
+            f"[ok] closed_form/{mode}/entail_weight={lam}"
+            for mode in ("neg_lorentz_distance", "lorentz_inner", "cosine") for lam in (0.0, 0.2)
+        ]
+
 
 class TestHelp:
     def test_subcommand_help_lists_defaults(self, capsys):
@@ -336,3 +344,19 @@ class TestQueryValidation:
     def test_vector_must_be_finite(self, dump, capsys, command, bad):
         assert main([command, "--dump", dump, f"--vector={bad},0.5,0.5"]) == 1
         assert "non-finite" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("boundary", ["-1", "0", "nan", "inf"])
+    def test_cone_boundary_must_be_finite_positive(self, dump, capsys, boundary):
+        assert main(["traverse", "--dump", dump, "--row", "1", f"--cone-boundary={boundary}"]) == 1
+        assert "cone boundary" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", [["retrieve", "--row", "0"], ["stats"]])
+    def test_lorentz_dump_with_non_finite_row(self, dump, capsys, command, bad):
+        raw = bytearray(open(dump, "rb").read())
+        header = 4 + 4 + 1 + 4 + 8 + 8          # magic, version, space, dim, count, curvature
+        raw[header + 4 * 3 * 4: header + 4 * 3 * 4 + 4] = struct.pack("<f", bad)  # row 4, first value
+        with open(dump, "wb") as f:
+            f.write(raw)
+        assert main([command[0], "--dump", dump, *command[1:]]) == 1
+        assert "lorentz row 4 has a non-finite component" in one_error_line(capsys)

@@ -1,0 +1,122 @@
+"""The closed-form objective gradient the trainer runs, against the reverse
+tape that stays its oracle."""
+
+import numpy as np
+import pytest
+
+from hycone import autodiff as ad
+from hycone import trainer
+from hycone.autodiff import Tape
+from hycone.hierarchy import PairSampler, generate_tree
+from hycone.losses import SimilarityMode
+from hycone.trainer import EncoderParams, TrainConfig, encoder_forward, train
+
+TINY = dict(batch_size=8, steps=30, warmup=3, depth=2, branching=3,
+            latent_dim=8, embed_dim=8, held_out_per_leaf=2)
+MODE_CONFIG = {
+    SimilarityMode.NEG_LORENTZ_DISTANCE: {},
+    SimilarityMode.LORENTZ_INNER: {"inner_product_logits": True},
+    SimilarityMode.COSINE: {"space": "sphere"},
+}
+
+
+def first_batch(cfg):
+    tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
+    return PairSampler(tree, cfg.seed).next_batch(cfg.batch_size)
+
+
+def tape_gradients(params, batch, cfg, lam):
+    """((total, contrastive, entailment), grads) of one training step on the
+    reverse tape: the trainer's encoders and objective on tape nodes."""
+    frozen = {"log_curv"} if cfg.fixed_curvature else set()
+    tape = Tape()
+    tvars = {k: (tape.const(v) if k in frozen else tape.var(v)) for k, v in params.items()}
+    img_rows = trainer.encoder_forward(tvars, batch.image_latents, "img", cfg.hidden_dim)
+    txt_rows = trainer.encoder_forward(tvars, batch.text_latents, "txt", cfg.hidden_dim)
+    terms = trainer.objective(
+        img_rows, txt_rows,
+        tvars["log_inv_temp"], tvars["log_curv"], tvars["log_scale_img"], tvars["log_scale_txt"],
+        mode=cfg.mode(), entail_weight=lam, cone_boundary=cfg.cone_boundary,
+    )
+    grads_by_id = tape.backward(terms[0])
+    grads = {k: grads_by_id[v.idx] for k, v in tvars.items() if k not in frozen}
+    return tuple(float(np.asarray(ad.value_of(x))) for x in terms), grads
+
+
+@pytest.mark.parametrize("batch_size", [4, 64])
+@pytest.mark.parametrize("hidden_dim", [0, 8])
+@pytest.mark.parametrize("lam", [0.0, 0.2])
+@pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
+def test_step_gradient_matches_tape(mode, lam, hidden_dim, batch_size):
+    cfg = TrainConfig(seed=3, batch_size=batch_size, hidden_dim=hidden_dim, **MODE_CONFIG[mode])
+    batch = first_batch(cfg)
+    # Move every tensor off its initial value, where biases are zero and
+    # the root concept's text row sits at the origin (see below).
+    rng = np.random.default_rng(batch_size + hidden_dim)
+    params = {k: v + 0.05 * rng.standard_normal(v.shape)
+              for k, v in EncoderParams.init(cfg).tensors.items()}
+    img_rows = encoder_forward(params, batch.image_latents, "img", hidden_dim)
+    txt_rows = encoder_forward(params, batch.text_latents, "txt", hidden_dim)
+
+    tape_terms, tape_grads = tape_gradients(params, batch, cfg, lam)
+    terms, grads = trainer._closed_form_gradients(params, batch, cfg, lam, img_rows, txt_rows)
+    np.testing.assert_allclose(terms, tape_terms, rtol=1e-12, atol=0)
+    assert sorted(grads) == sorted(tape_grads)
+    for k, g in tape_grads.items():
+        np.testing.assert_allclose(grads[k], g, rtol=1e-10, atol=1e-15, err_msg=k)
+
+
+@pytest.mark.parametrize("extra", [
+    {}, {"no_entailment": True}, {"fixed_curvature": True}, {"inner_product_logits": True},
+    {"space": "sphere"}, {"hidden_dim": 12},
+], ids=lambda e: ",".join(e) or "reference")
+def test_train_matches_tape_only_loop(monkeypatch, extra):
+    cfg = TrainConfig(seed=11, **TINY, **extra)
+    calls = []
+    real_objective = trainer.objective
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_objective(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "objective", counted)
+    chk = train(cfg)
+    assert not calls                    # the closed form never builds a tape
+    # Every step through the tape: the loop the trainer ran before the closed form.
+    def on_tape(params, batch, config, lam, img_rows, txt_rows):
+        return tape_gradients(params, batch, config, lam)
+
+    monkeypatch.setattr(trainer, "_closed_form_gradients", on_tape)
+    ref = train(cfg)
+    assert len(calls) == cfg.steps
+
+    np.testing.assert_allclose(chk.curve, ref.curve, rtol=1e-12, atol=1e-12)
+    assert chk.clamp_hits == ref.clamp_hits
+    assert sorted(chk.encoder.tensors) == sorted(ref.encoder.tensors)
+    for k, v in ref.encoder.tensors.items():
+        np.testing.assert_allclose(chk.encoder.tensors[k], v, rtol=0, atol=1e-12, err_msg=k)
+    np.testing.assert_allclose(chk.index.vectors, ref.index.vectors, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 8])
+def test_apex_at_origin_gradient_equals_tape(hidden_dim):
+    # At initialisation the root concept's text row sits at the origin,
+    # where the cone is undefined.  The tape's text-bias gradient there is
+    # ~1e147, and d/dlog_curv is what is left after such terms cancel; the
+    # closed form adds them in the tape's order and gets the same numbers.
+    cfg = TrainConfig(seed=11, **TINY, hidden_dim=hidden_dim)
+    batch = first_batch(cfg)
+    assert 0 in batch.text_nodes        # the root concept: zero latent, zero bias
+    params = EncoderParams.init(cfg).tensors
+    img_rows = encoder_forward(params, batch.image_latents, "img", hidden_dim)
+    txt_rows = encoder_forward(params, batch.text_latents, "txt", hidden_dim)
+
+    tape_terms, tape_grads = tape_gradients(params, batch, cfg, cfg.entail_weight)
+    terms, grads = trainer._closed_form_gradients(
+        params, batch, cfg, cfg.entail_weight, img_rows, txt_rows
+    )
+    assert np.max(np.abs(tape_grads["txt_b" if hidden_dim == 0 else "txt_b2"])) > 1e100
+    assert terms == tape_terms
+    assert sorted(grads) == sorted(tape_grads)
+    for k, g in tape_grads.items():
+        np.testing.assert_array_equal(grads[k], g, err_msg=k)

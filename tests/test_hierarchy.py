@@ -82,6 +82,32 @@ class TestPairSampler:
         batch = PairSampler(tree, seed=5).next_batch(10)
         assert batch.image_latents.shape == (10, 4)
 
+    @pytest.mark.parametrize("batch_size", [1, 7, 9, 10, 40])     # 9 leaves
+    def test_matches_per_row_construction(self, batch_size):
+        tree = generate_tree(2, 3, 5, 0.3, seed=12)
+        sampler = PairSampler(tree, seed=12)
+        rng = np.random.default_rng(np.random.SeedSequence([12, 1]))
+        chains = [tree.ancestors(leaf) for leaf in tree.leaves]
+        for _ in range(4):
+            if batch_size <= len(tree.leaves):
+                sel = rng.permutation(len(tree.leaves))[:batch_size]
+            else:
+                sel = rng.integers(0, len(tree.leaves), size=batch_size)
+            anc_pick = rng.integers(0, tree.depth, size=batch_size)
+            noise = rng.standard_normal((batch_size, tree.latent_dim))
+            leaf_nodes = np.array([tree.leaves[i] for i in sel])
+            text_nodes = np.array([chains[i][anc_pick[j]] for j, i in enumerate(sel)])
+            batch = sampler.next_batch(batch_size)
+            assert np.array_equal(batch.leaf_nodes, leaf_nodes)
+            assert np.array_equal(batch.text_nodes, text_nodes)
+            assert batch.leaf_nodes.dtype == leaf_nodes.dtype
+            assert np.array_equal(
+                batch.image_latents,
+                np.stack([tree.nodes[n].latent for n in leaf_nodes]) + tree.noise * noise,
+            )
+            assert np.array_equal(batch.text_latents,
+                                  np.stack([tree.nodes[n].latent for n in text_nodes]))
+
 
 class TestHeldOut:
     def test_labels_and_determinism(self):
