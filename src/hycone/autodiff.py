@@ -4,7 +4,9 @@ The engine covers exactly the primitive set needed by the geometry,
 entailment and loss modules: elementwise arithmetic with broadcasting,
 matmul/transpose, reductions, the hyperbolic/inverse-trig functions,
 boundary clamps with zero subgradient, the stable sinh(t)/t kernel, and a
-row-wise logsumexp for softmax cross-entropy.
+row-wise logsumexp for softmax cross-entropy.  The matrix primitives
+(matmul, transpose, diag_part, logsumexp_rows) act on the last two axes,
+so a stack of matrices evaluates as one call.
 
 Every operation is recorded as a node on a :class:`Tape`; append order is
 topological order, and :meth:`Tape.backward` visits nodes in strict
@@ -121,8 +123,8 @@ def _relu_kernel(x: Array) -> Array:
 
 
 def _logsumexp_rows_kernel(m: Array) -> Array:
-    mx = np.max(m, axis=1, keepdims=True)
-    return np.log(np.sum(np.exp(m - mx), axis=1)) + mx[:, 0]
+    mx = np.max(m, axis=-1, keepdims=True)
+    return np.log(np.sum(np.exp(m - mx), axis=-1)) + mx[..., 0]
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -208,13 +210,13 @@ _register(
 _register(
     "matmul",
     lambda a, b: a @ b,
-    lambda g, out, ins, p: (g @ ins[1].T, ins[0].T @ g),
+    lambda g, out, ins, p: (g @ np.swapaxes(ins[1], -1, -2), np.swapaxes(ins[0], -1, -2) @ g),
     lambda rng: ((_rand(rng, 3, 4), _rand(rng, 4, 2)), {}),
 )
 _register(
     "transpose",
-    lambda a: a.T,
-    lambda g, out, ins, p: (g.T,),
+    lambda a: np.swapaxes(a, -1, -2),
+    lambda g, out, ins, p: (np.swapaxes(g, -1, -2),),
     lambda rng: ((_rand(rng, 3, 4),), {}),
 )
 _register(
@@ -332,20 +334,21 @@ _register(
 _register(
     "logsumexp_rows",
     _logsumexp_rows_kernel,
-    lambda g, out, ins, p: (g[:, None] * np.exp(ins[0] - out[:, None]),),
+    lambda g, out, ins, p: (g[..., None] * np.exp(ins[0] - out[..., None]),),
     lambda rng: ((_rand(rng, 3, 5),), {}),
 )
 
 
 def _diag_scatter(g, shape):
     m = np.zeros(shape)
-    np.fill_diagonal(m, g)
+    i = np.arange(shape[-1])
+    m[..., i, i] = g
     return m
 
 
 _register(
     "diag_part",
-    lambda a: np.diagonal(a).copy(),
+    lambda a: np.diagonal(a, axis1=-2, axis2=-1).copy(),
     lambda g, out, ins, p: (_diag_scatter(g, ins[0].shape),),
     lambda rng: ((_rand(rng, 4, 4),), {}),
 )
@@ -509,11 +512,6 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - numpy-style namespace use
     return apply_op("sum", a, axis=axis, keepdims=keepdims)
 
 
-def mean(a):
-    size = a.value.size if isinstance(a, Node) else np.asarray(a).size
-    return apply_op("sum", a) / float(size)
-
-
 def sqrt(a):
     return apply_op("sqrt", a)
 
@@ -579,27 +577,36 @@ def value_of(x) -> Array:
 # Finite differences and gradient reports
 # ---------------------------------------------------------------------------
 
+def finite_diff_stacked(f_stack: Callable[[Array], Array], x, h: float = 1e-5) -> Array:
+    """Central-difference gradient at x from one call of a function's
+    stacked form.
+
+    `f_stack` maps a (2N, *x.shape) stack of points, N = x.size, to their
+    2N values; points i and N + i are x plus and minus h along coordinate
+    i.  Raises if any value is non-finite, naming the first such
+    coordinate.
+    """
+    x = _as_f64(x)
+    n = x.size
+    i = np.arange(n)
+    points = np.tile(x.ravel(), (2 * n, 1))
+    points[i, i] += h
+    points[n + i, i] -= h
+    values = _as_f64(f_stack(points.reshape((2 * n,) + x.shape)))
+    fp, fm = values[:n], values[n:]
+    finite = np.isfinite(fp) & np.isfinite(fm)
+    if not finite.all():
+        mi = tuple(int(k) for k in np.unravel_index(int(np.argmin(finite)), x.shape))
+        raise ValueError(f"non-finite evaluation of f at coordinate {mi}")
+    return ((fp - fm) / (2.0 * h)).reshape(x.shape)
+
+
 def finite_diff(f: Callable[[Array], float], x, h: float = 1e-5) -> Array:
     """Central-difference gradient of a scalar function at x.
 
     Raises if any evaluation is non-finite, naming the coordinate.
     """
-    x = _as_f64(x)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        mi = it.multi_index
-        xp = x.copy()
-        xp[mi] += h
-        fp = float(f(xp))
-        xm = x.copy()
-        xm[mi] -= h
-        fm = float(f(xm))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation of f at coordinate {mi}")
-        grad[mi] = (fp - fm) / (2.0 * h)
-        it.iternext()
-    return grad
+    return finite_diff_stacked(lambda points: [float(f(p)) for p in points], x, h)
 
 
 @dataclass

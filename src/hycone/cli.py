@@ -102,9 +102,12 @@ def cmd_train(args) -> int:
 
 def cmd_embed(args) -> int:
     chk = trainer.load_checkpoint(args.checkpoint)
-    index = trainer.build_embedding_index(
-        chk.encoder, chk.config, held_out_per_leaf=args.held_out_per_leaf
-    )
+    # Weights large enough to overflow give non-finite rows, which the index
+    # rejects with one error line; numpy's warnings would add more lines.
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = trainer.build_embedding_index(
+            chk.encoder, chk.config, held_out_per_leaf=args.held_out_per_leaf
+        )
     paths = dumpio.write_dump(index, args.out)
     print(f"wrote {paths[0]} ({index.count} rows, space={index.space})")
     return EXIT_OK

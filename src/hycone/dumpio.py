@@ -101,11 +101,12 @@ def read_dump(path) -> EmbeddingIndex:
             f"payload length mismatch at offset {_HEADER.size}: "
             f"expected {expected} bytes, found {got}"
         )
-    vectors = (
-        np.frombuffer(raw, dtype="<f4", count=count * dim, offset=_HEADER.size)
-        .astype(np.float64)
-        .reshape(count, dim)
-    )
+    with np.errstate(invalid="ignore"):     # a signalling NaN; the row check reports it
+        vectors = (
+            np.frombuffer(raw, dtype="<f4", count=count * dim, offset=_HEADER.size)
+            .astype(np.float64)
+            .reshape(count, dim)
+        )
 
     lpath = labels_path(path)
     try:

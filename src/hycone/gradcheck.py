@@ -3,6 +3,11 @@ finite differences, and end-to-end checks of the training objective: the
 tape's gradient against central differences, and the closed form the
 trainer runs (`losses.objective_grad`) against the tape.
 
+The objective's central differences take one forward pass per sample
+point: its 2N perturbed inputs go through `objective` as one stack of
+plain arrays (`autodiff.finite_diff_stacked`), which gives the gradient a
+loop of 2N single calls would, bit for bit.
+
 End-to-end sample points whose forward pass runs within a margin of any
 clamp or hinge boundary are skipped (the analytic subgradient and the
 two-sided difference legitimately disagree there); replacement seeds are
@@ -17,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import PRIMITIVES, GradReport, Tape, boundary_monitor, finite_diff, make_report
+from .autodiff import (
+    PRIMITIVES, GradReport, Tape, boundary_monitor, finite_diff, finite_diff_stacked, make_report,
+)
 from .losses import SimilarityMode, objective, objective_grad
 
 BOUNDARY_MARGIN = 1e-3
@@ -56,9 +63,15 @@ def _unflatten(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"gradcheck {name} must be >= 1, got {value}")
+
+
 def check_primitive(name: str, points: int = 100, seed: int = 0,
                     rtol: float = PRIMITIVE_RTOL, atol: float = PRIMITIVE_ATOL) -> CheckResult:
     """Check one registered primitive at `points` random sample points."""
+    _check_count("points", points)
     prim = PRIMITIVES[name]
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(name.encode())]))
     worst: GradReport | None = None
@@ -157,16 +170,18 @@ def _tape_gradient(case) -> np.ndarray:
 
 
 def _numeric_gradient(case, h: float) -> np.ndarray:
+    """Central differences of the objective: the 2N perturbed points go
+    through `objective` as one (2N, B, n) stack."""
     imgs, txts, scalars, run = case
-    sizes = (imgs.size, txts.size)
+    ni, nt = imgs.size, txts.size
 
-    def f(flat):
-        fi = flat[: sizes[0]].reshape(imgs.shape)
-        ft = flat[sizes[0]: sizes[0] + sizes[1]].reshape(txts.shape)
-        sc = flat[sizes[0] + sizes[1]:]
-        return float(np.asarray(run(fi, ft, sc)))
+    def f_stack(points):
+        k = len(points)
+        sc = points[:, ni + nt:].T.reshape(len(scalars), k, 1, 1)
+        return run(points[:, :ni].reshape((k,) + imgs.shape),
+                   points[:, ni:ni + nt].reshape((k,) + txts.shape), sc)
 
-    return finite_diff(f, np.concatenate([imgs.ravel(), txts.ravel(), scalars]), h=h)
+    return finite_diff_stacked(f_stack, np.concatenate([imgs.ravel(), txts.ravel(), scalars]), h=h)
 
 
 def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> np.ndarray:
@@ -204,6 +219,7 @@ def check_total_loss(seeds: int = 20, batch: int = 4, dim: int = 8,
     against central differences (the two hyperbolic modes, at rtol/atol),
     then at the same points `objective_grad` against the tape (every mode,
     at CLOSED_FORM_RTOL)."""
+    _check_count("seeds", seeds)
     tape_results, closed_results = [], []
     for mode in SimilarityMode:
         for lam in (0.0, 0.2):

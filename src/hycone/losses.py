@@ -149,10 +149,11 @@ def normalize_rows(rows):
 def contrastive_from_logits(logits):
     """Mean softmax cross-entropy against the diagonal, averaged over the
     image->text and text->image directions (max-subtraction softmax)."""
+    batch = float(logits.shape[-1])
     ce_img = ad.logsumexp_rows(logits) - ad.diag_part(logits)
     logits_t = ad.transpose(logits)
     ce_txt = ad.logsumexp_rows(logits_t) - ad.diag_part(logits_t)
-    return 0.5 * (ad.mean(ce_img) + ad.mean(ce_txt))
+    return 0.5 * (ad.sum(ce_img, axis=-1) / batch + ad.sum(ce_txt, axis=-1) / batch)
 
 
 def lorentz_logits(img_sp, img_t, txt_sp, txt_t, c, inv_temp, mode: SimilarityMode):
@@ -178,6 +179,10 @@ def objective(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_sca
     """Full training objective on pre-lift rows; returns (total, contrastive,
     entailment) scalars (tape nodes when the inputs are nodes).
 
+    Plain-array inputs may carry leading batch axes: (..., B, n) rows and
+    scalars broadcastable as (..., 1, 1).  The losses then have shape
+    (...), one entry per stacked objective, each equal to its own call.
+
     mode=COSINE is the spherical baseline: unit-normalized embeddings with
     cosine logits and no entailment term (cones are undefined on the
     sphere), whatever the entailment weight.
@@ -194,7 +199,8 @@ def objective(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_sca
     )
     if entail_weight == 0.0:
         return cont, cont, 0.0
-    ent = ad.mean(entailment.hinge_rows(txt_sp, txt_t, img_sp, img_t, c, cone_boundary))
+    hinge = entailment.hinge_rows(txt_sp, txt_t, img_sp, img_t, c, cone_boundary)
+    ent = ad.sum(hinge, axis=(-2, -1)) / float(hinge.shape[-2])
     total = cont + entail_weight * ent
     return total, cont, ent
 

@@ -87,6 +87,10 @@ class TrainConfig:
             raise ValueError("batch size must be >= 2")
         if self.entail_weight < 0.0:
             raise ValueError("entailment weight must be >= 0")
+        if self.embed_dim < 1 or self.hidden_dim < 0:
+            raise ValueError("need embed_dim >= 1 and hidden_dim >= 0")
+        if not (self.tau_init > 0.0 and self.curv_init > 0.0):
+            raise ValueError("initial tau and curvature must be > 0")
 
     def mode(self) -> SimilarityMode:
         if self.space == "sphere":

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +243,13 @@ class TestGradcheckCommand:
             for mode in ("neg_lorentz_distance", "lorentz_inner", "cosine") for lam in (0.0, 0.2)
         ]
 
+    @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-1"), ("--seeds", "0")])
+    def test_count_below_one_is_one_line_error(self, flag, value, capsys):
+        assert main(["gradcheck", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gradcheck {flag[2:]} must be >= 1, got {value}\n"
+
 
 class TestHelp:
     def test_subcommand_help_lists_defaults(self, capsys):
@@ -315,6 +323,31 @@ class TestCheckpointReader:
         assert self.embed(tmp_path, bad) == 1
         assert "'txt_w'" in one_error_line(capsys)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [-1e308, np.nan])
+    def test_overflowing_weight_is_one_line_error(self, tmp_path, capsys, value):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        chk = trainer.load_checkpoint(out / "checkpoint.bin")
+        chk.encoder.tensors["txt_w"][1, 0] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(trainer.checkpoint_bytes(chk))
+        assert self.embed(tmp_path, bad) == 1
+        assert "non-finite component" in one_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key, value", [("embed_dim", 0), ("tau_init", 0.0), ("curv_init", 0.0)])
+    def test_config_out_of_range_is_one_line_error(self, tmp_path, capsys, key, value):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        bad = with_config_key(out / "checkpoint.bin", tmp_path / "bad.bin", key, value)
+        assert self.embed(tmp_path, bad) == 1
+        one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag", ["--embed-dim=0", "--hidden-dim=-1"])
+    def test_dims_out_of_range_rejected_before_training(self, tmp_path, capsys, flag):
+        assert main(["train", *TINY, flag, "--out", str(tmp_path / "n")]) == 1
+        assert "embed_dim" in one_error_line(capsys)
+        assert not (tmp_path / "n").exists()
+
     def test_negative_entail_weight_rejected_before_training(self, tmp_path, capsys):
         code = main(["train", *TINY, "--entail-weight=-1", "--out", str(tmp_path / "n")])
         assert code == 1
@@ -359,4 +392,13 @@ class TestQueryValidation:
         with open(dump, "wb") as f:
             f.write(raw)
         assert main([command[0], "--dump", dump, *command[1:]]) == 1
+        assert "lorentz row 4 has a non-finite component" in one_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_signalling_nan_row_is_one_line_error(self, dump, capsys):
+        raw = bytearray(Path(dump).read_bytes())
+        header = 4 + 4 + 1 + 4 + 8 + 8
+        raw[header + 4 * 3 * 4: header + 4 * 3 * 4 + 4] = struct.pack("<I", 0x7F800001)
+        Path(dump).write_bytes(raw)
+        assert main(["stats", "--dump", dump]) == 1
         assert "lorentz row 4 has a non-finite component" in one_error_line(capsys)
