@@ -551,8 +551,15 @@ def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
             raise ValueError(
                 f"image embedding curvature {curvature} differs from params curvature {space.c}"
             )
-    classes = space.lift(np.stack(means), params.scale_txt())
-    return ClassScores(names=names, scores=space.inner(np.asarray(images, dtype=np.float64), classes))
+    # A prompt mean too long to lift overflows; report it as one error
+    # rather than as numpy warnings and NaN scores.
+    with np.errstate(over="ignore", invalid="ignore"):
+        classes = space.lift(np.stack(means), params.scale_txt())
+        scores = space.inner(np.asarray(images, dtype=np.float64), classes)
+    if not np.isfinite(scores).all():
+        i, k = np.argwhere(~np.isfinite(scores))[0]
+        raise ValueError(f"image row {i} scores non-finite against class {names[k]!r}")
+    return ClassScores(names=names, scores=scores)
 
 
 def classify(image_embedding, prompt_sets: dict[str, list], params: LossParams) -> Classification:

@@ -3,10 +3,10 @@ finite differences, and end-to-end checks of the training objective: the
 tape's gradient against central differences, and the closed form the
 trainer runs (`losses.objective_grad`) against the tape.
 
-The objective's central differences take one forward pass per sample
-point: its 2N perturbed inputs go through `objective` as one stack of
-plain arrays (`autodiff.finite_diff_stacked`), which gives the gradient a
-loop of 2N single calls would, bit for bit.
+Central differences take one forward pass per sample point, for each
+primitive and for the objective: the 2N perturbed inputs go through the
+forward as one stack of plain arrays (`autodiff.finite_diff_stacked`),
+which gives the gradient a loop of 2N single calls would, bit for bit.
 
 End-to-end sample points whose forward pass runs within a margin of any
 clamp or hinge boundary are skipped (the analytic subgradient and the
@@ -23,8 +23,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (
-    PRIMITIVES, GradReport, Tape, boundary_monitor, finite_diff, finite_diff_stacked, make_report,
+    PRIMITIVES, GradReport, Tape, boundary_monitor, finite_diff_stacked, make_report,
 )
+from .autodiff import finite_diff  # noqa: F401  unused; bench/spec.py traces it here
 from .losses import SimilarityMode, objective, objective_grad
 
 BOUNDARY_MARGIN = 1e-3
@@ -55,17 +56,41 @@ def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
 
 
-def _unflatten(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    out, off = [], 0
-    for a in like:
-        out.append(flat[off:off + a.size].reshape(a.shape))
-        off += a.size
-    return out
-
-
 def _check_count(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"gradcheck {name} must be >= 1, got {value}")
+
+
+def _trailing_axis(axis, ndim: int):
+    """A reduction axis of an ndim-array counted from the end, so that it
+    names the same axes under a leading stack axis; None means all."""
+    if axis is None:
+        return tuple(range(-ndim, 0))
+    return axis - ndim if axis >= 0 else axis
+
+
+def _primitive_numeric_gradient(prim, inputs: list[np.ndarray], params: dict) -> np.ndarray:
+    """Central differences of sum(prim(*inputs)) w.r.t. every input, flat.
+
+    The 2N perturbed points go through the forward as one stack: each
+    input gets a leading 2N axis and, below it, size-1 axes up to the
+    largest input's rank, so broadcasting inputs still broadcast.  Each
+    point's value sums its output over every axis but the stack's.
+    """
+    ndim = max(a.ndim for a in inputs)
+    if "axis" in params:
+        params = {**params, "axis": _trailing_axis(params["axis"], inputs[0].ndim)}
+
+    def f_stack(points):
+        k = len(points)
+        args, off = [], 0
+        for a in inputs:
+            args.append(points[:, off:off + a.size].reshape((k,) + (1,) * (ndim - a.ndim) + a.shape))
+            off += a.size
+        out = prim.forward(*args, **params)
+        return np.sum(out, axis=tuple(range(1, out.ndim)))
+
+    return finite_diff_stacked(f_stack, _flatten(inputs))
 
 
 def check_primitive(name: str, points: int = 100, seed: int = 0,
@@ -79,19 +104,13 @@ def check_primitive(name: str, points: int = 100, seed: int = 0,
     for _ in range(points):
         inputs, params = prim.sample(rng)
         inputs = [np.asarray(a, dtype=np.float64) for a in inputs]
-
-        def f(flat):
-            args = _unflatten(flat, inputs)
-            return float(np.sum(prim.forward(*args, **params)))
-
         # analytic path: one var per input on a fresh tape
         tape = Tape()
         nodes = [tape.var(a) for a in inputs]
         out = ad.sum(ad.apply_op(name, *nodes, **params))
         grads = tape.backward(out)
         analytic = _flatten([grads[n.idx] for n in nodes])
-        numeric = finite_diff(f, _flatten(inputs))
-        rep = make_report(analytic, numeric)
+        rep = make_report(analytic, _primitive_numeric_gradient(prim, inputs, params))
         if worst is None or rep.max_abs_err > worst.max_abs_err:
             worst = rep
         if not rep.within(rtol, atol):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -214,50 +215,102 @@ def lr_at(step: int, config: TrainConfig) -> float:
     return config.peak_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-@dataclass
-class AdamState:
-    step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+class _Layout:
+    """Where each named tensor sits in a ParamVector's flat vector: in
+    sorted name order, one slice per tensor."""
+
+    def __init__(self, tensors):
+        self.names = tuple(sorted(tensors))
+        self.shapes = tuple(np.shape(tensors[k]) for k in self.names)
+        ends = np.cumsum([int(np.prod(s)) for s in self.shapes]).tolist()
+        self.slices = tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+        self.size = ends[-1] if ends else 0
+        # Decay weight matrices only; biases and learnable scalars are exempt.
+        self.decay = np.zeros(self.size, dtype=bool)
+        for sl, shape in zip(self.slices, self.shapes):
+            self.decay[sl] = len(shape) >= 2
+
+
+class ParamVector(Mapping):
+    """Named tensors held as views into one contiguous float64 vector,
+    `flat`; indexing by name gives a view with the tensor's shape."""
+
+    def __init__(self, layout: _Layout, flat: np.ndarray):
+        self.layout, self.flat = layout, flat
+        self._views = {k: flat[sl].reshape(shape)
+                       for k, sl, shape in zip(layout.names, layout.slices, layout.shapes)}
 
     @classmethod
-    def zeros(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def of(cls, tensors) -> "ParamVector":
+        """`tensors` itself if it is a ParamVector, else a flat copy of it."""
+        if isinstance(tensors, cls):
+            return tensors
+        layout = _Layout(tensors)
+        parts = [np.ravel(np.asarray(tensors[k], dtype=np.float64)) for k in layout.names]
+        return cls(layout, np.concatenate(parts) if parts else np.zeros(0))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self.layout.names)
+
+    def __len__(self) -> int:
+        return len(self.layout.names)
 
 
-def default_decay_mask(params: dict[str, np.ndarray]) -> dict[str, bool]:
-    """Decay weight matrices only; biases and learnable scalars are exempt."""
-    return {k: p.ndim >= 2 for k, p in params.items()}
+@dataclass
+class AdamState:
+    """Step count and first and second moments, each a vector laid out
+    like the parameters' `ParamVector.flat`."""
+
+    step: int
+    m: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def zeros(cls, params) -> "AdamState":
+        n = sum(np.size(params[k]) for k in params)
+        return cls(step=0, m=np.zeros(n), v=np.zeros(n))
 
 
 def adamw_step(params, grads, state: AdamState, lr: float,
                betas: tuple[float, float] = (0.9, 0.98), weight_decay: float = 0.2,
-               eps: float = 1e-8, decay_mask: dict[str, bool] | None = None,
-               ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One decoupled-weight-decay Adam update; pure (returns new dicts)."""
-    if decay_mask is None:
-        decay_mask = default_decay_mask(params)
+               eps: float = 1e-8) -> tuple[ParamVector, AdamState]:
+    """One decoupled-weight-decay Adam update of every tensor in `grads`;
+    pure (returns a new ParamVector and state).
+
+    `params` is a ParamVector or a dict of named tensors; a dict is first
+    copied into one.  The update runs once over the whole flat vector.
+    Tensors missing from `grads` keep their values and moments exactly.
+    """
+    params = ParamVector.of(params)
+    layout = params.layout
+    g = np.zeros(layout.size)
+    frozen = []
+    for k, sl in zip(layout.names, layout.slices):
+        if k in grads:
+            g[sl] = np.ravel(grads[k])
+        else:
+            frozen.append(sl)
+    finite = np.isfinite(g)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        name = next(k for k, sl in zip(layout.names, layout.slices) if bad < sl.stop)
+        raise ValueError(f"non-finite gradient for parameter {name!r}")
+
     b1, b2 = betas
     t = state.step + 1
-    new_p, new_m, new_v = {}, {}, {}
-    for k in sorted(params):
-        g = np.asarray(grads[k], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {k!r}")
-        m = b1 * state.m[k] + (1.0 - b1) * g
-        v = b2 * state.v[k] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        if decay_mask.get(k, False):
-            p = p - lr * weight_decay * params[k]
-        # 0-d arithmetic yields numpy scalars; keep tensors as ndarray
-        new_p[k], new_m[k], new_v[k] = np.asarray(p), np.asarray(m), np.asarray(v)
-    return new_p, AdamState(step=t, m=new_m, v=new_v)
+    p0 = params.flat
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    p = p0 - lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.subtract(p, lr * weight_decay * p0, out=p, where=layout.decay)
+    for sl in frozen:
+        p[sl], m[sl], v[sl] = p0[sl], state.m[sl], state.v[sl]
+    return ParamVector(layout, p), AdamState(step=t, m=m, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +345,12 @@ def _closed_form_gradients(params, batch: PairBatch, config: TrainConfig, lam: f
     return (total, cont, ent), grads
 
 
-def train_step(params: dict[str, np.ndarray], state: AdamState, batch: PairBatch,
+def train_step(params: ParamVector, state: AdamState, batch: PairBatch,
                config: TrainConfig, step: int):
     """One optimisation step; pure.  Returns (params, state, metrics):
     the updated tensors and Adam state, and the step's curve values
     (`CURVE_COLUMNS` after "step") plus whether tau and c were clamped.
+    `params` may also be a dict of named tensors.
     """
     lam = 0.0 if config.no_entailment else config.entail_weight
     with np.errstate(all="ignore"):
@@ -310,11 +364,10 @@ def train_step(params: dict[str, np.ndarray], state: AdamState, batch: PairBatch
 
     lr = lr_at(step, config)
     with np.errstate(all="ignore"):   # runaway params surface as divergence
-        updated, state = adamw_step(
-            {k: params[k] for k in grads}, grads, state, lr,
+        params, state = adamw_step(
+            params, grads, state, lr,
             betas=config.betas, weight_decay=config.weight_decay, eps=config.adam_eps,
         )
-    params = {**params, **updated}
 
     inv_t = float(np.asarray(clamped_inv_temp(params["log_inv_temp"])))
     metrics = {
@@ -337,7 +390,7 @@ def train(config: TrainConfig) -> Checkpoint:
     )
     sampler = PairSampler(tree, config.seed)
     enc = EncoderParams.init(config)
-    params = enc.tensors
+    params = ParamVector.of(enc.tensors)
     state = AdamState.zeros(params)
 
     curve = np.zeros((config.steps, len(CURVE_COLUMNS)))
@@ -349,7 +402,7 @@ def train(config: TrainConfig) -> Checkpoint:
         for k in clamp_hits:
             clamp_hits[k] += metrics[f"{k}_clamped"]
 
-    enc = replace(enc, tensors=params)
+    enc = replace(enc, tensors=dict(params))
     index = build_embedding_index(enc, config, tree)
     return Checkpoint(config=config, encoder=enc, curve=curve, clamp_hits=clamp_hits, index=index)
 

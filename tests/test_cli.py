@@ -153,6 +153,24 @@ class TestClassifyCommand:
         assert set(first["scores"]) == {"alpha", "beta"}
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [3e38, 1e30])
+    def test_prompt_too_long_to_lift_is_one_line_error(self, tmp_path, capsys, value):
+        # sinh overflows in the lift; scores were NaN, printed as invalid JSON
+        out = run_train(tmp_path, "a", capsys=capsys)
+        emb = read_dump(out / "embeddings.hypb")
+        vectors = np.random.default_rng(0).standard_normal((2, emb.dim))
+        vectors[1, 0] = value
+        write_dump(EmbeddingIndex(space="lorentz", curvature=emb.curvature, vectors=vectors,
+                                  labels=(("text", "alpha"), ("text", "beta"))),
+                   tmp_path / "p.hypb")
+        code = main(["classify", "--prompts", str(tmp_path / "p.hypb"),
+                     "--images", str(out / "embeddings.hypb"),
+                     "--checkpoint", str(out / "checkpoint.bin")])
+        assert code == 1
+        assert "against class 'beta'" in one_error_line(capsys)
+
+
 class TestClassifyCurvature:
     def image_dump(self, tmp_path, out, c):
         """The train dump's image rows re-lifted at curvature c, plus a prompt dump."""

@@ -1,24 +1,29 @@
-"""Truncated and bit-flipped dumps, sidecars and checkpoints: the readers
-raise only ValueError subclasses (DumpFormatError, JSONDecodeError,
-UnicodeDecodeError), and `hycone stats` / `hycone embed` end in success
-or exit 1 with one `error:` line, never a traceback.
+"""Truncated and bit-flipped dumps, sidecars, prompt dumps and checkpoints:
+the readers raise only ValueError subclasses (DumpFormatError,
+JSONDecodeError, UnicodeDecodeError), and every command that reads them
+(`stats`, `embed`, `traverse`, `retrieve`, `classify`) ends in success or
+exit 1 with one `error:` line, never a traceback; so do the query
+commands at the edges of their flags.
 
 Neither format carries a checksum, so a flip inside a float payload may
 load silently; the properties allow that and only pin how damage that is
 detected gets reported.
 """
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hycone import trainer
+from hycone.analysis import EmbeddingIndex
 from hycone.cli import main
-from hycone.dumpio import read_dump
+from hycone.dumpio import read_dump, write_dump
 
 TINY = [
     "--steps", "5", "--warmup", "1", "--batch-size", "4",
@@ -31,10 +36,21 @@ FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+FILES = ("embeddings.hypb", "embeddings.labels", "checkpoint.bin", "prompts.hypb", "prompts.labels")
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
+    """A trained run, plus a prompt dump of two classes at its curvature."""
     out = tmp_path_factory.mktemp("fuzz") / "run"
     assert main(["train", *TINY, "--out", str(out)]) == 0
+    emb = read_dump(out / "embeddings.hypb")
+    prompts = EmbeddingIndex(
+        space=emb.space, curvature=emb.curvature,
+        vectors=np.random.default_rng(0).standard_normal((4, emb.dim)),
+        labels=(("text", "alpha"), ("text", "alpha"), ("text", "beta"), ("text", "beta")),
+    )
+    write_dump(prompts, out / "prompts.hypb")
     return out
 
 
@@ -50,8 +66,8 @@ def damaged(draw, data: bytes) -> bytes:
 
 
 def damaged_copy(trained, name, data, workdir) -> Path:
-    """The trained dump pair and checkpoint copied to workdir, `name` damaged."""
-    for src in ("embeddings.hypb", "embeddings.labels", "checkpoint.bin"):
+    """The trained run's files copied to workdir, `name` damaged."""
+    for src in FILES:
         shutil.copy(trained / src, workdir / src)
     target = workdir / name
     target.write_bytes(data.draw(damaged(target.read_bytes())))
@@ -105,3 +121,86 @@ def test_damaged_checkpoint(trained, data, capsys):
         assert_reported(code, captured)
         if rejected:
             assert code == 1
+
+
+def query_argv(data, workdir, command, rows):
+    """A traverse, retrieve or classify command on workdir's files, with
+    flags drawn around the edges of their ranges (`rows` is the dump's
+    row count before any damage)."""
+    dump = str(workdir / "embeddings.hypb")
+    if command == "classify":
+        return ["classify", "--prompts", str(workdir / "prompts.hypb"), "--images", dump,
+                "--checkpoint", str(workdir / "checkpoint.bin")]
+    row = ["--row", str(data.draw(st.integers(-2, rows + 2)))]
+    if command == "traverse":
+        return ["traverse", "--dump", dump, *row, "--steps", str(data.draw(st.integers(-1, 60)))]
+    calibrated = ["--calibrated"] if data.draw(st.booleans()) else []
+    return ["retrieve", "--dump", dump, *row, "--k", str(data.draw(st.integers(-1, rows + 2))),
+            *calibrated]
+
+
+@pytest.mark.parametrize("command, name", [
+    *((c, n) for c in ("traverse", "retrieve") for n in FILES[:2]),
+    *(("classify", n) for n in FILES),
+])
+@FUZZ
+@given(data=st.data())
+def test_damaged_query_inputs(trained, command, name, data, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        target = damaged_copy(trained, name, data, workdir)
+        load = trainer.load_checkpoint if name == "checkpoint.bin" else read_dump
+        rejected = rejects(load, target.with_suffix(".hypb") if name.endswith("labels") else target)
+        capsys.readouterr()
+        rows = read_dump(trained / "embeddings.hypb").count
+        code = main(query_argv(data, workdir, command, rows))
+        assert_reported(code, capsys.readouterr())
+        if rejected:
+            assert code == 1
+
+
+@pytest.mark.parametrize("command", ["traverse", "retrieve"])
+@FUZZ
+@given(data=st.data())
+def test_query_flag_edges(trained, command, data, capsys):
+    rows = read_dump(trained / "embeddings.hypb").count
+    capsys.readouterr()
+    code = main(query_argv(data, trained, command, rows))
+    assert_reported(code, capsys.readouterr())
+
+
+def run_query(trained, capsys, *argv):
+    capsys.readouterr()
+    code = main([argv[0], "--dump", str(trained / "embeddings.hypb"), *argv[1:]])
+    captured = capsys.readouterr()
+    assert_reported(code, captured)
+    return code, captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ("traverse", "--row", "-1"), ("traverse", "--row", "{rows}"), ("traverse", "--row", "0", "--steps", "1"),
+    ("retrieve", "--row", "-1"), ("retrieve", "--row", "{rows}"),
+    ("retrieve", "--row", "0", "--k", "{rows_plus_1}"), ("retrieve", "--row", "0", "--k", "-1"),
+])
+def test_out_of_range_flags_exit_1(trained, capsys, argv):
+    rows = read_dump(trained / "embeddings.hypb").count
+    # traverse adds a [ROOT] row when the dump has none, so its first
+    # invalid row is one further on
+    rows += argv[0] == "traverse"
+    argv = [a.format(rows=rows, rows_plus_1=rows + 1) for a in argv]
+    assert run_query(trained, capsys, *argv)[0] == 1
+
+
+@pytest.mark.parametrize("k", [0, "rows"])
+def test_retrieve_k_at_its_bounds(trained, capsys, k):
+    rows = read_dump(trained / "embeddings.hypb").count
+    k = rows if k == "rows" else k
+    code, out = run_query(trained, capsys, "retrieve", "--row", "0", "--k", str(k))
+    assert code == 0
+    assert len(json.loads(out)["results"]) == k
+
+
+def test_traverse_two_steps_succeeds(trained, capsys):
+    code, out = run_query(trained, capsys, "traverse", "--row", "0", "--steps", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "kind,step,label"

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hycone import dumpio
+from hycone import dumpio, trainer
+from hycone.hierarchy import PairSampler, generate_tree
 from hycone.losses import SimilarityMode, logit_matrix
 from hycone.trainer import (
     AdamState,
     EncoderParams,
+    ParamVector,
     TrainConfig,
     adamw_step,
     build_embedding_index,
@@ -16,9 +18,11 @@ from hycone.trainer import (
     encoder_forward,
     load_checkpoint,
     lr_at,
+    reference_config,
     save_checkpoint,
     save_curve,
     train,
+    train_step,
 )
 
 TINY = dict(batch_size=8, steps=30, warmup=3, depth=2, branching=3,
@@ -78,6 +82,93 @@ class TestAdamW:
         grads = {"w": np.array(np.nan)}
         with pytest.raises(ValueError, match="non-finite gradient"):
             adamw_step(params, grads, AdamState.zeros(params), lr=0.1)
+
+
+def dict_adamw_step(params, grads, m, v, t, lr, betas, weight_decay, eps):
+    """The per-tensor AdamW loop the flat update replaced: the oracle.
+    `m` and `v` are dicts; returns (params, m, v) as new dicts."""
+    b1, b2 = betas
+    new_p, new_m, new_v = {}, {}, {}
+    for k in sorted(params):
+        g = np.asarray(grads[k], dtype=np.float64)
+        mk = b1 * m[k] + (1.0 - b1) * g
+        vk = b2 * v[k] + (1.0 - b2) * g * g
+        m_hat = mk / (1.0 - b1**t)
+        v_hat = vk / (1.0 - b2**t)
+        p = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if np.ndim(params[k]) >= 2:
+            p = p - lr * weight_decay * params[k]
+        new_p[k], new_m[k], new_v[k] = np.asarray(p), np.asarray(mk), np.asarray(vk)
+    return new_p, new_m, new_v
+
+
+class TestFlatAdamW:
+    @pytest.mark.parametrize("extra", [
+        {}, {"hidden_dim": 8}, {"space": "sphere"}, {"fixed_curvature": True},
+    ], ids=lambda e: ",".join(e) or "reference")
+    def test_train_step_equals_dict_loop(self, extra):
+        cfg = replace(reference_config(), **extra)
+        tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
+        sampler = PairSampler(tree, cfg.seed)
+        init = EncoderParams.init(cfg).tensors
+        params, state = ParamVector.of(init), AdamState.zeros(init)
+        ref = dict(init)
+        ref_m = {k: np.zeros_like(p) for k, p in init.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in init.items()}
+        lam = cfg.entail_weight
+        for step in range(60):
+            batch = sampler.next_batch(cfg.batch_size)
+            params, state, _ = train_step(params, state, batch, cfg, step)
+            with np.errstate(all="ignore"):
+                rows = [encoder_forward(ref, lat, mod, cfg.hidden_dim)
+                        for lat, mod in ((batch.image_latents, "img"), (batch.text_latents, "txt"))]
+                _, grads = trainer._closed_form_gradients(ref, batch, cfg, lam, *rows)
+                upd, upd_m, upd_v = dict_adamw_step(
+                    {k: ref[k] for k in grads}, grads, ref_m, ref_v, step + 1, lr_at(step, cfg),
+                    cfg.betas, cfg.weight_decay, cfg.adam_eps)
+            ref, ref_m, ref_v = {**ref, **upd}, {**ref_m, **upd_m}, {**ref_v, **upd_v}
+            moments = ParamVector(params.layout, state.m), ParamVector(params.layout, state.v)
+            assert state.step == step + 1
+            for k in ref:
+                np.testing.assert_array_equal(params[k], ref[k], err_msg=f"{k} at step {step}")
+                np.testing.assert_array_equal(moments[0][k], ref_m[k], err_msg=k)
+                np.testing.assert_array_equal(moments[1][k], ref_v[k], err_msg=k)
+        if cfg.fixed_curvature:
+            assert params["log_curv"].tobytes() == init["log_curv"].tobytes()
+            assert moments[0]["log_curv"] == 0.0 and moments[1]["log_curv"] == 0.0
+
+    def test_views_share_one_vector(self):
+        params = ParamVector.of(EncoderParams.init(TrainConfig(**TINY)).tensors)
+        assert list(params) == sorted(params)
+        assert sum(np.size(params[k]) for k in params) == params.flat.size
+        for k in params:
+            assert np.shares_memory(params[k], params.flat)
+        assert params["log_curv"].shape == () and params["img_w"].shape == (8, 8)
+
+    def test_missing_gradient_keeps_tensor_and_moments(self):
+        params = {"a": np.array([[1.0, 2.0]]), "b": np.array([[0.5, -0.5]])}   # both decay
+        grads = {"a": np.array([[0.3, -0.1]]), "b": np.array([[0.2, 0.4]])}
+        params, state = adamw_step(params, grads, AdamState.zeros(params), lr=0.1)
+        b, m, v = params["b"].copy(), state.m[2:].copy(), state.v[2:].copy()
+        new, new_state = adamw_step(params, {"a": grads["a"]}, state, lr=0.1)
+        np.testing.assert_array_equal(new["b"], b)
+        np.testing.assert_array_equal(new_state.m[2:], m)
+        np.testing.assert_array_equal(new_state.v[2:], v)
+        assert not np.array_equal(new["a"], params["a"])
+
+    @pytest.mark.parametrize("as_vector", [False, True])
+    def test_nonfinite_names_first_tensor_in_sorted_order(self, as_vector):
+        tensors = EncoderParams.init(TrainConfig(**TINY)).tensors
+        grads = {k: np.zeros(np.shape(p)) for k, p in tensors.items()}
+        grads["txt_w"][0, 0] = np.nan
+        grads["log_curv"] = np.array(np.inf)
+        grads["img_b"][-1] = np.nan
+        params = ParamVector.of(tensors) if as_vector else tensors
+        with pytest.raises(ValueError, match=r"^non-finite gradient for parameter 'img_b'$"):
+            adamw_step(params, grads, AdamState.zeros(tensors), lr=0.1)
+        del grads["img_b"]
+        with pytest.raises(ValueError, match=r"^non-finite gradient for parameter 'log_curv'$"):
+            adamw_step(params, grads, AdamState.zeros(tensors), lr=0.1)
 
 
 class TestTraining:
