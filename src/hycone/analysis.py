@@ -32,7 +32,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import entailment, geometry
-from .geometry import HyperbolicPoint
+from .geometry import CURV_MAX, CURV_MIN, HyperbolicPoint
 from .losses import LossParams
 
 LABEL_CLASSES = ("text", "image", "root")
@@ -118,13 +118,14 @@ class Labels(Sequence):
 class Lorentz:
     """Hyperboloid of curvature -c.  Rows are space components, [ROOT] is
     the origin, scores are Lorentzian inner products, and the cone filter
-    keeps the texts whose entailment cone holds a step."""
+    keeps the texts whose entailment cone holds a step.  c lies in the
+    trainer's clamp range [CURV_MIN, CURV_MAX], as every writer's does."""
 
     c: float
 
     def __post_init__(self):
-        if self.c is None or not (self.c > 0):
-            raise ValueError("lorentz index requires a positive curvature")
+        if self.c is None or not (CURV_MIN <= self.c <= CURV_MAX):
+            raise ValueError(f"lorentz curvature must lie in [{CURV_MIN}, {CURV_MAX}], got {self.c}")
 
     def check_rows(self, rows: np.ndarray, first_row: int) -> None:
         """Every finite row is a point: its time component is derived.
@@ -428,11 +429,16 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
     vectors = text_index.vectors[cand]
     geom = text_index.geom
     retrieved: list[tuple[int, str]] = []
-    for k, step in enumerate(interpolate_steps(y, text_index, steps=steps)):
-        scores = geom.inner(vectors, step)
-        scores[1:][~geom.cone(vectors[1:], step, cone_boundary, cone_slack)] = -np.inf
-        best = int(np.argmax(scores))   # the first maximum: [ROOT], then the lowest row
-        retrieved.append((k, text_index.labels[cand[best]][1]))
+    # A query too long to lift overflows: one error, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, step in enumerate(interpolate_steps(y, text_index, steps=steps)):
+            scores = geom.inner(vectors, step)    # not finite either if the step is not
+            if not np.isfinite(scores).all():
+                row = cand[np.argmin(np.isfinite(scores))]
+                raise ValueError(f"traversal step {k} scores non-finite against row {row}")
+            scores[1:][~geom.cone(vectors[1:], step, cone_boundary, cone_slack)] = -np.inf
+            best = int(np.argmax(scores))   # the first maximum: [ROOT], then the lowest row
+            retrieved.append((k, text_index.labels[cand[best]][1]))
 
     unique: list[str] = []
     for _, label in retrieved:
@@ -483,12 +489,16 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
         return []
     if calibrated and not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be a finite positive number, got {tau}")
-    scores = index.geom.inner(index.vectors, np.asarray(query, dtype=np.float64))
-    if calibrated:
-        z = -index.geom.distance(scores) / tau
-        z -= z.max()
-        e = np.exp(z)
-        scores = e / e.sum()
+    # A query too long to lift overflows: one error, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = index.geom.inner(index.vectors, np.asarray(query, dtype=np.float64))
+        if calibrated:
+            z = -index.geom.distance(scores) / tau
+            z -= z.max()
+            e = np.exp(z)
+            scores = e / e.sum()
+    if not np.isfinite(scores).all():
+        raise ValueError(f"query scores non-finite against row {np.argmin(np.isfinite(scores))}")
     order = _top_k(scores, k)
     return [
         Retrieved(

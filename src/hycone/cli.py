@@ -184,7 +184,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    ok = gradcheck.run_suite(points=args.points, seeds=args.seeds, verbose=True)
+    ok = gradcheck.run_suite(points=args.points, seeds=args.seeds)
     if not ok:
         print("gradient check FAILED", file=sys.stderr)
         return EXIT_NUMERICAL

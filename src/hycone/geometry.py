@@ -9,14 +9,14 @@ Points store only their space components; the time component is always
 recomputed as sqrt(1/c + ||x_space||^2), so the hyperboloid constraint
 holds by construction and cannot drift.
 
-Two layers live here:
-
-* typed single-point operations (`lift`, `lorentz_distance`, ...) working
-  on the frozen dataclasses below in 64-bit floats, and
-* row-kernel functions (`exp_space`, `time_part`, ...) operating on
-  (..., n) arrays of space components.  The kernels are generic over the
-  autodiff engine: given tape nodes they build the differentiable graph,
-  given plain arrays they evaluate identical numpy code.
+Each quantity has one formula, in a row-kernel function (`time_part`,
+`pair_inner`, `dist_from_inner`, `exp_space`, ...) over (..., n) arrays
+of space components.  The kernels are generic over the autodiff engine:
+given tape nodes they build the differentiable graph, given plain arrays
+they evaluate identical numpy code.  The typed single-point operations
+(`lift`, `lorentz_distance`, ...) on the frozen dataclasses below are
+wrappers, not a second layer of formulas: they validate their arguments
+and call the kernels on one row in 64-bit floats.
 
 All operations are pure; values are immutable after construction.
 """
@@ -79,7 +79,7 @@ class HyperbolicPoint:
     @property
     def time(self) -> float:
         """Derived time component sqrt(1/c + ||space||^2); always > 0."""
-        return float(np.sqrt(1.0 / self.curv.c + np.dot(self.space, self.space)))
+        return time_part(self.space, self.curv.c).item()
 
     @property
     def dim(self) -> int:
@@ -202,13 +202,12 @@ def lorentz_inner(x, y) -> float:
     ys, yt = _as_space_time(y)
     if xs.shape != ys.shape:
         raise ValueError(f"dimension mismatch: {xs.shape[0]} vs {ys.shape[0]}")
-    return float(np.dot(xs, ys) - xt * yt)
+    return pair_inner(xs, xt, ys, yt).item()
 
 
 def time_component(space, curv: Curvature) -> float:
     """Time component sqrt(1/c + ||space||^2) for given space components."""
-    space = _vector(space, "space")
-    return float(np.sqrt(1.0 / curv.c + np.dot(space, space)))
+    return time_part(_vector(space, "space"), curv.c).item()
 
 
 def lift(space, curv: Curvature) -> HyperbolicPoint:
@@ -240,9 +239,7 @@ def lorentz_distance(x: HyperbolicPoint, y: HyperbolicPoint) -> float:
     _check_same_chart(x, y)
     if np.array_equal(x.space, y.space):
         return 0.0   # identical points; dodges rounding in the inner product
-    c = x.curv.c
-    arg = max(-c * lorentz_inner(x, y), 1.0)
-    return float(np.arccosh(arg) / np.sqrt(c))
+    return dist_from_inner(lorentz_inner(x, y), x.curv.c).item()
 
 
 def exp_map_origin(v, curv: Curvature) -> HyperbolicPoint:

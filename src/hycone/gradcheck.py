@@ -33,6 +33,10 @@ END_TO_END_RTOL = 1e-4
 END_TO_END_ATOL = 1e-6
 PRIMITIVE_RTOL = 1e-6
 PRIMITIVE_ATOL = 1e-9
+# Shape (batch x dim rows) and central-difference step of every end-to-end point.
+END_TO_END_BATCH = 4
+END_TO_END_DIM = 8
+END_TO_END_STEP = 1e-5
 # Cone boundary of every end-to-end sample point, tape and closed form alike.
 CONE_BOUNDARY = 0.1
 # The closed form repeats the tape's arithmetic, so it should agree to
@@ -93,8 +97,7 @@ def _primitive_numeric_gradient(prim, inputs: list[np.ndarray], params: dict) ->
     return finite_diff_stacked(f_stack, _flatten(inputs))
 
 
-def check_primitive(name: str, points: int = 100, seed: int = 0,
-                    rtol: float = PRIMITIVE_RTOL, atol: float = PRIMITIVE_ATOL) -> CheckResult:
+def check_primitive(name: str, points: int = 100, seed: int = 0) -> CheckResult:
     """Check one registered primitive at `points` random sample points."""
     _check_count("points", points)
     prim = PRIMITIVES[name]
@@ -113,7 +116,7 @@ def check_primitive(name: str, points: int = 100, seed: int = 0,
         rep = make_report(analytic, _primitive_numeric_gradient(prim, inputs, params))
         if worst is None or rep.max_abs_err > worst.max_abs_err:
             worst = rep
-        if not rep.within(rtol, atol):
+        if not rep.within(PRIMITIVE_RTOL, PRIMITIVE_ATOL):
             ok = False
     assert worst is not None
     return CheckResult(name=f"primitive/{name}", passed=ok, report=worst)
@@ -212,14 +215,13 @@ def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> n
     return _flat(g["img_rows"], g["txt_rows"], [g[k] for k in scalar_names])
 
 
-def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float,
-                      batch: int = 4, dim: int = 8, h: float = 1e-5) -> GradReport | None:
+def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float) -> GradReport | None:
     """Gradient report of the objective w.r.t. encoder outputs and the four
     log scalars; None if the point lies within the boundary margin."""
-    case = _admissible_case(seed, mode, entail_weight, batch, dim)
+    case = _admissible_case(seed, mode, entail_weight, END_TO_END_BATCH, END_TO_END_DIM)
     if case is None:
         return None
-    return make_report(_tape_gradient(case), _numeric_gradient(case, h))
+    return make_report(_tape_gradient(case), _numeric_gradient(case, END_TO_END_STEP))
 
 
 def _worst(name: str, reports: list[GradReport], rtol: float, atol: float) -> CheckResult:
@@ -230,42 +232,40 @@ def _worst(name: str, reports: list[GradReport], rtol: float, atol: float) -> Ch
     )
 
 
-def check_total_loss(seeds: int = 20, batch: int = 4, dim: int = 8,
-                     rtol: float = END_TO_END_RTOL, atol: float = END_TO_END_ATOL,
-                     ) -> list[CheckResult]:
+def check_total_loss(seeds: int = 20) -> list[CheckResult]:
     """Objective gradchecks at `seeds` admissible random points for every
     similarity mode and entailment weight {0, 0.2}: the tape gradient
-    against central differences (the two hyperbolic modes, at rtol/atol),
-    then at the same points `objective_grad` against the tape (every mode,
-    at CLOSED_FORM_RTOL)."""
+    against central differences (the two hyperbolic modes, at
+    END_TO_END_RTOL/ATOL), then at the same points `objective_grad` against
+    the tape (every mode, at CLOSED_FORM_RTOL)."""
     _check_count("seeds", seeds)
     tape_results, closed_results = [], []
     for mode in SimilarityMode:
         for lam in (0.0, 0.2):
             tape_reports, closed_reports = [], []
-            for case in _admissible_cases(seeds, mode, lam, batch, dim):
+            for case in _admissible_cases(seeds, mode, lam, END_TO_END_BATCH, END_TO_END_DIM):
                 tape_grad = _tape_gradient(case)
                 closed_reports.append(make_report(_closed_form_gradient(case, mode, lam), tape_grad))
                 if mode is not SimilarityMode.COSINE:
-                    tape_reports.append(make_report(tape_grad, _numeric_gradient(case, 1e-5)))
+                    tape_reports.append(make_report(tape_grad, _numeric_gradient(case, END_TO_END_STEP)))
             variant = f"{mode.value}/entail_weight={lam}"
             if tape_reports:
-                tape_results.append(_worst(f"total_loss/{variant}", tape_reports, rtol, atol))
+                tape_results.append(_worst(f"total_loss/{variant}", tape_reports,
+                                           END_TO_END_RTOL, END_TO_END_ATOL))
             closed_results.append(_worst(f"closed_form/{variant}", closed_reports,
                                          CLOSED_FORM_RTOL, CLOSED_FORM_ATOL))
     return tape_results + closed_results
 
 
-def run_suite(points: int = 100, seeds: int = 20, verbose: bool = True) -> bool:
-    """Full gradient suite; returns True when every check passes."""
+def run_suite(points: int = 100, seeds: int = 20) -> bool:
+    """Full gradient suite, one printed line per check; True when all pass."""
     results = check_all_primitives(points=points) + check_total_loss(seeds=seeds)
     all_ok = True
     for r in results:
         all_ok &= r.passed
-        if verbose:
-            status = "ok" if r.passed else "FAIL"
-            print(
-                f"[{status}] {r.name}: max_abs_err={r.report.max_abs_err:.3e} "
-                f"max_rel_err={r.report.max_rel_err:.3e}"
-            )
+        status = "ok" if r.passed else "FAIL"
+        print(
+            f"[{status}] {r.name}: max_abs_err={r.report.max_abs_err:.3e} "
+            f"max_rel_err={r.report.max_rel_err:.3e}"
+        )
     return all_ok

@@ -20,7 +20,6 @@ class TreeNode:
     depth: int
     latent: np.ndarray
     parent: int                # -1 for the root
-    children: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,35 +67,24 @@ def generate_tree(depth: int, branching: int, latent_dim: int, noise: float, see
     offset_std = 1.0 / np.sqrt(latent_dim)
 
     nodes: list[TreeNode] = [
-        TreeNode(path="n", depth=0, latent=np.zeros(latent_dim), parent=-1, children=())
+        TreeNode(path="n", depth=0, latent=np.zeros(latent_dim), parent=-1)
     ]
     frontier = [0]
     for level in range(1, depth + 1):
         next_frontier = []
         for parent_idx in frontier:
             parent = nodes[parent_idx]
-            child_ids = []
             for k in range(branching):
                 latent = parent.latent + offset_std * rng.standard_normal(latent_dim)
-                idx = len(nodes)
+                next_frontier.append(len(nodes))
                 nodes.append(
                     TreeNode(
                         path=f"{parent.path}.{k}",
                         depth=level,
                         latent=latent,
                         parent=parent_idx,
-                        children=(),
                     )
                 )
-                child_ids.append(idx)
-            nodes[parent_idx] = TreeNode(
-                path=parent.path,
-                depth=parent.depth,
-                latent=parent.latent,
-                parent=parent.parent,
-                children=tuple(child_ids),
-            )
-            next_frontier.extend(child_ids)
         frontier = next_frontier
 
     internal = tuple(i for i, nd in enumerate(nodes) if nd.depth < depth)

@@ -462,8 +462,7 @@ def _points_to_rows(points: list[HyperbolicPoint]) -> tuple[np.ndarray, np.ndarr
         if p.curv.c != curv.c:
             raise ValueError("points in a batch must share one curvature")
     sp = np.stack([p.space for p in points])
-    t = np.array([[p.time] for p in points])
-    return sp, t, curv
+    return sp, geometry.time_part(sp, curv.c), curv
 
 
 def logit_matrix(images, texts, params: LossParams, mode: SimilarityMode) -> np.ndarray:

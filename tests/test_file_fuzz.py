@@ -3,7 +3,9 @@ the readers raise only ValueError subclasses (DumpFormatError,
 JSONDecodeError, UnicodeDecodeError), and every command that reads them
 (`stats`, `embed`, `traverse`, `retrieve`, `classify`) ends in success or
 exit 1 with one `error:` line, never a traceback; so do the query
-commands at the edges of their flags.
+commands at the edges of their flags, on a dump whose header curvature
+lies outside the trainer's clamp range, and on `--vector` components up
+to the largest float.
 
 Neither format carries a checksum, so a flip inside a float payload may
 load silently; the properties allow that and only pin how damage that is
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from hycone import trainer
 from hycone.analysis import EmbeddingIndex
 from hycone.cli import main
-from hycone.dumpio import read_dump, write_dump
+from hycone.dumpio import _HEADER, read_dump, write_dump
 
 TINY = [
     "--steps", "5", "--warmup", "1", "--batch-size", "4",
@@ -204,3 +206,78 @@ def test_traverse_two_steps_succeeds(trained, capsys):
     code, out = run_query(trained, capsys, "traverse", "--row", "0", "--steps", "2")
     assert code == 0
     assert out.splitlines()[0] == "kind,step,label"
+
+
+def with_curvature(trained, workdir, c) -> Path:
+    """The trained dump and its labels copied to workdir, the header's
+    curvature field set to c."""
+    for src in FILES[:2]:
+        shutil.copy(trained / src, workdir / src)
+    dump = workdir / "embeddings.hypb"
+    raw = bytearray(dump.read_bytes())
+    *head, _ = _HEADER.unpack_from(raw, 0)
+    _HEADER.pack_into(raw, 0, *head, c)
+    dump.write_bytes(bytes(raw))
+    return dump
+
+
+CURVATURE_COMMANDS = [("stats",), ("retrieve", "--row", "0", "--calibrated"), ("traverse", "--row", "0")]
+
+
+@pytest.mark.parametrize("argv", CURVATURE_COMMANDS)
+@pytest.mark.parametrize("c", [float("inf"), float("nan"), 1e308, 1e-320, 0.09, 10.01])
+def test_dump_curvature_outside_clamp_range_exits_1(trained, tmp_path, capsys, argv, c):
+    dump = with_curvature(trained, tmp_path, c)
+    with pytest.raises(ValueError, match="curvature"):
+        read_dump(dump)
+    capsys.readouterr()
+    code = main([argv[0], "--dump", str(dump), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert_reported(code, captured)
+    assert "curvature" in captured.err
+
+
+@pytest.mark.parametrize("argv", CURVATURE_COMMANDS)
+@pytest.mark.parametrize("c", [0.1, 10.0])
+def test_dump_curvature_at_clamp_bounds_loads(trained, tmp_path, capsys, argv, c):
+    dump = with_curvature(trained, tmp_path, c)
+    assert read_dump(dump).curvature == c
+    capsys.readouterr()
+    code = main([argv[0], "--dump", str(dump), *argv[1:]])
+    assert code == 0
+    assert_reported(code, capsys.readouterr())
+
+
+def huge_vector(trained, magnitude) -> str:
+    """--vector value of the trained dump's dim with one nonzero component."""
+    dim = read_dump(trained / "embeddings.hypb").dim
+    return ",".join([repr(magnitude)] + ["0"] * (dim - 1))
+
+
+QUERY_COMMANDS = [("retrieve",), ("retrieve", "--calibrated"), ("traverse",)]
+
+
+@pytest.mark.parametrize("argv", QUERY_COMMANDS)
+@pytest.mark.parametrize("magnitude", [1e154, 1e160, 1e200, 1e300])
+def test_huge_query_vector_is_reported(trained, capsys, argv, magnitude):
+    # Past 1e154 the squared norm overflows: the time component is inf.
+    code, _ = run_query(trained, capsys, *argv, f"--vector={huge_vector(trained, magnitude)}")
+    if magnitude > 1e155:
+        assert code == 1
+
+
+@pytest.mark.parametrize("argv", QUERY_COMMANDS)
+def test_large_query_vector_succeeds(trained, capsys, argv):
+    code, out = run_query(trained, capsys, *argv, f"--vector={huge_vector(trained, 1e100)}")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv", QUERY_COMMANDS)
+@FUZZ
+@given(data=st.data())
+def test_query_vector_draws(trained, capsys, argv, data):
+    dim = read_dump(trained / "embeddings.hypb").dim
+    vector = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=dim, max_size=dim))
+    run_query(trained, capsys, *argv, "--vector=" + ",".join(map(repr, vector)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hycone import geometry
 from hycone.geometry import (
     AmbientVector,
     Curvature,
@@ -18,6 +19,7 @@ from hycone.geometry import (
     tangent_project,
     time_component,
 )
+from hycone.losses import LossParams, SimilarityMode, logit_matrix, lorentz_logits
 
 C1 = Curvature(1.0)
 
@@ -266,3 +268,51 @@ class TestPoincareMap:
             mapped = poincare_to_lorentz(xb, Curvature(c))
             assert abs(half_aperture(mapped, ConeParams(boundary=k)) - ball_aperture) < 1e-10
             checked += 1
+
+
+class TestWrappersEqualKernels:
+    """The typed single-point operations return the row kernels' numbers
+    bit for bit, the kernels run on the points stacked as rows."""
+
+    @staticmethod
+    def cases(seed, count=200, rows=4):
+        """(points, stacked space rows, c) with c in [0.1, 10], dims 1-16."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            c = float(rng.uniform(0.1, 10.0))
+            dim = int(rng.integers(1, 17))
+            sp = rng.standard_normal((rows, dim)) * rng.uniform(0.01, 5.0)
+            yield [HyperbolicPoint(space=row, curv=Curvature(c)) for row in sp], sp, c
+
+    def test_time(self):
+        for points, sp, c in self.cases(0):
+            t = geometry.time_part(sp, c)
+            for i, p in enumerate(points):
+                assert p.time == t[i, 0]
+                assert time_component(p.space, p.curv) == t[i, 0]
+
+    def test_inner(self):
+        for points, sp, c in self.cases(1):
+            t = geometry.time_part(sp, c)
+            y_sp, y_t = sp[::-1], t[::-1]
+            want = geometry.pair_inner(sp, t, y_sp, y_t)
+            for i, (x, y) in enumerate(zip(points, points[::-1])):
+                assert lorentz_inner(x, y) == want[i, 0]
+
+    def test_distance_on_distinct_points(self):
+        for points, sp, c in self.cases(2):
+            t = geometry.time_part(sp, c)
+            y_sp, y_t = np.roll(sp, 1, axis=0), np.roll(t, 1, axis=0)
+            want = geometry.dist_from_inner(geometry.pair_inner(sp, t, y_sp, y_t), c)
+            for i, (x, y) in enumerate(zip(points, points[-1:] + points[:-1])):
+                assert not np.array_equal(x.space, y.space)
+                assert lorentz_distance(x, y) == want[i, 0]
+
+    @pytest.mark.parametrize("mode", [SimilarityMode.NEG_LORENTZ_DISTANCE, SimilarityMode.LORENTZ_INNER])
+    def test_logit_matrix(self, mode):
+        params = LossParams.init(1, tau=0.2)
+        for points, sp, c in self.cases(3):
+            images, texts = points[:2], points[2:]
+            t = geometry.time_part(sp, c)
+            want = lorentz_logits(sp[:2], t[:2], sp[2:], t[2:], c, params.inv_temp(), mode)
+            np.testing.assert_array_equal(logit_matrix(images, texts, params, mode), want)
