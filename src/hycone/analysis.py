@@ -9,10 +9,12 @@ Both have the same methods, and :func:`space_of` picks one per index:
 nothing else branches on the space.
 
 Indexes are immutable after load; every query here is read-only.  Each
-row is validated once, when the index is built.  Labels are kept as
-their sidecar lines (:class:`Labels`), split into (class, text) on
-access, and the per-row class as one code array that class lookups and
-statistics share.
+row is validated once, when the index is built.  Labels are kept as the
+sidecar's UTF-8 bytes plus row offsets (:class:`Labels`); a row is
+decoded and split into (class, text) only when it is accessed (a
+retrieve's top k, traverse's texts, classify's rows), and the per-row
+class is one code array, read from the first byte of each row, that
+class lookups and statistics share.
 
 Classification is batched: :func:`class_scores` builds the K class
 embeddings once and scores all I images against them in one matrix
@@ -27,7 +29,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -45,11 +46,10 @@ CURV_RTOL = 1e-12
 
 _CLASS_CODES = {cls: code for code, cls in enumerate(LABEL_CLASSES)}
 _ROOT_CODE = _CLASS_CODES["root"]
-_LINE_PREFIXES = tuple(f"{cls}\t" for cls in LABEL_CLASSES)
-# A valid line's first character names its class: the classes' initials differ.
-_CODE_OF_INITIAL = bytes.maketrans(
-    "".join(cls[0] for cls in LABEL_CLASSES).encode("ascii"), bytes(range(len(LABEL_CLASSES)))
-)
+_LINE_PREFIXES = tuple(f"{cls}\t".encode("ascii") for cls in LABEL_CLASSES)
+# A valid line's first byte names its class: the classes' initials differ.
+_CODE_OF_INITIAL = np.full(256, -1, dtype=np.int8)
+_CODE_OF_INITIAL[[prefix[0] for prefix in _LINE_PREFIXES]] = range(len(LABEL_CLASSES))
 
 
 class LabelClassError(ValueError):
@@ -58,41 +58,106 @@ class LabelClassError(ValueError):
     def __init__(self, row: int, line: str):
         super().__init__(f"unknown label class at row {row}: {line!r}")
         self.row = row
+        self.line = line
+
+
+def _row_starts(data: bytes) -> np.ndarray:
+    """Offsets of the rows of "\\n"-ended lines, then the byte length."""
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    return np.concatenate([[0], ends + 1])
 
 
 class Labels(Sequence):
-    """(class, text) per row, kept as "class<TAB>text" lines (the label
-    sidecar's format) and split on access.  Reading a dump therefore
-    builds one string per row and no per-row tuple."""
+    """(class, text) per row, held as the label sidecar's bytes: one UTF-8
+    "class<TAB>text\\n" line per row, back to back, plus the int64 offset
+    at which each row starts (and, last, the byte length).  A row is
+    decoded and split only when it is accessed, and the class codes come
+    from whole-buffer numpy work, so reading a dump builds no per-row
+    object."""
 
-    __slots__ = ("lines",)
+    __slots__ = ("data", "starts")
 
     def __init__(self, lines):
-        self.lines = tuple(lines)
+        """From "class<TAB>text" lines, encoded once.  One newline scan
+        finds the rows, unless a line holds a "\\n" of its own (which
+        `write_dump` then refuses); then the lines' byte lengths do."""
+        lines = [*lines, ""]
+        self.data = "\n".join(lines).encode("utf-8")
+        self.starts = _row_starts(self.data)
+        if self.starts.size != len(lines):
+            sizes = [len(line.encode("utf-8")) + 1 for line in lines[:-1]]
+            self.starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+    @classmethod
+    def _of(cls, data: bytes, starts: np.ndarray) -> "Labels":
+        out = cls.__new__(cls)
+        out.data, out.starts = data, starts
+        return out
+
+    @classmethod
+    def from_sidecar(cls, data: bytes) -> "Labels":
+        """Rows of UTF-8 sidecar bytes with "\\n" line ends; a last line
+        without its "\\n" is a row too."""
+        if data and not data.endswith(b"\n"):
+            data += b"\n"
+        return cls._of(data, _row_starts(data))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Labels":
-        pairs = tuple(pairs)
-        if not set(map(itemgetter(0), pairs)) <= _CLASS_CODES.keys():
-            row = next(i for i, (c, _) in enumerate(pairs) if c not in _CLASS_CODES)
-            raise LabelClassError(row, f"{pairs[row][0]}\t{pairs[row][1]}")
-        return cls([f"{c}\t{t}" for c, t in pairs])
+        """From (class, text) pairs, in one pass that keeps no pair: held
+        as 200,000 tuples, they cost the cyclic GC more than the
+        formatting."""
+        lines = []
+        for row, (c, t) in enumerate(pairs):
+            if c not in _CLASS_CODES:
+                raise LabelClassError(row, f"{c}\t{t}")
+            lines.append(f"{c}\t{t}")
+        return cls(lines)
 
     def class_codes(self) -> np.ndarray:
-        """Per-row index into LABEL_CLASSES; raises LabelClassError."""
-        if not all(map(str.startswith, self.lines, repeat(_LINE_PREFIXES))):
-            row = next(i for i, line in enumerate(self.lines) if not line.startswith(_LINE_PREFIXES))
-            raise LabelClassError(row, self.lines[row])
-        initials = "".join(map(itemgetter(0), self.lines)).encode("ascii")
-        return np.frombuffer(initials.translate(_CODE_OF_INITIAL), dtype=np.int8)
+        """Per-row index into LABEL_CLASSES, from the first byte of each
+        row; the rest of each class prefix is checked one byte column at a
+        time.  Raises LabelClassError at the first bad row."""
+        buf = np.frombuffer(self.data, dtype=np.uint8)
+        heads = self.starts[:-1]
+        codes = _CODE_OF_INITIAL[buf[heads]]
+        bad = codes < 0
+        for code, prefix in enumerate(_LINE_PREFIXES):
+            rows = codes == code
+            at = heads[rows]
+            miss = np.zeros(at.size, dtype=bool)
+            # A row shorter than its prefix misses at its "\n"; the bound
+            # keeps a short last row's reads inside the buffer.
+            for j in range(1, len(prefix)):
+                miss |= buf[np.minimum(at + j, buf.size - 1)] != prefix[j]
+            bad[rows] = miss
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise LabelClassError(row, self.line(row))
+        return codes
+
+    def line(self, i: int) -> str:
+        """Row i's "class<TAB>text" line, decoded."""
+        i = range(len(self))[i]
+        return self.data[self.starts[i]:self.starts[i + 1] - 1].decode("utf-8")
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        """Every row's line, decoded: one split, unless a line holds a
+        "\\n" of its own."""
+        lines = self.data.decode("utf-8").split("\n")[:-1]
+        if len(lines) == len(self):
+            return tuple(lines)
+        bounds = self.starts.tolist()
+        return tuple(self.data[a:b - 1].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.starts) - 1
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Labels(self.lines[i])
-        cls, _, text = self.lines[i].partition("\t")
+        cls, _, text = self.line(i).partition("\t")
         return cls, text
 
     def __iter__(self):
@@ -101,11 +166,12 @@ class Labels(Sequence):
 
     def __add__(self, other) -> "Labels":
         other = other if isinstance(other, Labels) else Labels.from_pairs(other)
-        return Labels(self.lines + other.lines)
+        return Labels._of(self.data + other.data,
+                          np.concatenate([self.starts, other.starts[1:] + len(self.data)]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Labels):
-            return self.lines == other.lines
+            return self.data == other.data and np.array_equal(self.starts, other.starts)
         if isinstance(other, (tuple, list)):
             return tuple(self) == tuple(map(tuple, other))
         return NotImplemented

@@ -11,12 +11,16 @@ Layout (all little-endian):
     payload count * dim float32 space components
 
 The sidecar shares the dump's basename with a ".labels" extension; one
-"class<TAB>text" line per row, class in {text, image, root}.  Lines end
-in "\n" (read in text mode, so "\r\n" and "\r" count as "\n" too); the
-text may hold tabs and any other character, and the writer refuses
-labels holding "\n" or "\r", which could not be read back.  Dumps are
-interchange artifacts: storage is 32-bit, all math promotes to 64-bit on
-load.  Writes are atomic (temp file + rename).
+UTF-8 "class<TAB>text" line per row, class in {text, image, root}.  Lines
+end in "\n" ("\r\n" and "\r" count as "\n" too, as in a text-mode
+read); the text may hold tabs and any other character, and the writer
+refuses labels holding "\n" or "\r", which could not be read back.  The
+reader keeps the sidecar as bytes (:class:`Labels`): it decodes them once
+only to check that they are UTF-8, finds the rows with one newline scan
+and the class codes with whole-buffer numpy work, and a row's text is
+decoded when it is accessed.  The writer writes those bytes back as they
+are.  Dumps are interchange artifacts: storage is 32-bit, all math
+promotes to 64-bit on load.  Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
     header = _HEADER.pack(
         MAGIC, VERSION, SPACE_CODES[index.space], index.dim, index.count, index.curvature or 0.0
     )
-    sidecar = "\n".join([*index.labels.lines, ""])
-    if sidecar.count("\n") != index.count or "\r" in sidecar:
+    sidecar = index.labels.data
+    if sidecar.count(b"\n") != index.count or b"\r" in sidecar:
         row, text = next((i, text) for i, (_, text) in enumerate(index.labels)
                          if "\n" in text or "\r" in text)
         raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
@@ -75,7 +79,7 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
     atomic_write(path, header + payload)
 
     lpath = labels_path(path)
-    atomic_write(lpath, sidecar.encode("utf-8"))
+    atomic_write(lpath, sidecar)
     return path, lpath
 
 
@@ -110,22 +114,23 @@ def read_dump(path) -> EmbeddingIndex:
 
     lpath = labels_path(path)
     try:
-        text = lpath.read_text(encoding="utf-8")
+        data = lpath.read_bytes()
     except FileNotFoundError as exc:
         raise DumpFormatError(f"missing label sidecar {lpath}") from exc
-    lines = text.split("\n")
-    if lines[-1] == "":     # after the last line's "\n" (or in an empty sidecar)
-        lines.pop()
-    if len(lines) != count:
+    data.decode("utf-8")    # validation only: a row is decoded when accessed
+    if b"\r" in data:       # universal newlines, as a text-mode read has them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    labels = Labels.from_sidecar(data)
+    if len(labels) != count:
         raise DumpFormatError(
-            f"label count mismatch: dump has {count} rows, sidecar has {len(lines)}"
+            f"label count mismatch: dump has {count} rows, sidecar has {len(labels)}"
         )
     try:
         return EmbeddingIndex(
             space=SPACE_NAMES[space_code],
             curvature=curv,     # the index drops it on the sphere
             vectors=vectors,
-            labels=Labels(lines),
+            labels=labels,
         )
     except LabelClassError as exc:
-        raise DumpFormatError(f"bad label line {exc.row}: {lines[exc.row]!r}") from exc
+        raise DumpFormatError(f"bad label line {exc.row}: {exc.line!r}") from exc

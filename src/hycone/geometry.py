@@ -166,6 +166,13 @@ def dist_from_inner(inner, c):
     return ad.acosh(arg) / ad.sqrt(c)
 
 
+def coincident(x_space, y_space) -> np.ndarray:
+    """Row-wise: whether two rows of space components are the same point.
+    Such points are at distance exactly 0, which the inner-product route
+    can miss: it may round a few ulps above the acosh branch point."""
+    return np.all(x_space == y_space, axis=-1)
+
+
 def exp_space(v_space, c):
     """Space components of the origin exponential map applied to rows.
 
@@ -179,12 +186,14 @@ def exp_space(v_space, c):
 def log_space(x_space, c):
     """Space components of the origin logarithmic map applied to rows.
 
-    v = acosh(sqrt(c) x_time) / sqrt(c x_time^2 - 1) * x_space; exact
-    inverse of `exp_space`.
+    v = acosh(sqrt(c) x_time) / (sqrt(c) ||x_space||) * x_space; exact
+    inverse of `exp_space`.  The denominator is sqrt(c x_time^2 - 1) in
+    exact arithmetic, but does not overflow for x_time near the largest
+    float; a zero row keeps the norm floor.
     """
     xt = time_part(x_space, c)
     num = ad.acosh(ad.clamp(ad.sqrt(c) * xt, lo=1.0))
-    den = ad.sqrt(ad.clamp(c * (xt * xt) - 1.0, lo=NORM_FLOOR))
+    den = ad.sqrt(c) * safe_norm(x_space)
     return (num / den) * x_space
 
 
@@ -237,8 +246,8 @@ def lorentz_distance(x: HyperbolicPoint, y: HyperbolicPoint) -> float:
     is clamped to >= 1 before acosh).
     """
     _check_same_chart(x, y)
-    if np.array_equal(x.space, y.space):
-        return 0.0   # identical points; dodges rounding in the inner product
+    if coincident(x.space, y.space):
+        return 0.0
     return dist_from_inner(lorentz_inner(x, y), x.curv.c).item()
 
 

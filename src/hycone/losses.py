@@ -495,10 +495,7 @@ def logit_matrix(images, texts, params: LossParams, mode: SimilarityMode) -> np.
         lorentz_logits(img_sp, img_t, txt_sp, txt_t, curv_i.c, inv_temp, mode)
     )
     if mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
-        # identical point pairs are at distance exactly 0; the inner-product
-        # route can round to a few ulps above the acosh branch point
-        same = np.all(img_sp[:, None, :] == txt_sp[None, :, :], axis=-1)
-        logits[same] = 0.0
+        logits[geometry.coincident(img_sp[:, None, :], txt_sp[None, :, :])] = 0.0
     return logits
 
 

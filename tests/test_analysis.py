@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hycone import analysis, geometry
 from hycone.analysis import (
+    LABEL_CLASSES,
     EmbeddingIndex,
     Labels,
     class_scores,
@@ -522,6 +525,54 @@ class TestLabels:
     def test_bad_line_rejected(self, line):
         with pytest.raises(ValueError, match="unknown label class at row 1"):
             Labels(["root\tr", line]).class_codes()
+
+
+PAIRS = st.lists(st.tuples(st.sampled_from(LABEL_CLASSES), st.text(max_size=6)), max_size=10)
+
+
+class TestLabelsContract:
+    """Labels behaves as the tuple of its (class, text) pairs, whatever the
+    texts hold: tabs, line breaks, non-ASCII."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pairs=PAIRS, more=PAIRS, cut=st.tuples(st.integers(-12, 12), st.integers(-12, 12),
+                                                  st.sampled_from([None, 1, 2, -1, -3])))
+    def test_matches_tuple_of_pairs(self, pairs, more, cut):
+        pairs, more = tuple(pairs), tuple(more)
+        labels = Labels.from_pairs(pairs)
+        n = len(pairs)
+        assert len(labels) == n
+        assert [labels[i] for i in range(-n, n)] == [pairs[i] for i in range(-n, n)]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                labels[i]
+        part = labels[slice(*cut)]
+        assert isinstance(part, Labels) and part == pairs[slice(*cut)]
+        assert tuple(labels) == pairs and list(iter(labels)) == list(pairs)
+        assert labels.lines == tuple(f"{c}\t{t}" for c, t in pairs)
+        assert labels.class_codes().tolist() == [LABEL_CLASSES.index(c) for c, _ in pairs]
+        assert labels == pairs and labels == list(pairs) and labels == Labels.from_pairs(pairs)
+        assert labels == Labels(f"{c}\t{t}" for c, t in pairs)
+        assert (labels == pairs + more) == (not more)
+        assert (labels == Labels.from_pairs(pairs + more)) == (not more)
+        assert labels + more == pairs + more
+        assert labels + Labels.from_pairs(more) == Labels.from_pairs(pairs + more)
+
+    def test_same_bytes_other_rows_differ(self):
+        one = Labels.from_pairs([("text", "a\ntext\tb")])
+        two = Labels.from_pairs([("text", "a"), ("text", "b")])
+        assert one.data == two.data and len(one) == 1 and one != two
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pairs=PAIRS.filter(len))    # an empty index has no root to estimate
+    def test_index_with_root_and_rows_of_class(self, pairs):
+        pairs = tuple(pairs)
+        idx = with_root(EmbeddingIndex(space="lorentz", curvature=1.0,
+                                       vectors=np.zeros((len(pairs), 2)), labels=pairs))
+        rooted = pairs if any(c == "root" for c, _ in pairs) else pairs + (("root", "[ROOT]"),)
+        assert idx.labels == rooted and len(idx.labels) == idx.count == len(rooted)
+        for cls in (*LABEL_CLASSES, "caption"):
+            assert idx.rows_of_class(cls).tolist() == [i for i, (c, _) in enumerate(rooted) if c == cls]
 
 
 class TestTraverseTies:

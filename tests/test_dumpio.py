@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hycone.analysis import EmbeddingIndex
+from hycone.analysis import LABEL_CLASSES, EmbeddingIndex
 from hycone.dumpio import DumpFormatError, atomic_write, labels_path, read_dump, write_dump
 
 
@@ -176,3 +181,134 @@ class TestAtomicWrite:
         atomic_write(tmp_path / "atomic", b"x")
         assert (tmp_path / "atomic").stat().st_mode == plain.stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
+
+
+# -- the v1 reader against the text-mode parse it replaced -------------------
+
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+OLD_PREFIXES = tuple(f"{cls}\t" for cls in LABEL_CLASSES)
+
+
+def text_mode_labels(lpath, count):
+    """The sidecar read as the reader did before it held bytes: read_text,
+    split on "\n", one startswith per line.  Returns (pairs, codes)."""
+    lines = lpath.read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) != count:
+        raise DumpFormatError(f"label count mismatch: dump has {count} rows, sidecar has {len(lines)}")
+    for row, line in enumerate(lines):
+        if not line.startswith(OLD_PREFIXES):
+            raise DumpFormatError(f"bad label line {row}: {line!r}")
+    pairs = [(cls, text) for cls, _, text in (line.partition("\t") for line in lines)]
+    return pairs, [LABEL_CLASSES.index(cls) for cls, _ in pairs]
+
+
+SIDECAR_PIECES = st.one_of(
+    st.sampled_from([
+        b"text\t", b"image\t", b"root\t", b"text", b"texts\t", b"imag\t", b"Root\t", b"t", b"i\t",
+        b"\n", b"\r\n", b"\r", b"\t", b"\xef\xbb\xbf", b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9",
+        b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf0\x9f\x8c\xb3", "é/ü".encode(),
+    ]),
+    st.text(max_size=6).map(str.encode),
+    st.binary(max_size=3),
+    # a class prefix with one byte replaced
+    st.builds(lambda prefix, at, byte: prefix[:at % len(prefix)] + byte + prefix[at % len(prefix) + 1:],
+              st.sampled_from([b"text\t", b"image\t", b"root\t"]), st.integers(0, 5),
+              st.binary(min_size=1, max_size=1)),
+)
+
+
+@st.composite
+def sidecars(draw):
+    """Sidecar bytes: mostly well-formed lines, with damage mixed in."""
+    good = st.builds(lambda cls, text: cls + text.encode(),
+                     st.sampled_from([b"text\t", b"image\t", b"root\t"]),
+                     st.text(st.characters(exclude_characters="\n\r"), max_size=8))
+    damaged = st.lists(SIDECAR_PIECES, max_size=4).map(b"".join)
+    lines = [draw(damaged if draw(st.integers(0, 4)) == 0 else good)
+             for _ in range(draw(st.integers(0, 8)))]
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    return data[:-1] if data and draw(st.booleans()) else data     # maybe no final line end
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except ValueError as exc:       # DumpFormatError and UnicodeDecodeError
+        return type(exc), str(exc)
+
+
+class TestReaderOracle:
+    @ORACLE
+    @given(data=sidecars(), delta=st.sampled_from([0, 0, 0, 0, -1, 1]))
+    def test_bytes_reader_matches_text_mode(self, data, delta):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.hypb"
+            lines = data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            count = max(len(lines) - (lines[-1] == "") + delta, 0)
+            write_dump(lorentz_index(np.zeros((count, 2)), [("text", "x")] * count), path)
+            lpath = labels_path(path)
+            lpath.write_bytes(data)
+
+            want = outcome(lambda: text_mode_labels(lpath, count))
+            got = outcome(lambda: read_dump(path))
+            assert got[0] is want[0]
+            if want[0] != "ok":
+                assert got[1] == want[1]
+                return
+            index, (pairs, codes) = got[1], want[1]
+            assert list(index.labels) == pairs
+            assert index.classes.tolist() == codes
+            if b"\r" not in data and data.endswith(b"\n") or not data:
+                # write(read(p)) reproduces an LF sidecar byte for byte
+                write_dump(index, Path(tmp) / "again.hypb")
+                assert (Path(tmp) / "again.labels").read_bytes() == data
+
+    @pytest.mark.parametrize("data, want", [
+        (b"", []),
+        (b"text\ta\r\nimage\tb\rroot\t", [("text", "a"), ("image", "b"), ("root", "")]),
+        (b"\xef\xbb\xbftext\ta\n", "bad label line 0: '\\ufefftext\\ta'"),
+        ("text\ta\x85b\u2028\n".encode(), [("text", "a\x85b\u2028")]),
+        (b"text\t\xff\n", "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+    ])
+    def test_named_cases(self, tmp_path, data, want):
+        count = len(want) if isinstance(want, list) else 1
+        path, lpath = write_dump(lorentz_index(np.zeros((count, 2)), [("text", "x")] * count),
+                                 tmp_path / "d.hypb")
+        lpath.write_bytes(data)
+        assert outcome(lambda: text_mode_labels(lpath, count))[0] == outcome(lambda: read_dump(path))[0]
+        if isinstance(want, list):
+            assert list(read_dump(path).labels) == want
+        else:
+            with pytest.raises(ValueError) as info:
+                read_dump(path)
+            assert str(info.value) == want
+
+
+    @pytest.mark.parametrize("prefix", [f"{cls}\t" for cls in LABEL_CLASSES])
+    def test_each_prefix_byte_is_checked(self, tmp_path, prefix):
+        path, lpath = write_dump(lorentz_index(np.zeros((2, 2)), [("text", "x")] * 2), tmp_path / "d.hypb")
+        for at in range(len(prefix)):
+            line = prefix[:at] + "X" + prefix[at + 1:] + "a"
+            lpath.write_text(f"root\tr\n{line}\n", encoding="utf-8")
+            with pytest.raises(DumpFormatError) as info:
+                read_dump(path)
+            assert str(info.value) == f"bad label line 1: {line!r}"
+
+
+class TestLfRoundtrip:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from(LABEL_CLASSES),
+                                    st.text().filter(lambda t: "\n" not in t and "\r" not in t)),
+                          max_size=12))
+    def test_write_read_write_is_byte_identical(self, pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, lpath = write_dump(lorentz_index(np.zeros((len(pairs), 3)), pairs), Path(tmp) / "a.hypb")
+            assert lpath.read_bytes() == "".join(f"{c}\t{t}\n" for c, t in pairs).encode()
+            loaded = read_dump(path)
+            assert list(loaded.labels) == pairs
+            _, lpath2 = write_dump(loaded, Path(tmp) / "b.hypb")
+            assert lpath2.read_bytes() == lpath.read_bytes()

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hycone import trainer
-from hycone.analysis import EmbeddingIndex
+from hycone.analysis import EmbeddingIndex, interpolate_steps, with_root
 from hycone.cli import main
 from hycone.dumpio import _HEADER, read_dump, write_dump
 
@@ -271,6 +271,20 @@ def test_huge_query_vector_is_reported(trained, capsys, argv, magnitude):
 def test_large_query_vector_succeeds(trained, capsys, argv):
     code, out = run_query(trained, capsys, *argv, f"--vector={huge_vector(trained, 1e100)}")
     assert code == 0 and out
+
+
+def test_huge_vector_walk_at_curvature_2_does_not_collapse(trained, tmp_path, capsys):
+    # sqrt(c) * x_time stays finite here, but c * x_time**2 would overflow
+    dump = with_curvature(trained, tmp_path, 2.0)
+    y = np.array([float(v) for v in huge_vector(trained, 1e154).split(",")])
+    with np.errstate(over="ignore"):    # as in traverse: the walk itself must hold
+        steps = interpolate_steps(y, with_root(read_dump(dump)))
+    norms = [np.linalg.norm(step) for step in steps]
+    assert all(a > b for a, b in zip(norms, norms[1:])) and norms[-1] == 0.0
+    capsys.readouterr()
+    code = main(["traverse", "--dump", str(dump), "--vector=" + huge_vector(trained, 1e154)])
+    assert code == 0
+    assert_reported(code, capsys.readouterr())
 
 
 @pytest.mark.parametrize("argv", QUERY_COMMANDS)
