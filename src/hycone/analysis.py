@@ -143,11 +143,7 @@ class Labels(Sequence):
 
     @property
     def lines(self) -> tuple[str, ...]:
-        """Every row's line, decoded: one split, unless a line holds a
-        "\\n" of its own."""
-        lines = self.data.decode("utf-8").split("\n")[:-1]
-        if len(lines) == len(self):
-            return tuple(lines)
+        """Every row's line, decoded."""
         bounds = self.starts.tolist()
         return tuple(self.data[a:b - 1].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
 

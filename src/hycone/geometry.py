@@ -188,8 +188,9 @@ def log_space(x_space, c):
 
     v = acosh(sqrt(c) x_time) / (sqrt(c) ||x_space||) * x_space; exact
     inverse of `exp_space`.  The denominator is sqrt(c x_time^2 - 1) in
-    exact arithmetic, but does not overflow for x_time near the largest
-    float; a zero row keeps the norm floor.
+    exact arithmetic, but overflows no earlier than `time_part` itself
+    (||x_space|| ~ 1.34e154), where c x_time^2 overflowed already at
+    1.34e154 / sqrt(c); a zero row keeps the norm floor.
     """
     xt = time_part(x_space, c)
     num = ad.acosh(ad.clamp(ad.sqrt(c) * xt, lo=1.0))
