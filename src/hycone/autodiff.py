@@ -13,14 +13,14 @@ topological order, and :meth:`Tape.backward` visits nodes in strict
 reverse append order.  All op functions in this module are generic: given
 :class:`Node` arguments they record onto the tape, given plain
 arrays/floats they evaluate the identical numpy kernel, so one formula
-serves both the differentiable path and reference computations.
+serves both the differentiable path and reference computations.  The
+kernels are pure: they compute their output and nothing else.  A
+recorded tape keeps each clamp's and relu's input and bounds, so
+:meth:`Tape.kink_margin` reads how near a forward pass ran to a kink.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,52 +37,6 @@ SINHC_TAYLOR = 1e-4
 # Floor used by safe square roots of squared norms; keeps gradients of
 # vanishing rows at exactly zero via the clamp subgradient.
 NORM_FLOOR = 1e-300
-
-
-# ---------------------------------------------------------------------------
-# Boundary monitor
-# ---------------------------------------------------------------------------
-
-_MONITOR = threading.local()
-
-
-@dataclass
-class BoundaryRecord:
-    """Closest approach of any clamp/hinge input to its boundary."""
-
-    min_margin: float = math.inf
-
-
-@contextmanager
-def boundary_monitor():
-    """Record, for every clamp and hinge evaluated inside the context, the
-    minimum absolute distance of an input element to a boundary value.
-
-    Used by gradient checks to exclude sample points whose forward pass
-    runs within a given margin of a nondifferentiable kink.
-    """
-    stack = getattr(_MONITOR, "stack", None)
-    if stack is None:
-        stack = _MONITOR.stack = []
-    rec = BoundaryRecord()
-    stack.append(rec)
-    try:
-        yield rec
-    finally:
-        stack.pop()
-
-
-def _note_margin(values: Array) -> None:
-    stack = getattr(_MONITOR, "stack", None)
-    if not stack:
-        return
-    v = np.asarray(values)
-    if v.size == 0:
-        return
-    m = float(np.min(v))
-    for rec in stack:
-        if m < rec.min_margin:
-            rec.min_margin = m
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +61,6 @@ def dsinhc_kernel(t: Array) -> Array:
     small = np.abs(t) < SINHC_TAYLOR
     safe = np.where(small, 1.0, t)
     return np.where(small, t / 3.0, (safe * np.cosh(safe) - np.sinh(safe)) / (safe * safe))
-
-
-def _clamp_kernel(x: Array, lo, hi) -> Array:
-    if lo is not None:
-        _note_margin(np.abs(x - lo))
-    if hi is not None:
-        _note_margin(np.abs(x - hi))
-    return np.clip(x, lo, hi)
-
-
-def _relu_kernel(x: Array) -> Array:
-    _note_margin(np.abs(x))
-    return np.maximum(x, 0.0)
 
 
 def _logsumexp_rows_kernel(m: Array) -> Array:
@@ -313,7 +254,7 @@ def _sample_clamp(rng):
 
 _register(
     "clamp",
-    lambda a, lo=None, hi=None: _clamp_kernel(a, lo, hi),
+    lambda a, lo=None, hi=None: np.clip(a, lo, hi),
     lambda g, out, ins, p: (g * _clamp_mask(ins[0], p["lo"], p["hi"]),),
     _sample_clamp,
 )
@@ -327,7 +268,7 @@ def _sample_relu(rng):
 
 _register(
     "relu",
-    _relu_kernel,
+    lambda a: np.maximum(a, 0.0),
     lambda g, out, ins, p: (g * (ins[0] > 0.0),),
     _sample_relu,
 )
@@ -441,6 +382,27 @@ class Tape:
 
     def leaves(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if n.op == "var"]
+
+    def kink_margin(self) -> float:
+        """Least |input - bound| over the tape's clamp nodes (their lo
+        and/or hi) and relu nodes (0); inf when the tape has none.
+
+        Near a kink the zero subgradient and a two-sided difference
+        legitimately disagree, so gradient checks skip such points.
+        """
+        margin = float("inf")
+        for node in self.nodes:
+            if node.op == "clamp":
+                bounds = (node.params["lo"], node.params["hi"])
+            elif node.op == "relu":
+                bounds = (0.0,)
+            else:
+                continue
+            x = self.nodes[node.inputs[0]].value
+            for b in bounds:
+                if b is not None and x.size:
+                    margin = min(margin, float(np.min(np.abs(x - b))))
+        return margin
 
     def backward(self, output: Node) -> dict[int, Array]:
         """Gradients of a scalar output with respect to every var leaf.

@@ -11,7 +11,9 @@ which gives the gradient a loop of 2N single calls would, bit for bit.
 End-to-end sample points whose forward pass runs within a margin of any
 clamp or hinge boundary are skipped (the analytic subgradient and the
 two-sided difference legitimately disagree there); replacement seeds are
-drawn from a deterministic stream.
+drawn from a deterministic stream.  Each point records the objective on
+one tape, which gives both the margin (`Tape.kink_margin`) and, for an
+admissible point, the tape gradient.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (
-    PRIMITIVES, GradReport, Tape, boundary_monitor, finite_diff_stacked, make_report,
-)
+from .autodiff import PRIMITIVES, GradReport, Tape, finite_diff_stacked, make_report
 from .autodiff import finite_diff  # noqa: F401  unused; bench/spec.py traces it here
 from .losses import SimilarityMode, objective, objective_grad
 
@@ -146,8 +146,11 @@ def _sample_case(seed: int, batch: int, dim: int):
 
 
 def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
-    """(imgs, txts, scalars, run) at a sample point, or None if the forward
-    pass runs within the boundary margin of a clamp or hinge kink."""
+    """(imgs, txts, scalars, run, tape_grad) at a sample point, or None if
+    the forward pass runs within the boundary margin of a clamp or hinge
+    kink.  One tape records the forward: its kink margin decides, and its
+    backward gives the tape gradient w.r.t. both row matrices and the four
+    log scalars, flat."""
     imgs, txts, scalars = _sample_case(seed, batch, dim)
 
     def run(img_rows, txt_rows, sc):
@@ -157,11 +160,14 @@ def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batc
         )
         return total
 
-    with boundary_monitor() as rec:
-        run(imgs, txts, scalars)
-    if rec.min_margin < BOUNDARY_MARGIN:
+    tape = Tape()
+    vi, vt = tape.var(imgs), tape.var(txts)
+    vs = [tape.var(s) for s in scalars]
+    total = run(vi, vt, vs)
+    if tape.kink_margin() < BOUNDARY_MARGIN:
         return None
-    return imgs, txts, scalars, run
+    grads = tape.backward(total)
+    return imgs, txts, scalars, run, _flat(grads[vi.idx], grads[vt.idx], [grads[v.idx] for v in vs])
 
 
 def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
@@ -181,20 +187,10 @@ def _flat(g_imgs, g_txts, g_scalars) -> np.ndarray:
     return np.concatenate([g_imgs.ravel(), g_txts.ravel()] + [np.atleast_1d(g) for g in g_scalars])
 
 
-def _tape_gradient(case) -> np.ndarray:
-    """Tape gradient w.r.t. both row matrices and the four log scalars, flat."""
-    imgs, txts, scalars, run = case
-    tape = Tape()
-    vi, vt = tape.var(imgs), tape.var(txts)
-    vs = [tape.var(s) for s in scalars]
-    grads = tape.backward(run(vi, vt, vs))
-    return _flat(grads[vi.idx], grads[vt.idx], [grads[v.idx] for v in vs])
-
-
 def _numeric_gradient(case, h: float) -> np.ndarray:
     """Central differences of the objective: the 2N perturbed points go
     through `objective` as one (2N, B, n) stack."""
-    imgs, txts, scalars, run = case
+    imgs, txts, scalars, run, _ = case
     ni, nt = imgs.size, txts.size
 
     def f_stack(points):
@@ -207,7 +203,7 @@ def _numeric_gradient(case, h: float) -> np.ndarray:
 
 
 def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> np.ndarray:
-    imgs, txts, scalars, _ = case
+    imgs, txts, scalars, *_ = case
     *_, g = objective_grad(
         imgs, txts, *scalars, mode=mode, entail_weight=entail_weight, cone_boundary=CONE_BOUNDARY,
     )
@@ -221,7 +217,7 @@ def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float) -> 
     case = _admissible_case(seed, mode, entail_weight, END_TO_END_BATCH, END_TO_END_DIM)
     if case is None:
         return None
-    return make_report(_tape_gradient(case), _numeric_gradient(case, END_TO_END_STEP))
+    return make_report(case[-1], _numeric_gradient(case, END_TO_END_STEP))
 
 
 def _worst(name: str, reports: list[GradReport], rtol: float, atol: float) -> CheckResult:
@@ -244,7 +240,7 @@ def check_total_loss(seeds: int = 20) -> list[CheckResult]:
         for lam in (0.0, 0.2):
             tape_reports, closed_reports = [], []
             for case in _admissible_cases(seeds, mode, lam, END_TO_END_BATCH, END_TO_END_DIM):
-                tape_grad = _tape_gradient(case)
+                *_, tape_grad = case
                 closed_reports.append(make_report(_closed_form_gradient(case, mode, lam), tape_grad))
                 if mode is not SimilarityMode.COSINE:
                     tape_reports.append(make_report(tape_grad, _numeric_gradient(case, END_TO_END_STEP)))

@@ -24,7 +24,6 @@ import json
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +92,11 @@ class TrainConfig:
         if not (self.tau_init > 0.0 and self.curv_init > 0.0):
             raise ValueError("initial tau and curvature must be > 0")
 
+    @property
+    def trained_entail_weight(self) -> float:
+        """The entailment weight the objective uses: 0 under no_entailment."""
+        return 0.0 if self.no_entailment else self.entail_weight
+
     def mode(self) -> SimilarityMode:
         if self.space == "sphere":
             return SimilarityMode.COSINE
@@ -148,7 +152,7 @@ class EncoderParams:
         return cls(
             tensors=tensors,
             hidden_dim=hidden,
-            entail_weight=config.entail_weight,
+            entail_weight=config.trained_entail_weight,
             cone_boundary=config.cone_boundary,
         )
 
@@ -352,7 +356,7 @@ def train_step(params: ParamVector, state: AdamState, batch: PairBatch,
     (`CURVE_COLUMNS` after "step") plus whether tau and c were clamped.
     `params` may also be a dict of named tensors.
     """
-    lam = 0.0 if config.no_entailment else config.entail_weight
+    lam = config.trained_entail_weight
     with np.errstate(all="ignore"):
         img_rows = encoder_forward(params, batch.image_latents, "img", config.hidden_dim)
         txt_rows = encoder_forward(params, batch.text_latents, "txt", config.hidden_dim)
@@ -417,8 +421,11 @@ def build_embedding_index(enc: EncoderParams, config: TrainConfig,
         )
     per_leaf = config.held_out_per_leaf if held_out_per_leaf is None else held_out_per_leaf
     txt_latents = np.stack([tree.nodes[i].latent for i in tree.internal])
-    txt_labels = [("text", tree.nodes[i].path) for i in tree.internal]
     img_latents, img_names = held_out_images(tree, per_leaf, config.seed)
+    # The label sidecar's bytes, each row formatted once: one join covers
+    # every image row (200,000 on the benchmark's big dump).
+    sidecar = "".join(f"text\t{tree.nodes[i].path}\n" for i in tree.internal)
+    sidecar += "image\t" + "\nimage\t".join(img_names) + "\n"
 
     txt_rows = np.asarray(encoder_forward(enc.tensors, txt_latents, "txt", config.hidden_dim))
     img_rows = np.asarray(encoder_forward(enc.tensors, img_latents, "img", config.hidden_dim))
@@ -430,7 +437,7 @@ def build_embedding_index(enc: EncoderParams, config: TrainConfig,
             space.lift(txt_rows, np.exp(enc.tensors["log_scale_txt"])),
             space.lift(img_rows, np.exp(enc.tensors["log_scale_img"])),
         ]),
-        labels=Labels.from_pairs(chain(txt_labels, zip(repeat("image"), img_names))),
+        labels=Labels.from_sidecar(sidecar.encode("utf-8")),
     )
 
 
@@ -535,7 +542,7 @@ def load_checkpoint(path) -> Checkpoint:
     enc = EncoderParams(
         tensors=tensors,
         hidden_dim=config.hidden_dim,
-        entail_weight=config.entail_weight,
+        entail_weight=config.trained_entail_weight,
         cone_boundary=config.cone_boundary,
     )
     return Checkpoint(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hycone import autodiff as ad
-from hycone.autodiff import PRIMITIVES, Tape, boundary_monitor, finite_diff, grad_report
+from hycone.autodiff import PRIMITIVES, Tape, finite_diff, grad_report
 from hycone.gradcheck import check_primitive, total_loss_report
 from hycone.losses import SimilarityMode
 
@@ -136,16 +136,35 @@ class TestPrimitiveRegistry:
         assert abs(g[0]) <= 1.0 / np.sqrt(2e-8) + 1.0
 
 
-class TestBoundaryMonitor:
+def recorded_margin(op, x, **params):
+    """Kink margin of a tape that records one op on the var x."""
+    tape = Tape()
+    op(tape.var(np.array(x)), **params)
+    return tape.kink_margin()
+
+
+class TestKinkMargin:
     def test_records_clamp_margin(self):
-        with boundary_monitor() as rec:
-            ad.clamp(np.array([0.3, 0.9]), lo=0.0, hi=1.0)
-        assert rec.min_margin == pytest.approx(0.1)
+        assert recorded_margin(ad.clamp, [0.3, 0.9], lo=0.0, hi=1.0) == pytest.approx(0.1)
 
     def test_records_hinge_margin(self):
-        with boundary_monitor() as rec:
-            ad.relu(np.array([-0.02, 0.5]))
-        assert rec.min_margin == pytest.approx(0.02)
+        assert recorded_margin(ad.relu, [-0.02, 0.5]) == pytest.approx(0.02)
+
+    # The margin is read from each input, not from the clipped output.
+    def test_lower_bound_only(self):
+        assert recorded_margin(ad.clamp, [0.2, 5.0], lo=0.25) == pytest.approx(0.05)
+
+    def test_upper_bound_only(self):
+        assert recorded_margin(ad.clamp, [1.1, -7.0], hi=1.0) == pytest.approx(0.1)
+
+    def test_tape_without_kinks(self):
+        assert recorded_margin(lambda x: ad.sum(ad.exp(x) * x), [0.0, 1.0]) == float("inf")
+
+    def test_least_over_every_kink(self):
+        tape = Tape()
+        x = tape.var(np.array([0.5, 2.0]))
+        ad.relu(ad.clamp(x, lo=0.3) - 1.97)
+        assert tape.kink_margin() == pytest.approx(0.03)
 
 
 class TestEndToEnd:

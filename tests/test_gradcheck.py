@@ -17,7 +17,7 @@ LORENTZ_MODES = [SimilarityMode.NEG_LORENTZ_DISTANCE, SimilarityMode.LORENTZ_INN
 
 def per_point_closure(case):
     """The objective at one flat point, as the loop over finite_diff saw it."""
-    imgs, txts, scalars, run = case
+    imgs, txts, scalars, run, _ = case
     ni, nt = imgs.size, txts.size
 
     def f(flat):
@@ -37,7 +37,7 @@ class TestStackedNumericGradient:
                                           finite_diff(f, x, h=1e-5))
 
     def test_nonfinite_stacked_evaluation_names_coordinate(self):
-        imgs, txts, scalars, run = next(
+        imgs, txts, scalars, run, tape_grad = next(
             gradcheck._admissible_cases(1, SimilarityMode.NEG_LORENTZ_DISTANCE, 0.2, 4, 8))
         first_txt = imgs.size     # flat coordinate of txts[0, 0]
 
@@ -46,7 +46,48 @@ class TestStackedNumericGradient:
             return np.where(txt_rows[..., 0, 0] < txts[0, 0], np.nan, total)
 
         with pytest.raises(ValueError, match=rf"coordinate \({first_txt},\)"):
-            gradcheck._numeric_gradient((imgs, txts, scalars, poisoned), 1e-5)
+            gradcheck._numeric_gradient((imgs, txts, scalars, poisoned, tape_grad), 1e-5)
+
+
+def point_margin(seed, mode, lam):
+    """Kink margin of the objective's forward at an end-to-end sample point."""
+    imgs, txts, scalars = gradcheck._sample_case(seed, 4, 8)
+    tape = Tape()
+    vs = [tape.var(v) for v in (imgs, txts, *scalars)]
+    objective(*vs, mode=mode, entail_weight=lam, cone_boundary=gradcheck.CONE_BOUNDARY)
+    return tape.kink_margin()
+
+
+class TestBoundaryRejection:
+    """Every seed the suite draws is admissible at the shipped margin, so
+    these tests raise the margin to reach the rejection path."""
+
+    @pytest.mark.parametrize("mode", list(SimilarityMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_margin_above_every_point_rejects_all(self, monkeypatch, mode, lam):
+        monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", np.inf)
+        assert gradcheck.total_loss_report(0, mode, lam) is None
+        with pytest.raises(RuntimeError, match="admissible"):
+            next(gradcheck._admissible_cases(1, mode, lam, 4, 8))
+
+    def test_point_at_the_margin_is_admissible(self, monkeypatch):
+        mode, lam = SimilarityMode.NEG_LORENTZ_DISTANCE, 0.2
+        margin = point_margin(0, mode, lam)
+        monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", np.nextafter(margin, np.inf))
+        assert gradcheck._admissible_case(0, mode, lam, 4, 8) is None
+        monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", margin)
+        assert gradcheck._admissible_case(0, mode, lam, 4, 8) is not None
+
+    def test_tape_gradient_of_admissible_point(self):
+        mode, lam = SimilarityMode.NEG_LORENTZ_DISTANCE, 0.2
+        imgs, txts, scalars, run, tape_grad = gradcheck._admissible_case(0, mode, lam, 4, 8)
+        tape = Tape()
+        vi, vt = tape.var(imgs), tape.var(txts)
+        vs = [tape.var(s) for s in scalars]
+        grads = tape.backward(run(vi, vt, vs))
+        want = np.concatenate([grads[vi.idx].ravel(), grads[vt.idx].ravel()]
+                              + [np.atleast_1d(grads[v.idx]) for v in vs])
+        np.testing.assert_array_equal(tape_grad, want)
 
 
 class TestFiniteDiffStacked:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hycone import dumpio, trainer
-from hycone.hierarchy import PairSampler, generate_tree
-from hycone.losses import SimilarityMode, logit_matrix
+from hycone.analysis import Labels
+from hycone.hierarchy import PairSampler, generate_tree, held_out_images
+from hycone.losses import BatchEmbeddings, SimilarityMode, logit_matrix, total_loss
 from hycone.trainer import (
     AdamState,
     EncoderParams,
@@ -193,6 +194,22 @@ class TestTraining:
         chk = train(TrainConfig(seed=11, no_entailment=True, **TINY))
         assert np.all(chk.curve[:, 2] == 0.0)
 
+    def test_no_entailment_checkpoint_has_no_hinge_term(self, tmp_path):
+        cfg = TrainConfig(seed=11, no_entailment=True, **TINY)
+        chk = train(cfg)
+        loaded = load_checkpoint(save_checkpoint(chk, tmp_path / "c.bin"))
+        tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
+        batch = PairSampler(tree, cfg.seed).next_batch(cfg.batch_size)
+        for enc in (chk.encoder, loaded.encoder):
+            params = enc.loss_params()
+            assert params.entail_weight == 0.0
+            rows = BatchEmbeddings(
+                images=encoder_forward(enc.tensors, batch.image_latents, "img", cfg.hidden_dim),
+                texts=encoder_forward(enc.tensors, batch.text_latents, "txt", cfg.hidden_dim),
+            )
+            out = total_loss(rows, params, cfg.mode())
+            assert out.total == out.contrastive
+
     def test_fixed_curvature_flag(self):
         cfg = TrainConfig(seed=11, fixed_curvature=True, **TINY)
         chk = train(cfg)
@@ -238,6 +255,14 @@ class TestTraining:
         a = build_embedding_index(chk.encoder, cfg)
         b = build_embedding_index(folded, cfg)
         assert np.max(np.abs(a.vectors - b.vectors)) < 1e-10
+
+    def test_index_labels_equal_pair_labels(self):
+        cfg = TrainConfig(seed=11, **TINY)
+        tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
+        index = build_embedding_index(EncoderParams.init(cfg), cfg, tree)
+        _, names = held_out_images(tree, cfg.held_out_per_leaf, cfg.seed)
+        pairs = [("text", tree.nodes[i].path) for i in tree.internal] + [("image", n) for n in names]
+        assert index.labels == Labels.from_pairs(pairs)
 
     def test_hidden_layer_variant_trains(self):
         cfg = TrainConfig(seed=11, hidden_dim=12, batch_size=8, steps=300, warmup=10,
