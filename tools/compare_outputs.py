@@ -19,10 +19,11 @@ set:
   set, with the dump's own checkpoint);
 - `gradcheck` stdout at the default flags and at `--points 3 --seeds 2`.
 
-Each output gets one line: its SHA-256 prefix and `same` or `DIFFERS`
-(then both digests).  The exit code and stderr of each command are part
-of its stdout output's digest.  Exits 1 on any difference.  Uses numpy
-and the standard library only.
+Each output gets one line: its SHA-256 prefix and `same`, or both
+digests and `DIFFERS` (`MISSING` when a side wrote no such file).  The
+exit code and stderr of each command are part of its stdout output's
+digest.  Exits 1 on any difference or missing file.  Uses numpy and the
+standard library only.
 """
 
 from __future__ import annotations
@@ -104,8 +105,13 @@ def write_prompts(path: Path) -> None:
 
 
 def dump_count(path: Path) -> int:
-    with open(path, "rb") as f:
-        head = f.read(DUMP_HEADER.size)
+    """Row count in a dump's header; 0 when the dump is missing or short,
+    so the commands on it still run and record how they fail."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(DUMP_HEADER.size)
+    except OSError:
+        return 0
     return DUMP_HEADER.unpack(head)[4] if len(head) == DUMP_HEADER.size else 0
 
 
@@ -153,12 +159,16 @@ def main(argv: list[str]) -> int:
     differs = 0
     width = max(map(len, a))
     for name in a:
-        if a[name] == b.get(name):
+        if "missing" in (a[name], b[name]):
+            status = "MISSING"
+        else:
+            status = "same" if a[name] == b[name] else "DIFFERS"
+        if status == "same":
             print(f"{name:<{width}}  {a[name]}  same")
         else:
             differs += 1
-            print(f"{name:<{width}}  {a[name]} -> {b.get(name)}  DIFFERS")
-    print(f"{len(a) - differs} same, {differs} differ")
+            print(f"{name:<{width}}  {a[name]} -> {b[name]}  {status}")
+    print(f"{len(a) - differs} same, {differs} differ or are missing")
     return 1 if differs else 0
 
 
