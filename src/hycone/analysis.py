@@ -192,7 +192,9 @@ class Lorentz:
     def check_rows(self, rows: np.ndarray, first_row: int) -> None:
         """Every finite row is a point: its time component is derived.
         One sum screens all rows; a non-finite one is located only then."""
-        if not np.isfinite(rows.sum()):
+        with np.errstate(invalid="ignore", over="ignore"):     # inf - inf, or a finite overflow
+            total = rows.sum()
+        if not np.isfinite(total):
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             if bad.size:    # else the sum overflowed on finite rows
                 raise ValueError(f"lorentz row {first_row + int(bad[0])} has a non-finite component")

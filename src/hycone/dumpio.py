@@ -75,8 +75,13 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
         row, text = next((i, text) for i, (_, text) in enumerate(index.labels)
                          if "\n" in text or "\r" in text)
         raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
-    payload = np.ascontiguousarray(index.vectors, dtype="<f4").tobytes()
-    atomic_write(path, header + payload)
+    with np.errstate(over="ignore"):    # what float32 cannot hold becomes inf, refused below
+        payload = np.ascontiguousarray(index.vectors, dtype="<f4")
+    if not np.isfinite(payload).all():
+        row = int(np.flatnonzero(~np.isfinite(payload).all(axis=1))[0])
+        raise ValueError(f"row {row} does not fit the dump's float32 storage: "
+                         f"a component is beyond {np.finfo(np.float32).max:.4g} in magnitude")
+    atomic_write(path, header + payload.tobytes())
 
     lpath = labels_path(path)
     atomic_write(lpath, sidecar)

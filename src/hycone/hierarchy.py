@@ -52,15 +52,41 @@ def is_ancestor(text_path: str, leaf_path: str) -> bool:
     return leaf_path.startswith(text_path + ".")
 
 
+# The largest tree `generate_tree` builds: about 1 s and 100 MB at
+# latent_dim 32.  The README, benchmark and compare-tool runs use at most
+# 1,555 nodes (depth 4, branching 6).
+MAX_TREE_NODES = 100_000
+# The most held-out images `held_out_images` draws: 2.5 times the
+# benchmark's 200,000-image dump.
+MAX_HELD_OUT_IMAGES = 500_000
+
+
+def tree_node_count(depth: int, branching: int) -> int:
+    """sum_{d=0..depth} branching^d, the node count of a tree of this
+    shape; raises ValueError for a shape `generate_tree` refuses, before
+    anything is built."""
+    if depth < 2 or branching < 2:
+        raise ValueError("tree needs depth >= 2 and branching >= 2")
+    # With branching >= 2 a tree has at least 2^(depth + 1) - 1 nodes, so
+    # a depth past the cap's bit length is too large without the power.
+    if depth < MAX_TREE_NODES.bit_length() and branching <= MAX_TREE_NODES:
+        nodes = (branching ** (depth + 1) - 1) // (branching - 1)
+        if nodes <= MAX_TREE_NODES:
+            return nodes
+    raise ValueError(
+        f"a tree of depth {depth} and branching {branching} has more than "
+        f"{MAX_TREE_NODES} nodes"
+    )
+
+
 def generate_tree(depth: int, branching: int, latent_dim: int, noise: float, seed: int) -> ConceptTree:
     """Build a complete tree of the given shape.
 
     The root latent is zero; each child adds an offset with expected unit
     norm, so latent norm (specificity) grows with depth.  Node count is
-    sum_{d=0..depth} branching^d.
+    `tree_node_count(depth, branching)`, at most MAX_TREE_NODES.
     """
-    if depth < 2 or branching < 2:
-        raise ValueError("tree needs depth >= 2 and branching >= 2")
+    tree_node_count(depth, branching)
     if latent_dim < 1 or noise < 0.0:
         raise ValueError("latent_dim must be >= 1 and noise >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -148,6 +174,17 @@ class PairSampler:
         )
 
 
+def held_out_count(leaves: int, per_leaf: int) -> int:
+    """Number of held-out images `held_out_images` draws on a tree with
+    this many leaves; raises ValueError for a count it refuses."""
+    if per_leaf < 1:
+        raise ValueError(f"need at least one held-out image per leaf, got {per_leaf}")
+    if leaves * per_leaf > MAX_HELD_OUT_IMAGES:
+        raise ValueError(f"{per_leaf} held-out images on each of {leaves} leaves "
+                         f"is more than {MAX_HELD_OUT_IMAGES}")
+    return leaves * per_leaf
+
+
 def held_out_images(tree: ConceptTree, per_leaf: int, seed: int) -> tuple[np.ndarray, list[str]]:
     """Evaluation image latents never seen by the pair sampler.
 
@@ -155,10 +192,9 @@ def held_out_images(tree: ConceptTree, per_leaf: int, seed: int) -> tuple[np.nda
     "<leaf path>/h<j>".  One noise draw covers all leaves: it yields the
     same numbers as one (per_leaf, latent_dim) draw per leaf in turn.
     """
-    if per_leaf < 1:
-        raise ValueError(f"need at least one held-out image per leaf, got {per_leaf}")
+    count = held_out_count(len(tree.leaves), per_leaf)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    latents = rng.standard_normal((len(tree.leaves) * per_leaf, tree.latent_dim))
+    latents = rng.standard_normal((count, tree.latent_dim))
     latents *= tree.noise      # in place, so a large draw needs no second temporary
     latents += np.repeat(tree.leaf_latents(), per_leaf, axis=0)
     paths = [tree.nodes[leaf].path for leaf in tree.leaves]

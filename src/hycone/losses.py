@@ -311,8 +311,9 @@ class _Hinge:
         return g_x_sp, g_x_t, g_ip * self.x_sp, g_y_t, [g_c_sqrt, _total(g_cip * self.ip)]
 
 
-def _contrastive_grad(logits):
-    """`contrastive_from_logits` and its gradient w.r.t. the logits.
+def _contrastive_grad(logits, work):
+    """`contrastive_from_logits` and its gradient w.r.t. the logits, which
+    is written over `logits`; `work` is a B x B buffer it overwrites.
 
     The text->image direction reduces the same contiguous matrix over
     axis 0, which gives the tape's numbers without a transposed operand.
@@ -324,14 +325,14 @@ def _contrastive_grad(logits):
     w = 0.5 / b
     mx_r = np.max(logits, axis=1, keepdims=True)
     mx_c = np.max(logits, axis=0, keepdims=True)
-    g_r = np.exp(logits - mx_r)
+    g_r = np.exp(np.subtract(logits, mx_r, out=work), out=work)
     lse_r = np.log(np.sum(g_r, axis=1)) + mx_r[:, 0]
     lse_c = np.log(np.sum(np.exp(np.subtract(logits, mx_c, out=g_r), out=g_r), axis=0)) + mx_c[0]
     diag = np.diagonal(logits)
     cont = 0.5 * (np.sum(lse_r - diag) / b + np.sum(lse_c - diag) / b)
     g_r = np.exp(np.subtract(logits, lse_r[:, None], out=g_r), out=g_r)
     g_r *= w
-    g = np.exp(logits - lse_c)
+    g = np.exp(np.subtract(logits, lse_c, out=logits), out=logits)
     g *= w
     g_diag = ((np.diagonal(g) - w) - w) + np.diagonal(g_r)
     g += g_r
@@ -346,8 +347,15 @@ def _normalize_grad(g_n, rows, norm, unclamped):
     return (g_n / norm + q) + q
 
 
+def objective_workspace(batch_size: int) -> np.ndarray:
+    """Uninitialised scratch for `objective_grad` at this batch size: one
+    B x B float64 slot per intermediate it holds at once."""
+    return np.empty((6, batch_size, batch_size))
+
+
 def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_scale_txt,
-                   *, mode: SimilarityMode, entail_weight: float, cone_boundary: float):
+                   *, mode: SimilarityMode, entail_weight: float, cone_boundary: float,
+                   workspace: np.ndarray | None = None):
     """`objective` on plain arrays, plus its gradient in closed form.
 
     Returns (total, contrastive, entailment, grads): the three floats
@@ -358,9 +366,20 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
     row, a cone apex, sits at the origin and the cone is undefined: the
     tape's gradient there is the residue of cancelling ~1e147 terms, and
     the closed form, adding them in the same order, gives the same residue.
+
+    `workspace` is `objective_workspace(B)`: every B x B intermediate
+    (inner products, logits, softmax, their adjoints) is written into it,
+    so a caller that holds one across calls, as the trainer does for a
+    run, allocates no B x B matrix per call.  Without one, the call
+    allocates its own.  Its contents are scratch before and after a call;
+    nothing returned aliases it, and the results are the same bits either
+    way.
     """
     img_rows = np.asarray(img_rows, dtype=np.float64)
     txt_rows = np.asarray(txt_rows, dtype=np.float64)
+    if workspace is None:
+        workspace = objective_workspace(img_rows.shape[0])
+    inner, neg_ic, acosh, sim, logits, tmp = workspace
     e_it = np.exp(np.asarray(log_inv_temp, dtype=np.float64))
     inv_temp = np.clip(e_it, None, INV_TEMP_MAX)
     grads = dict.fromkeys(("log_curv", "log_scale_img", "log_scale_txt"), 0.0)
@@ -369,9 +388,9 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
         img_norm, img_unclamped = _safe_norm(img_rows)
         txt_norm, txt_unclamped = _safe_norm(txt_rows)
         img_n, txt_n = img_rows / img_norm, txt_rows / txt_norm
-        sim = img_n @ txt_n.T
-        cont, g = _contrastive_grad(sim * inv_temp)
-        grads["log_inv_temp"] = _total(g * sim) * (e_it < INV_TEMP_MAX) * e_it
+        np.matmul(img_n, txt_n.T, out=sim)
+        cont, g = _contrastive_grad(np.multiply(sim, inv_temp, out=logits), tmp)
+        grads["log_inv_temp"] = _total(np.multiply(g, sim, out=tmp)) * (e_it < INV_TEMP_MAX) * e_it
         g *= inv_temp
         grads["img_rows"] = _normalize_grad(g @ txt_n, img_rows, img_norm, img_unclamped)
         grads["txt_rows"] = _normalize_grad((img_n.T @ g).T, txt_rows, txt_norm, txt_unclamped)
@@ -382,19 +401,19 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
     sqrt_c = np.sqrt(c)
     img, txt = _Lift(img_rows, log_scale_img, c, sqrt_c), _Lift(txt_rows, log_scale_txt, c, sqrt_c)
     # times as an outer product: one rounding per entry, as the tape's (B, 1) @ (1, B)
-    inner = img.sp @ txt.sp.T - img.time * txt.time.T
+    np.matmul(img.sp, txt.sp.T, out=inner)
+    inner -= np.multiply(img.time, txt.time.T, out=tmp)
     if mode is SimilarityMode.LORENTZ_INNER:
         sim = inner
     elif mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
-        neg_ic = -(inner * c)
-        arg = np.clip(neg_ic, 1.0, None)
-        acosh = np.arccosh(arg)
-        sim = -(acosh / sqrt_c)
+        # Negations folded into the constants: -(x * c) == x * -c, as rounding is sign-symmetric.
+        np.multiply(inner, -c, out=neg_ic)
+        np.arccosh(np.maximum(neg_ic, 1.0, out=acosh), out=acosh)
+        np.divide(acosh, -sqrt_c, out=sim)
     else:
         raise ValueError(f"mode {mode} is not a similarity mode")
-    cont, g = _contrastive_grad(sim * inv_temp)
-    tmp = np.multiply(g, sim)      # a B x B work buffer from here on
-    g_inv_temp = _total(tmp)
+    cont, g = _contrastive_grad(np.multiply(sim, inv_temp, out=logits), tmp)
+    g_inv_temp = _total(np.multiply(g, sim, out=tmp))
     g *= inv_temp
     sim_c = []
     if mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
@@ -403,7 +422,8 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
         tmp /= sqrt_c * sqrt_c
         sim_c.append(_total(tmp) * 0.5 / sqrt_c)
         g /= -sqrt_c
-        np.maximum(arg, 1.0 + ACOSH_EPS, out=tmp)
+        # max(max(x, 1), 1 + ACOSH_EPS) == max(x, 1 + ACOSH_EPS)
+        np.maximum(neg_ic, 1.0 + ACOSH_EPS, out=tmp)
         np.square(tmp, out=tmp)
         tmp -= 1.0
         g /= np.sqrt(tmp, out=tmp)
@@ -411,9 +431,9 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
         np.negative(g, out=g)
         sim_c.append(_total(np.multiply(g, inner, out=tmp)))
         g *= c
-    g_neg = np.negative(g, out=tmp)
-    g_img_sp, g_img_t = g @ txt.sp, g_neg @ txt.time
-    g_txt_sp, g_txt_t = (img.sp.T @ g).T, (img.time.T @ g_neg).T
+    # The times enter `inner` negated; -(g @ t) == (-g) @ t, as rounding is sign-symmetric.
+    g_img_sp, g_img_t = g @ txt.sp, -(g @ txt.time)
+    g_txt_sp, g_txt_t = (img.sp.T @ g).T, -(img.time.T @ g).T
 
     total, ent, hinge_c = cont, 0.0, []
     if entail_weight != 0.0:

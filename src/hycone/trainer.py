@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
@@ -32,7 +33,10 @@ from . import autodiff as ad
 from .analysis import EmbeddingIndex, Labels, space_of
 from .dumpio import atomic_write
 from .geometry import CURV_MAX, CURV_MIN
-from .hierarchy import ConceptTree, PairBatch, PairSampler, generate_tree, held_out_images
+from .hierarchy import (
+    ConceptTree, PairBatch, PairSampler, generate_tree, held_out_count, held_out_images,
+    tree_node_count,
+)
 from .losses import (
     ENTAIL_WEIGHT_DEFAULT,
     INV_TEMP_MAX,
@@ -42,6 +46,7 @@ from .losses import (
     clamped_inv_temp,
     objective,  # noqa: F401  the tape oracle's step objective; bench/spec.py traces it here
     objective_grad,
+    objective_workspace,
 )
 
 SPACES = ("lorentz", "sphere")
@@ -50,6 +55,20 @@ CURVE_COLUMNS = ("step", "contrastive", "entailment", "total", "lr", "tau", "c")
 
 class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
+
+
+# TrainConfig's scalar float fields: (what each is, whether it must be
+# strictly positive rather than non-negative).  Every one must be finite.
+_FLOAT_FIELDS = {
+    "peak_lr": ("peak learning rate", True),
+    "weight_decay": ("weight decay", False),
+    "noise": ("latent noise", False),
+    "entail_weight": ("entailment weight", False),
+    "cone_boundary": ("cone boundary", True),
+    "tau_init": ("initial tau", True),
+    "curv_init": ("initial curvature", True),
+    "adam_eps": ("Adam epsilon", True),
+}
 
 
 @dataclass
@@ -85,12 +104,17 @@ class TrainConfig:
             raise ValueError("need 0 <= warmup < steps")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
-        if self.entail_weight < 0.0:
-            raise ValueError("entailment weight must be >= 0")
+        for name, (what, positive) in _FLOAT_FIELDS.items():
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{what} ({name}) must be finite and {bound}, got {value!r}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValueError(f"Adam betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.embed_dim < 1 or self.hidden_dim < 0:
             raise ValueError("need embed_dim >= 1 and hidden_dim >= 0")
-        if not (self.tau_init > 0.0 and self.curv_init > 0.0):
-            raise ValueError("initial tau and curvature must be > 0")
+        tree_node_count(self.depth, self.branching)    # bounds the power below
+        held_out_count(self.branching ** self.depth, self.held_out_per_leaf)
 
     @property
     def trained_entail_weight(self) -> float:
@@ -331,13 +355,15 @@ class Checkpoint:
 
 
 def _closed_form_gradients(params, batch: PairBatch, config: TrainConfig, lam: float,
-                           img_rows, txt_rows):
+                           img_rows, txt_rows, workspace=None):
     """((total, contrastive, entailment), grads) of the step's objective,
-    given the encoders' output rows; `grads` holds every trained tensor."""
+    given the encoders' output rows; `grads` holds every trained tensor.
+    `workspace` goes to `objective_grad`."""
     total, cont, ent, g = objective_grad(
         img_rows, txt_rows,
         params["log_inv_temp"], params["log_curv"], params["log_scale_img"], params["log_scale_txt"],
         mode=config.mode(), entail_weight=lam, cone_boundary=config.cone_boundary,
+        workspace=workspace,
     )
     grads = {
         **encoder_backward(params, batch.image_latents, "img", config.hidden_dim, g.pop("img_rows")),
@@ -350,18 +376,20 @@ def _closed_form_gradients(params, batch: PairBatch, config: TrainConfig, lam: f
 
 
 def train_step(params: ParamVector, state: AdamState, batch: PairBatch,
-               config: TrainConfig, step: int):
-    """One optimisation step; pure.  Returns (params, state, metrics):
-    the updated tensors and Adam state, and the step's curve values
-    (`CURVE_COLUMNS` after "step") plus whether tau and c were clamped.
-    `params` may also be a dict of named tensors.
+               config: TrainConfig, step: int, workspace: np.ndarray | None = None):
+    """One optimisation step; pure but for `workspace`.  Returns (params,
+    state, metrics): the updated tensors and Adam state, and the step's
+    curve values (`CURVE_COLUMNS` after "step") plus whether tau and c
+    were clamped.  `params` may also be a dict of named tensors.
+    `workspace` is the objective's B x B scratch
+    (`losses.objective_workspace`); without one the step allocates its own.
     """
     lam = config.trained_entail_weight
     with np.errstate(all="ignore"):
         img_rows = encoder_forward(params, batch.image_latents, "img", config.hidden_dim)
         txt_rows = encoder_forward(params, batch.text_latents, "txt", config.hidden_dim)
         (total, cont, ent), grads = _closed_form_gradients(
-            params, batch, config, lam, img_rows, txt_rows
+            params, batch, config, lam, img_rows, txt_rows, workspace
         )
     if not np.isfinite(total):
         raise DivergenceError(f"non-finite loss at step {step}")
@@ -399,9 +427,10 @@ def train(config: TrainConfig) -> Checkpoint:
 
     curve = np.zeros((config.steps, len(CURVE_COLUMNS)))
     clamp_hits = {"tau": 0, "curv": 0}
+    workspace = objective_workspace(config.batch_size)     # one per run, not per step
     for step in range(config.steps):
         batch = sampler.next_batch(config.batch_size)
-        params, state, metrics = train_step(params, state, batch, config, step)
+        params, state, metrics = train_step(params, state, batch, config, step, workspace)
         curve[step] = (step, *(metrics[k] for k in CURVE_COLUMNS[1:]))
         for k in clamp_hits:
             clamp_hits[k] += metrics[f"{k}_clamped"]

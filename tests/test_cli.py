@@ -372,6 +372,37 @@ class TestCheckpointReader:
         assert "entailment weight" in one_error_line(capsys)
         assert not (tmp_path / "n").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [
+        ["--entail-weight=nan"], ["--cone-boundary=-1"], ["--cone-boundary=nan"],
+        ["--noise=nan"], ["--noise=inf"], ["--weight-decay=-5"], ["--peak-lr=-1"],
+        ["--depth=40", "--branching=2"], ["--held-out-per-leaf=1000000000"],
+    ], ids=lambda f: " ".join(f))
+    def test_out_of_domain_flag_rejected_before_training(self, tmp_path, capsys, flags):
+        assert main(["train", *TINY, *flags, "--out", str(tmp_path / "n")]) == 1
+        one_error_line(capsys)
+        assert not (tmp_path / "n").exists()
+
+    def test_embed_held_out_above_cap_is_one_line_error(self, tmp_path, capsys):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        code = main(["embed", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--out", str(tmp_path / "e.hypb"), "--held-out-per-leaf", "1000000000"])
+        assert code == 1
+        assert "held-out images" in one_error_line(capsys)
+        assert not (tmp_path / "e.hypb").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_beyond_float32_leave_no_dump(self, tmp_path, capsys):
+        # A hyperbolic radius near 90 is finite in float64 and past float32's range.
+        out = run_train(tmp_path, "a", capsys=capsys)
+        chk = trainer.load_checkpoint(out / "checkpoint.bin")
+        chk.encoder.tensors["log_scale_img"] = np.asarray(np.log(50.0))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(trainer.checkpoint_bytes(chk))
+        assert self.embed(tmp_path, bad) == 1
+        assert "float32" in one_error_line(capsys)
+        assert not (tmp_path / "e.hypb").exists() and not (tmp_path / "e.labels").exists()
+
 
 class TestQueryValidation:
     @pytest.fixture
@@ -409,6 +440,16 @@ class TestQueryValidation:
         raw[header + 4 * 3 * 4: header + 4 * 3 * 4 + 4] = struct.pack("<f", bad)  # row 4, first value
         with open(dump, "wb") as f:
             f.write(raw)
+        assert main([command[0], "--dump", dump, *command[1:]]) == 1
+        assert "lorentz row 4 has a non-finite component" in one_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["retrieve", "--row", "0"], ["stats"]])
+    def test_lorentz_row_with_both_infinities(self, dump, capsys, command):
+        raw = bytearray(Path(dump).read_bytes())
+        header = 4 + 4 + 1 + 4 + 8 + 8
+        raw[header + 4 * 3 * 4: header + 4 * 3 * 4 + 8] = struct.pack("<2f", np.inf, -np.inf)
+        Path(dump).write_bytes(raw)
         assert main([command[0], "--dump", dump, *command[1:]]) == 1
         assert "lorentz row 4 has a non-finite component" in one_error_line(capsys)
 

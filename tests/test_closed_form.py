@@ -1,6 +1,8 @@
 """The closed-form objective gradient the trainer runs, against the reverse
 tape that stays its oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from hycone import autodiff as ad
 from hycone import trainer
 from hycone.autodiff import Tape
 from hycone.hierarchy import PairSampler, generate_tree
-from hycone.losses import SimilarityMode
-from hycone.trainer import EncoderParams, TrainConfig, encoder_forward, train
+from hycone.losses import SimilarityMode, objective_grad, objective_workspace
+from hycone.trainer import (
+    AdamState, EncoderParams, ParamVector, TrainConfig, encoder_forward, train, train_step,
+)
 
 TINY = dict(batch_size=8, steps=30, warmup=3, depth=2, branching=3,
             latent_dim=8, embed_dim=8, held_out_per_leaf=2)
@@ -83,7 +87,7 @@ def test_train_matches_tape_only_loop(monkeypatch, extra):
     chk = train(cfg)
     assert not calls                    # the closed form never builds a tape
     # Every step through the tape: the loop the trainer ran before the closed form.
-    def on_tape(params, batch, config, lam, img_rows, txt_rows):
+    def on_tape(params, batch, config, lam, img_rows, txt_rows, workspace):
         return tape_gradients(params, batch, config, lam)
 
     monkeypatch.setattr(trainer, "_closed_form_gradients", on_tape)
@@ -120,3 +124,72 @@ def test_apex_at_origin_gradient_equals_tape(hidden_dim):
     assert sorted(grads) == sorted(tape_grads)
     for k, g in tape_grads.items():
         np.testing.assert_array_equal(grads[k], g, err_msg=k)
+
+
+def objective_inputs(mode, batch_size, seed):
+    """Encoder output rows and log scalars of a first training step, moved
+    off their initial values."""
+    cfg = TrainConfig(seed=seed, batch_size=batch_size, **MODE_CONFIG[mode])
+    batch = first_batch(cfg)
+    rng = np.random.default_rng(seed)
+    params = {k: v + 0.05 * rng.standard_normal(v.shape)
+              for k, v in EncoderParams.init(cfg).tensors.items()}
+    rows = [encoder_forward(params, lat, m, 0)
+            for m, lat in (("img", batch.image_latents), ("txt", batch.text_latents))]
+    scalars = [params[k] for k in ("log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")]
+    return rows + scalars
+
+
+def assert_same_bits(a, b):
+    """Equal (total, contrastive, entailment, grads), floats by float.hex."""
+    assert [float.hex(float(x)) for x in a[:3]] == [float.hex(float(x)) for x in b[:3]]
+    assert list(a[3]) == list(b[3])
+    for k in a[3]:
+        if np.ndim(a[3][k]):
+            assert np.array_equal(a[3][k], b[3][k]), k
+        else:
+            assert float.hex(float(a[3][k])) == float.hex(float(b[3][k])), k
+
+
+@pytest.mark.parametrize("batch_size", [4, 64])
+@pytest.mark.parametrize("lam", [0.0, 0.2])
+@pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
+def test_workspace_gives_same_bits(mode, lam, batch_size):
+    inputs = objective_inputs(mode, batch_size, seed=5)
+    kw = dict(mode=mode, entail_weight=lam, cone_boundary=0.1)
+    fresh = objective_grad(*inputs, **kw)
+    workspace = np.full_like(objective_workspace(batch_size), np.nan)   # contents are ignored
+    held = objective_grad(*inputs, **kw, workspace=workspace)
+    assert_same_bits(held, fresh)
+    assert_same_bits(objective_grad(*inputs, **kw, workspace=workspace), fresh)
+
+
+@pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
+def test_results_do_not_alias_workspace(mode):
+    workspace = objective_workspace(16)
+    kw = dict(mode=mode, entail_weight=0.2, cone_boundary=0.1, workspace=workspace)
+    first = objective_grad(*objective_inputs(mode, 16, seed=1), **kw)
+    kept = (first[:3], {k: np.copy(v) for k, v in first[3].items()})
+    for g in first[3].values():
+        assert not np.shares_memory(g, workspace)
+    objective_grad(*objective_inputs(mode, 16, seed=2), **kw)
+    assert_same_bits(first, (*kept[0], kept[1]))
+
+
+def test_train_step_with_workspace_allocates_no_bxb_matrix():
+    b = 256
+    cfg = TrainConfig(seed=3, **{**TINY, "batch_size": b})
+    batch = first_batch(cfg)
+    params = ParamVector.of(EncoderParams.init(cfg).tensors)
+    state = AdamState.zeros(params)
+    workspace = objective_workspace(b)
+    train_step(params, state, batch, cfg, 1, workspace)     # warm up lazy set-up
+    tracemalloc.start()
+    try:
+        train_step(params, state, batch, cfg, 1, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One bool mask (1/8 of a matrix) and B x n rows; a step allocated
+    # about nine B x B float64 matrices without the held workspace.
+    assert peak < 2 * b * b * 8

@@ -49,6 +49,16 @@ class TestRoundtrip:
         assert loaded.space == "sphere"
         assert loaded.root_id == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_row_beyond_float32_is_refused_before_writing(self, tmp_path, value):
+        vecs = np.zeros((4, 3))
+        vecs[2, 1] = value
+        idx = lorentz_index(vecs, [("text", f"t{i}") for i in range(4)])
+        with pytest.raises(ValueError, match="row 2 does not fit"):
+            write_dump(idx, tmp_path / "big.hypb")
+        assert list(tmp_path.iterdir()) == []
+
     def test_labels_path_convention(self, tmp_path):
         assert labels_path(tmp_path / "x.hypb").name == "x.labels"
 

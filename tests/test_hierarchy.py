@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hycone.hierarchy import PairSampler, generate_tree, held_out_images, is_ancestor
+from hycone.hierarchy import (
+    MAX_HELD_OUT_IMAGES, PairSampler, generate_tree, held_out_count, held_out_images, is_ancestor,
+)
 
 
 class TestGenerateTree:
@@ -143,3 +145,12 @@ class TestHeldOut:
         tree = generate_tree(2, 2, 4, 0.1, seed=6)
         with pytest.raises(ValueError, match="at least one"):
             held_out_images(tree, per_leaf=0, seed=6)
+
+    def test_count_above_cap_rejected_before_drawing(self):
+        tree = generate_tree(2, 2, 4, 0.1, seed=6)     # 4 leaves
+        assert held_out_count(4, MAX_HELD_OUT_IMAGES // 4) == MAX_HELD_OUT_IMAGES
+        with pytest.raises(ValueError, match=f"more than {MAX_HELD_OUT_IMAGES}"):
+            held_out_images(tree, per_leaf=MAX_HELD_OUT_IMAGES // 4 + 1, seed=6)
+        # The wide run's dump and the benchmark's 200,000-image dump are admitted.
+        assert held_out_count(6 ** 4, 4) == 5184
+        assert held_out_count(4 ** 3, 3125) == 200_000

@@ -5,7 +5,10 @@ import pytest
 
 from hycone import dumpio, trainer
 from hycone.analysis import Labels
-from hycone.hierarchy import PairSampler, generate_tree, held_out_images
+from hycone.hierarchy import (
+    MAX_HELD_OUT_IMAGES, MAX_TREE_NODES, PairSampler, generate_tree, held_out_images,
+    tree_node_count,
+)
 from hycone.losses import BatchEmbeddings, SimilarityMode, logit_matrix, total_loss
 from hycone.trainer import (
     AdamState,
@@ -52,6 +55,52 @@ class TestSchedule:
             lr_at(101, cfg)
         with pytest.raises(ValueError):
             TrainConfig(steps=100, warmup=100)
+
+
+# Float fields that must be > 0; the others must be >= 0.  All must be finite.
+POSITIVE_FIELDS = ("peak_lr", "cone_boundary", "tau_init", "curv_init", "adam_eps")
+NON_NEGATIVE_FIELDS = ("weight_decay", "noise", "entail_weight")
+
+
+class TestConfigDomain:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", POSITIVE_FIELDS + NON_NEGATIVE_FIELDS)
+    def test_float_fields(self, field, value):
+        if value == 0.0 and field in NON_NEGATIVE_FIELDS:
+            assert getattr(TrainConfig(**TINY, **{field: value}), field) == 0.0
+        else:
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**TINY, **{field: value})
+
+    @pytest.mark.parametrize("betas", [(np.nan, 0.98), (0.9, np.inf), (-np.inf, 0.98),
+                                       (0.9, 1.0), (-1.0, 0.98), (0.9,)])
+    def test_betas(self, betas):
+        with pytest.raises(ValueError, match="betas"):
+            TrainConfig(**TINY, betas=betas)
+        assert TrainConfig(**TINY, betas=(0.0, 0.0)).betas == (0.0, 0.0)
+
+    @pytest.mark.parametrize("depth, branching", [(40, 2), (10**18, 2), (2, 10**18), (5, 10), (16, 2)])
+    def test_tree_above_cap_rejected_before_it_is_built(self, depth, branching):
+        # Validation alone: nothing of the tree's size is allocated.
+        with pytest.raises(ValueError, match=f"more than {MAX_TREE_NODES} nodes"):
+            TrainConfig(**{**TINY, "depth": depth, "branching": branching})
+        with pytest.raises(ValueError, match=f"more than {MAX_TREE_NODES} nodes"):
+            generate_tree(depth, branching, 4, 0.1, 0)
+
+    @pytest.mark.parametrize("per_leaf", [0, MAX_HELD_OUT_IMAGES])
+    def test_held_out_count_checked_before_training(self, per_leaf):
+        with pytest.raises(ValueError, match="held-out image"):
+            TrainConfig(**{**TINY, "held_out_per_leaf": per_leaf})
+
+    def test_tree_cap_admits_documented_shapes(self):
+        # README reference, the benchmark's wide run, the small test trees,
+        # and the largest trees under the cap.
+        for depth, branching, nodes in [(3, 4, 85), (4, 6, 1555), (2, 2, 7), (2, 3, 13),
+                                        (15, 2, 65535), (5, 9, 66430)]:
+            assert tree_node_count(depth, branching) == nodes <= MAX_TREE_NODES
+            TrainConfig(**{**TINY, "depth": depth, "branching": branching})
+        with pytest.raises(ValueError, match="depth >= 2"):
+            tree_node_count(1, 4)
 
 
 class TestAdamW:

@@ -10,8 +10,8 @@ set:
 
 - `checkpoint.bin`, `curve.csv`, `embeddings.hypb`, `embeddings.labels`
   and the `train` stdout of the seed-7 Lorentz and sphere references,
-  `--no-entailment`, `--fixed-curvature`, `--hidden-dim 8` and the
-  benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6);
+  `--no-entailment`, `--fixed-curvature`, `--hidden-dim 8`,
+  `--inner-product-logits` and the benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6);
 - the dump and labels of a 200,021-row `embed` of the Lorentz reference
   checkpoint, and its stdout;
 - on each of those dumps, the stdout of `stats`, `traverse`, `retrieve`
@@ -45,6 +45,7 @@ TRAIN_RUNS = {
     "no-entailment": ["--no-entailment"],
     "fixed-curvature": ["--fixed-curvature"],
     "hidden-8": ["--hidden-dim", "8"],
+    "inner-product": ["--inner-product-logits"],
     "wide": ["--batch-size", "1024", "--hidden-dim", "64", "--depth", "4", "--branching", "6",
              "--steps", "40", "--warmup", "4"],
 }
