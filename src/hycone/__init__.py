@@ -53,7 +53,6 @@ from .losses import (
 from .trainer import (
     Checkpoint,
     DivergenceError,
-    EncoderParams,
     TrainConfig,
     adamw_step,
     load_checkpoint,

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import entailment, geometry
 from .geometry import CURV_MAX, CURV_MIN, HyperbolicPoint
+from .hierarchy import MAX_BINS, MAX_TRAVERSE_STEPS
 from .losses import LossParams
 
 LABEL_CLASSES = ("text", "image", "root")
@@ -401,7 +402,10 @@ class ClassStats:
 
 
 def root_distance_stats(index: EmbeddingIndex, bins: int = 32) -> dict[str, ClassStats]:
-    """Per-label-class histogram and summary of the root-distance proxy."""
+    """Per-label-class histogram and summary of the root-distance proxy;
+    `bins` is at most MAX_BINS."""
+    if not (1 <= bins <= MAX_BINS):
+        raise ValueError(f"need 1 <= bins <= {MAX_BINS}, got {bins}")
     if index.count == 0:
         raise ValueError("cannot compute statistics of an empty index")
     proxies = root_distance_proxy(index)
@@ -457,9 +461,12 @@ def interpolate_steps(y, index: EmbeddingIndex, steps: int = 50) -> list[np.ndar
     lorentz: linear interpolation of the origin log map, lifted back via
     the exponential map (the radial distance shrinks linearly).  sphere:
     linear interpolation toward the root vector, re-normalized per step.
+    `steps` is at most MAX_TRAVERSE_STEPS.
     """
     if steps < 2:
         raise ValueError("need at least 2 interpolation steps")
+    if steps > MAX_TRAVERSE_STEPS:
+        raise ValueError(f"need at most {MAX_TRAVERSE_STEPS} interpolation steps, got {steps}")
     y = np.asarray(y, dtype=np.float64)
     root = index.geom.root(index.vectors, index.root_id)
     out = index.geom.interpolate(y, root, np.linspace(0.0, 1.0, steps))
@@ -476,7 +483,7 @@ class TraversalResult:
 
 
 def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float = 0.0,
-             cone_boundary: float = 0.1) -> TraversalResult:
+             cone_boundary: float = entailment.CONE_BOUNDARY) -> TraversalResult:
     """Walk an embedding to [ROOT], retrieving the best text at each step.
 
     Candidates are [ROOT], which always qualifies, and the texts whose

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dumpio, gradcheck, trainer
+from .entailment import CONE_BOUNDARY
 from .losses import CURV_INIT, LossParams
 from .trainer import TrainConfig
 
@@ -106,7 +107,7 @@ def cmd_embed(args) -> int:
     # rejects with one error line; numpy's warnings would add more lines.
     with np.errstate(over="ignore", invalid="ignore"):
         index = trainer.build_embedding_index(
-            chk.encoder, chk.config, held_out_per_leaf=args.held_out_per_leaf
+            chk.tensors, chk.config, held_out_per_leaf=args.held_out_per_leaf
         )
     paths = dumpio.write_dump(index, args.out)
     print(f"wrote {paths[0]} ({index.count} rows, space={index.space})")
@@ -165,7 +166,7 @@ def cmd_classify(args) -> int:
     # checkpoint at another curvature is rejected by class_scores.  The
     # sphere has none, and scoring there reads no curvature.
     if args.checkpoint:
-        params = trainer.load_checkpoint(args.checkpoint).encoder.loss_params()
+        params = trainer.load_checkpoint(args.checkpoint).loss_params()
     else:
         params = LossParams.init(prompts.dim, curv=images.curvature or CURV_INIT)
     prompt_sets: dict[str, list] = {}
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--cone-slack", type=float, default=0.0,
                    help="allow hinge loss up to this value in the cone filter")
-    p.add_argument("--cone-boundary", type=float, default=0.1)
+    p.add_argument("--cone-boundary", type=float, default=CONE_BOUNDARY)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_traverse)
 

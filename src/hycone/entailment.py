@@ -27,6 +27,10 @@ from .geometry import HyperbolicPoint
 ANGLE_EPS = 1e-8
 SQRT_FLOOR = 1e-16
 
+# The default cone boundary constant K (MERU's min_radius): the trainer,
+# traversal and the gradient check use it unless told otherwise.
+CONE_BOUNDARY = 0.1
+
 
 @dataclass(frozen=True)
 class ConeParams:
@@ -36,7 +40,7 @@ class ConeParams:
     cone (half-aperture ~ pi/2): everything is entailed near the origin.
     """
 
-    boundary: float = 0.1
+    boundary: float = CONE_BOUNDARY
 
     def __post_init__(self):
         if not (np.isfinite(self.boundary) and self.boundary > 0.0):

@@ -53,11 +53,6 @@ class Curvature:
     def sqrt_c(self) -> float:
         return float(np.sqrt(self.c))
 
-    @classmethod
-    def clamped(cls, raw: float) -> "Curvature":
-        """Curvature from a raw trainable value, clamped to [0.1, 10.0]."""
-        return cls(float(np.clip(raw, CURV_MIN, CURV_MAX)))
-
 
 def _vector(x, name: str) -> np.ndarray:
     arr = np.array(x, dtype=np.float64, copy=True)

@@ -26,7 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import PRIMITIVES, GradReport, Tape, finite_diff_stacked, make_report
 from .autodiff import finite_diff  # noqa: F401  unused; bench/spec.py traces it here
-from .losses import SimilarityMode, objective, objective_grad
+from .entailment import CONE_BOUNDARY  # the cone boundary of every end-to-end point
+from .losses import TAU_INIT, SimilarityMode, objective, objective_grad
 
 BOUNDARY_MARGIN = 1e-3
 END_TO_END_RTOL = 1e-4
@@ -37,8 +38,6 @@ PRIMITIVE_ATOL = 1e-9
 END_TO_END_BATCH = 4
 END_TO_END_DIM = 8
 END_TO_END_STEP = 1e-5
-# Cone boundary of every end-to-end sample point, tape and closed form alike.
-CONE_BOUNDARY = 0.1
 # The closed form repeats the tape's arithmetic, so it should agree to
 # rounding; the atol only covers entries that cancel to near zero.
 CLOSED_FORM_RTOL = 1e-10
@@ -136,7 +135,7 @@ def _sample_case(seed: int, batch: int, dim: int):
     txts = rng.standard_normal((batch, dim))
     scalars = np.array(
         [
-            np.log(1.0 / 0.07) + 0.1 * rng.standard_normal(),
+            np.log(1.0 / TAU_INIT) + 0.1 * rng.standard_normal(),
             0.1 * rng.standard_normal(),                        # log c near 0
             np.log(1.0 / np.sqrt(dim)) + 0.1 * rng.standard_normal(),
             np.log(1.0 / np.sqrt(dim)) + 0.1 * rng.standard_normal(),

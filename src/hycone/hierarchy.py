@@ -59,6 +59,19 @@ MAX_TREE_NODES = 100_000
 # The most held-out images `held_out_images` draws: 2.5 times the
 # benchmark's 200,000-image dump.
 MAX_HELD_OUT_IMAGES = 500_000
+# The other sizes a run or a query allocates by, each checked before
+# anything is built (TrainConfig, root_distance_stats, interpolate_steps):
+# - batch size: the objective's B x B workspace is 805 MB at 4,096
+#   (the benchmark's widest batch is 1,024);
+# - steps: the loss curve is 56 MB at 1,000,000;
+# - latent, embedding and hidden widths: a 500,000-row held-out draw at
+#   width 256 is about 1 GB (the widest run uses 64);
+# - histogram bins and traversal steps (defaults 32 and 50).
+MAX_BATCH_SIZE = 4096
+MAX_STEPS = 1_000_000
+MAX_DIM = 256
+MAX_BINS = 10_000
+MAX_TRAVERSE_STEPS = 10_000
 
 
 def tree_node_count(depth: int, branching: int) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import entailment, geometry
 from .autodiff import ACOSH_EPS, NORM_FLOOR, dsinhc_kernel, sinhc_kernel
-from .entailment import ANGLE_EPS, SQRT_FLOOR
+from .entailment import ANGLE_EPS, CONE_BOUNDARY, SQRT_FLOOR
 from .geometry import CURV_MAX, CURV_MIN, Curvature, HyperbolicPoint
 
 # tau is clamped to >= 0.01, i.e. 1/tau <= 100.
@@ -55,7 +55,7 @@ class LossParams:
     log_scale_img: float
     log_scale_txt: float
     entail_weight: float = ENTAIL_WEIGHT_DEFAULT
-    cone_boundary: float = 0.1
+    cone_boundary: float = CONE_BOUNDARY
 
     def __post_init__(self):
         if self.entail_weight < 0.0:
@@ -63,7 +63,8 @@ class LossParams:
 
     @classmethod
     def init(cls, embed_dim: int, *, tau: float = TAU_INIT, curv: float = CURV_INIT,
-             entail_weight: float = ENTAIL_WEIGHT_DEFAULT, cone_boundary: float = 0.1) -> "LossParams":
+             entail_weight: float = ENTAIL_WEIGHT_DEFAULT,
+             cone_boundary: float = CONE_BOUNDARY) -> "LossParams":
         """Defaults: tau=0.07, c=1.0, per-modality scales 1/sqrt(n)."""
         log_scale = float(np.log(1.0 / np.sqrt(embed_dim)))
         return cls(
@@ -77,16 +78,13 @@ class LossParams:
 
     # Clamped reads (functional; stored log values stay untouched).
     def inv_temp(self) -> float:
-        return float(np.minimum(np.exp(self.log_inv_temp), INV_TEMP_MAX))
+        return float(clamped_inv_temp(self.log_inv_temp))
 
     def tau(self) -> float:
         return 1.0 / self.inv_temp()
 
     def curv(self) -> Curvature:
-        return Curvature.clamped(float(np.exp(self.log_curv)))
-
-    def scale_img(self) -> float:
-        return float(np.exp(self.log_scale_img))
+        return Curvature(float(clamped_curv(self.log_curv)))
 
     def scale_txt(self) -> float:
         return float(np.exp(self.log_scale_txt))

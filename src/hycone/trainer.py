@@ -24,7 +24,7 @@ import json
 import math
 import struct
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +32,17 @@ import numpy as np
 from . import autodiff as ad
 from .analysis import EmbeddingIndex, Labels, space_of
 from .dumpio import atomic_write
+from .entailment import CONE_BOUNDARY
 from .geometry import CURV_MAX, CURV_MIN
 from .hierarchy import (
-    ConceptTree, PairBatch, PairSampler, generate_tree, held_out_count, held_out_images,
-    tree_node_count,
+    MAX_BATCH_SIZE, MAX_DIM, MAX_STEPS, ConceptTree, PairBatch, PairSampler, generate_tree,
+    held_out_count, held_out_images, tree_node_count,
 )
 from .losses import (
+    CURV_INIT,
     ENTAIL_WEIGHT_DEFAULT,
     INV_TEMP_MAX,
+    TAU_INIT,
     LossParams,
     SimilarityMode,
     clamped_curv,
@@ -90,9 +93,9 @@ class TrainConfig:
     noise: float = 0.1
     hidden_dim: int = 0
     entail_weight: float = ENTAIL_WEIGHT_DEFAULT
-    cone_boundary: float = 0.1
-    tau_init: float = 0.07
-    curv_init: float = 1.0
+    cone_boundary: float = CONE_BOUNDARY
+    tau_init: float = TAU_INIT
+    curv_init: float = CURV_INIT
     betas: tuple[float, float] = (0.9, 0.98)
     adam_eps: float = 1e-8
     held_out_per_leaf: int = 4
@@ -102,8 +105,12 @@ class TrainConfig:
             raise ValueError(f"space must be one of {SPACES}, got {self.space!r}")
         if not (0 <= self.warmup < self.steps):
             raise ValueError("need 0 <= warmup < steps")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ValueError(f"batch size must be <= {MAX_BATCH_SIZE}, got {self.batch_size}")
         for name, (what, positive) in _FLOAT_FIELDS.items():
             value = getattr(self, name)
             if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
@@ -113,6 +120,9 @@ class TrainConfig:
             raise ValueError(f"Adam betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.embed_dim < 1 or self.hidden_dim < 0:
             raise ValueError("need embed_dim >= 1 and hidden_dim >= 0")
+        for name in ("latent_dim", "embed_dim", "hidden_dim"):
+            if getattr(self, name) > MAX_DIM:
+                raise ValueError(f"{name} must be <= {MAX_DIM}, got {getattr(self, name)}")
         tree_node_count(self.depth, self.branching)    # bounds the power below
         held_out_count(self.branching ** self.depth, self.held_out_per_leaf)
 
@@ -138,74 +148,34 @@ def reference_config(seed: int = 7, space: str = "lorentz") -> TrainConfig:
 # Encoders
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EncoderParams:
-    """All trainable tensors: two encoder maps plus the loss scalars."""
-
-    tensors: dict[str, np.ndarray]
-    hidden_dim: int = 0
-    entail_weight: float = ENTAIL_WEIGHT_DEFAULT
-    cone_boundary: float = 0.1
-
-    @classmethod
-    def init(cls, config: TrainConfig) -> "EncoderParams":
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
-        n, latent, hidden = config.embed_dim, config.latent_dim, config.hidden_dim
-        # Gains target unit-variance encoder outputs on tree latents, so
-        # rows have expected unit norm once the 1/sqrt(n) scale applies:
-        # image latents carry ~depth + noise^2*latent_dim squared norm,
-        # text latents (uniform over the ancestor chain) ~(depth-1)/2.
-        img_sq = config.depth + config.noise**2 * latent
-        txt_sq = max((config.depth - 1) / 2.0, 0.5)
-        tensors: dict[str, np.ndarray] = {}
-        for modality, in_sq in (("img", img_sq), ("txt", txt_sq)):
-            gain = 1.0 / np.sqrt(in_sq)
-            if hidden > 0:
-                tensors[f"{modality}_w1"] = gain * rng.standard_normal((latent, hidden))
-                tensors[f"{modality}_b1"] = np.zeros(hidden)
-                tensors[f"{modality}_w2"] = rng.standard_normal((hidden, n)) / np.sqrt(hidden)
-                tensors[f"{modality}_b2"] = np.zeros(n)
-            else:
-                tensors[f"{modality}_w"] = gain * rng.standard_normal((latent, n))
-                tensors[f"{modality}_b"] = np.zeros(n)
-        lp = LossParams.init(n, tau=config.tau_init, curv=config.curv_init)
-        tensors["log_inv_temp"] = np.asarray(lp.log_inv_temp)
-        tensors["log_curv"] = np.asarray(lp.log_curv)
-        tensors["log_scale_img"] = np.asarray(lp.log_scale_img)
-        tensors["log_scale_txt"] = np.asarray(lp.log_scale_txt)
-        return cls(
-            tensors=tensors,
-            hidden_dim=hidden,
-            entail_weight=config.trained_entail_weight,
-            cone_boundary=config.cone_boundary,
-        )
-
-    def loss_params(self) -> LossParams:
-        t = self.tensors
-        return LossParams(
-            log_inv_temp=float(t["log_inv_temp"]),
-            log_curv=float(t["log_curv"]),
-            log_scale_img=float(t["log_scale_img"]),
-            log_scale_txt=float(t["log_scale_txt"]),
-            entail_weight=self.entail_weight,
-            cone_boundary=self.cone_boundary,
-        )
-
-    def fold_scales(self) -> "EncoderParams":
-        """Absorb exp(log_scale) into each encoder's final affine map.
-
-        Lifted embeddings are unchanged: scaling commutes with the affine
-        output before the exponential map.
-        """
-        t = {k: v.copy() for k, v in self.tensors.items()}
-        for modality in ("img", "txt"):
-            alpha = float(np.exp(t[f"log_scale_{modality}"]))
-            wkey = f"{modality}_w2" if self.hidden_dim > 0 else f"{modality}_w"
-            bkey = f"{modality}_b2" if self.hidden_dim > 0 else f"{modality}_b"
-            t[wkey] = t[wkey] * alpha
-            t[bkey] = t[bkey] * alpha
-            t[f"log_scale_{modality}"] = np.asarray(0.0)
-        return replace(self, tensors=t)
+def init_tensors(config: TrainConfig) -> dict[str, np.ndarray]:
+    """The named tensors a run starts from: two encoder maps plus the
+    loss scalars in log space."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
+    n, latent, hidden = config.embed_dim, config.latent_dim, config.hidden_dim
+    # Gains target unit-variance encoder outputs on tree latents, so
+    # rows have expected unit norm once the 1/sqrt(n) scale applies:
+    # image latents carry ~depth + noise^2*latent_dim squared norm,
+    # text latents (uniform over the ancestor chain) ~(depth-1)/2.
+    img_sq = config.depth + config.noise**2 * latent
+    txt_sq = max((config.depth - 1) / 2.0, 0.5)
+    tensors: dict[str, np.ndarray] = {}
+    for modality, in_sq in (("img", img_sq), ("txt", txt_sq)):
+        gain = 1.0 / np.sqrt(in_sq)
+        if hidden > 0:
+            tensors[f"{modality}_w1"] = gain * rng.standard_normal((latent, hidden))
+            tensors[f"{modality}_b1"] = np.zeros(hidden)
+            tensors[f"{modality}_w2"] = rng.standard_normal((hidden, n)) / np.sqrt(hidden)
+            tensors[f"{modality}_b2"] = np.zeros(n)
+        else:
+            tensors[f"{modality}_w"] = gain * rng.standard_normal((latent, n))
+            tensors[f"{modality}_b"] = np.zeros(n)
+    lp = LossParams.init(n, tau=config.tau_init, curv=config.curv_init)
+    tensors["log_inv_temp"] = np.asarray(lp.log_inv_temp)
+    tensors["log_curv"] = np.asarray(lp.log_curv)
+    tensors["log_scale_img"] = np.asarray(lp.log_scale_img)
+    tensors["log_scale_txt"] = np.asarray(lp.log_scale_txt)
+    return tensors
 
 
 def encoder_forward(tensors, latents, modality: str, hidden_dim: int):
@@ -347,11 +317,25 @@ def adamw_step(params, grads, state: AdamState, lr: float,
 
 @dataclass
 class Checkpoint:
+    """A trained model: its config, named tensors and clamp hits.  `train`
+    also fills in `curve` and `index`; a loaded one has an empty curve."""
+
     config: TrainConfig
-    encoder: EncoderParams
+    tensors: dict[str, np.ndarray]
     curve: np.ndarray            # steps x len(CURVE_COLUMNS)
     clamp_hits: dict[str, int]
     index: EmbeddingIndex | None = None
+
+    def loss_params(self) -> LossParams:
+        t = self.tensors
+        return LossParams(
+            log_inv_temp=float(t["log_inv_temp"]),
+            log_curv=float(t["log_curv"]),
+            log_scale_img=float(t["log_scale_img"]),
+            log_scale_txt=float(t["log_scale_txt"]),
+            entail_weight=self.config.trained_entail_weight,
+            cone_boundary=self.config.cone_boundary,
+        )
 
 
 def _closed_form_gradients(params, batch: PairBatch, config: TrainConfig, lam: float,
@@ -421,8 +405,7 @@ def train(config: TrainConfig) -> Checkpoint:
         config.depth, config.branching, config.latent_dim, config.noise, config.seed
     )
     sampler = PairSampler(tree, config.seed)
-    enc = EncoderParams.init(config)
-    params = ParamVector.of(enc.tensors)
+    params = ParamVector.of(init_tensors(config))
     state = AdamState.zeros(params)
 
     curve = np.zeros((config.steps, len(CURVE_COLUMNS)))
@@ -435,15 +418,16 @@ def train(config: TrainConfig) -> Checkpoint:
         for k in clamp_hits:
             clamp_hits[k] += metrics[f"{k}_clamped"]
 
-    enc = replace(enc, tensors=dict(params))
-    index = build_embedding_index(enc, config, tree)
-    return Checkpoint(config=config, encoder=enc, curve=curve, clamp_hits=clamp_hits, index=index)
+    index = build_embedding_index(params, config, tree)
+    return Checkpoint(config=config, tensors=dict(params), curve=curve, clamp_hits=clamp_hits,
+                      index=index)
 
 
-def build_embedding_index(enc: EncoderParams, config: TrainConfig,
+def build_embedding_index(tensors: Mapping[str, np.ndarray], config: TrainConfig,
                           tree: ConceptTree | None = None,
                           held_out_per_leaf: int | None = None) -> EmbeddingIndex:
-    """Embed all text concept nodes plus a held-out image set."""
+    """Embed all text concept nodes plus a held-out image set with the
+    named `tensors` (a dict or a ParamVector) of a run of `config`."""
     if tree is None:
         tree = generate_tree(
             config.depth, config.branching, config.latent_dim, config.noise, config.seed
@@ -456,15 +440,15 @@ def build_embedding_index(enc: EncoderParams, config: TrainConfig,
     sidecar = "".join(f"text\t{tree.nodes[i].path}\n" for i in tree.internal)
     sidecar += "image\t" + "\nimage\t".join(img_names) + "\n"
 
-    txt_rows = np.asarray(encoder_forward(enc.tensors, txt_latents, "txt", config.hidden_dim))
-    img_rows = np.asarray(encoder_forward(enc.tensors, img_latents, "img", config.hidden_dim))
-    space = space_of(config.space, float(np.asarray(clamped_curv(enc.tensors["log_curv"]))))
+    txt_rows = np.asarray(encoder_forward(tensors, txt_latents, "txt", config.hidden_dim))
+    img_rows = np.asarray(encoder_forward(tensors, img_latents, "img", config.hidden_dim))
+    space = space_of(config.space, float(np.asarray(clamped_curv(tensors["log_curv"]))))
     return EmbeddingIndex(
         space=config.space,
         curvature=space.c,
         vectors=np.vstack([
-            space.lift(txt_rows, np.exp(enc.tensors["log_scale_txt"])),
-            space.lift(img_rows, np.exp(enc.tensors["log_scale_img"])),
+            space.lift(txt_rows, np.exp(tensors["log_scale_txt"])),
+            space.lift(img_rows, np.exp(tensors["log_scale_img"])),
         ]),
         labels=Labels.from_sidecar(sidecar.encode("utf-8")),
     )
@@ -491,7 +475,7 @@ def checkpoint_bytes(chk: Checkpoint) -> bytes:
     cfg = _config_json(chk.config)
     buf.write(struct.pack("<I", len(cfg)))
     buf.write(cfg)
-    tensors = chk.encoder.tensors
+    tensors = chk.tensors
     buf.write(struct.pack("<I", len(tensors)))
     for name in sorted(tensors):
         # np.asarray keeps 0-d scalars 0-d (ascontiguousarray would not)
@@ -558,7 +542,7 @@ def load_checkpoint(path) -> Checkpoint:
         n_items = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
         tensors[name] = arr if ndim else arr.reshape(())
-    expected = set(EncoderParams.init(config).tensors)
+    expected = set(init_tensors(config))
     if set(tensors) != expected:
         raise ValueError(
             f"checkpoint tensors do not match its config: missing {sorted(expected - set(tensors))}, "
@@ -568,15 +552,9 @@ def load_checkpoint(path) -> Checkpoint:
     meta = json.loads(take(meta_len).decode("utf-8"))
     if not (isinstance(meta, dict) and isinstance(meta.get("clamp_hits"), dict)):
         raise ValueError("checkpoint metadata lacks a clamp_hits mapping")
-    enc = EncoderParams(
-        tensors=tensors,
-        hidden_dim=config.hidden_dim,
-        entail_weight=config.trained_entail_weight,
-        cone_boundary=config.cone_boundary,
-    )
     return Checkpoint(
         config=config,
-        encoder=enc,
+        tensors=tensors,
         curve=np.zeros((0, len(CURVE_COLUMNS))),
         clamp_hits=meta["clamp_hits"],
     )

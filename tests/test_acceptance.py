@@ -253,7 +253,7 @@ def test_criterion_7_ablation_flags():
     flag1 = bool(np.all(no_ent.curve[:, 2] == 0.0))
 
     fixed = train(TrainConfig(fixed_curvature=True, **small))
-    flag2 = float(fixed.encoder.tensors["log_curv"]) == 0.0 and bool(
+    flag2 = float(fixed.tensors["log_curv"]) == 0.0 and bool(
         np.all(fixed.curve[:, 6] == 1.0)
     )
 
@@ -265,9 +265,9 @@ def test_criterion_7_ablation_flags():
     cfg = inner.config
     tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
     batch = PairSampler(tree, cfg.seed).next_batch(cfg.batch_size)
-    img = np.asarray(encoder_forward(inner.encoder.tensors, batch.image_latents, "img", 0))
-    txt = np.asarray(encoder_forward(inner.encoder.tensors, batch.text_latents, "txt", 0))
-    params = inner.encoder.loss_params()
+    img = np.asarray(encoder_forward(inner.tensors, batch.image_latents, "img", 0))
+    txt = np.asarray(encoder_forward(inner.tensors, batch.text_latents, "txt", 0))
+    params = inner.loss_params()
     images, texts = lift_batch(BatchEmbeddings(images=img, texts=txt), params)
     logits = logit_matrix(images, texts, params, SimilarityMode.LORENTZ_INNER)
     bound = -(1.0 / params.curv().c) * params.inv_temp()

@@ -23,6 +23,7 @@ from hycone.analysis import (
     with_root,
 )
 from hycone.entailment import ConeParams, entailment_loss_pair
+from hycone.hierarchy import MAX_BINS, MAX_TRAVERSE_STEPS
 from hycone.geometry import (
     Curvature,
     HyperbolicPoint,
@@ -326,6 +327,22 @@ class TestEdgeContracts:
         idx = lorentz_index([ray_point(1.0)], [("text", "t")], root=True)
         with pytest.raises(ValueError, match="steps"):
             interpolate_steps(ray_point(1.0).space, idx, steps=1)
+
+    def test_bins_and_steps_capped_before_allocating(self):
+        # Validation alone rejects each size above its cap.
+        idx = lorentz_index([ray_point(1.0), ray_point(2.0), ray_point(3.0)],
+                            [("text", "t"), ("image", "a"), ("image", "b")], root=True)
+        for bins in (0, MAX_BINS + 1, 10**12):
+            with pytest.raises(ValueError, match=f"bins <= {MAX_BINS}"):
+                root_distance_stats(idx, bins=bins)
+        assert root_distance_stats(idx, bins=MAX_BINS)["image"].hist_counts.size == MAX_BINS
+        y = ray_point(1.5).space
+        for steps in (MAX_TRAVERSE_STEPS + 1, 10**12):
+            with pytest.raises(ValueError, match=f"at most {MAX_TRAVERSE_STEPS}"):
+                interpolate_steps(y, idx, steps=steps)
+            with pytest.raises(ValueError, match=f"at most {MAX_TRAVERSE_STEPS}"):
+                traverse(y, idx, steps=steps)
+        assert len(interpolate_steps(y, idx, steps=MAX_TRAVERSE_STEPS)) == MAX_TRAVERSE_STEPS
 
     def test_calibrated_sphere_rejected(self):
         idx = EmbeddingIndex(space="sphere", curvature=None,

@@ -11,6 +11,7 @@ from hycone import analysis, geometry, trainer
 from hycone.analysis import EmbeddingIndex
 from hycone.cli import _config_from_args, build_parser, main
 from hycone.dumpio import read_dump, write_dump
+from hycone.hierarchy import MAX_BINS, MAX_TRAVERSE_STEPS
 from hycone.losses import LossParams
 
 TINY = [
@@ -191,7 +192,7 @@ class TestClassifyCurvature:
 
     def test_checkpoint_at_other_curvature_rejected(self, tmp_path, capsys):
         out = run_train(tmp_path, "a", capsys=capsys)
-        c = trainer.load_checkpoint(out / "checkpoint.bin").encoder.loss_params().curv().c
+        c = trainer.load_checkpoint(out / "checkpoint.bin").loss_params().curv().c
         argv = self.image_dump(tmp_path, out, c * 1.02)
         assert main([*argv, "--checkpoint", str(out / "checkpoint.bin")]) == 1
         err = capsys.readouterr().err
@@ -333,9 +334,9 @@ class TestCheckpointReader:
     def test_tensor_names_must_match_config(self, tmp_path, capsys, old, new):
         out = run_train(tmp_path, "a", capsys=capsys)
         chk = trainer.load_checkpoint(out / "checkpoint.bin")
-        value = chk.encoder.tensors.pop(old)
+        value = chk.tensors.pop(old)
         if new is not None:
-            chk.encoder.tensors[new] = value
+            chk.tensors[new] = value
         bad = tmp_path / "bad.bin"
         bad.write_bytes(trainer.checkpoint_bytes(chk))
         assert self.embed(tmp_path, bad) == 1
@@ -346,7 +347,7 @@ class TestCheckpointReader:
     def test_overflowing_weight_is_one_line_error(self, tmp_path, capsys, value):
         out = run_train(tmp_path, "a", capsys=capsys)
         chk = trainer.load_checkpoint(out / "checkpoint.bin")
-        chk.encoder.tensors["txt_w"][1, 0] = value
+        chk.tensors["txt_w"][1, 0] = value
         bad = tmp_path / "bad.bin"
         bad.write_bytes(trainer.checkpoint_bytes(chk))
         assert self.embed(tmp_path, bad) == 1
@@ -377,6 +378,8 @@ class TestCheckpointReader:
         ["--entail-weight=nan"], ["--cone-boundary=-1"], ["--cone-boundary=nan"],
         ["--noise=nan"], ["--noise=inf"], ["--weight-decay=-5"], ["--peak-lr=-1"],
         ["--depth=40", "--branching=2"], ["--held-out-per-leaf=1000000000"],
+        ["--batch-size=1000000"], ["--steps=1000000000000"], ["--latent-dim=100000000"],
+        ["--embed-dim=100000000"], ["--hidden-dim=100000000"],
     ], ids=lambda f: " ".join(f))
     def test_out_of_domain_flag_rejected_before_training(self, tmp_path, capsys, flags):
         assert main(["train", *TINY, *flags, "--out", str(tmp_path / "n")]) == 1
@@ -396,7 +399,7 @@ class TestCheckpointReader:
         # A hyperbolic radius near 90 is finite in float64 and past float32's range.
         out = run_train(tmp_path, "a", capsys=capsys)
         chk = trainer.load_checkpoint(out / "checkpoint.bin")
-        chk.encoder.tensors["log_scale_img"] = np.asarray(np.log(50.0))
+        chk.tensors["log_scale_img"] = np.asarray(np.log(50.0))
         bad = tmp_path / "bad.bin"
         bad.write_bytes(trainer.checkpoint_bytes(chk))
         assert self.embed(tmp_path, bad) == 1
@@ -426,6 +429,16 @@ class TestQueryValidation:
     def test_vector_must_be_finite(self, dump, capsys, command, bad):
         assert main([command, "--dump", dump, f"--vector={bad},0.5,0.5"]) == 1
         assert "non-finite" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("command, cap", [
+        (["stats", "--bins=1000000000000", "--out-summary"], MAX_BINS),
+        (["traverse", "--row", "1", "--steps=1000000000000", "--out"], MAX_TRAVERSE_STEPS),
+    ], ids=["stats", "traverse"])
+    def test_size_above_cap_is_one_line_error(self, dump, tmp_path, capsys, command, cap):
+        out = tmp_path / "out.csv"
+        assert main([command[0], "--dump", dump, *command[1:], str(out)]) == 1
+        assert str(cap) in one_error_line(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("boundary", ["-1", "0", "nan", "inf"])
     def test_cone_boundary_must_be_finite_positive(self, dump, capsys, boundary):

@@ -12,7 +12,7 @@ from hycone.autodiff import Tape
 from hycone.hierarchy import PairSampler, generate_tree
 from hycone.losses import SimilarityMode, objective_grad, objective_workspace
 from hycone.trainer import (
-    AdamState, EncoderParams, ParamVector, TrainConfig, encoder_forward, train, train_step,
+    AdamState, ParamVector, TrainConfig, encoder_forward, init_tensors, train, train_step,
 )
 
 TINY = dict(batch_size=8, steps=30, warmup=3, depth=2, branching=3,
@@ -58,7 +58,7 @@ def test_step_gradient_matches_tape(mode, lam, hidden_dim, batch_size):
     # the root concept's text row sits at the origin (see below).
     rng = np.random.default_rng(batch_size + hidden_dim)
     params = {k: v + 0.05 * rng.standard_normal(v.shape)
-              for k, v in EncoderParams.init(cfg).tensors.items()}
+              for k, v in init_tensors(cfg).items()}
     img_rows = encoder_forward(params, batch.image_latents, "img", hidden_dim)
     txt_rows = encoder_forward(params, batch.text_latents, "txt", hidden_dim)
 
@@ -96,9 +96,9 @@ def test_train_matches_tape_only_loop(monkeypatch, extra):
 
     np.testing.assert_allclose(chk.curve, ref.curve, rtol=1e-12, atol=1e-12)
     assert chk.clamp_hits == ref.clamp_hits
-    assert sorted(chk.encoder.tensors) == sorted(ref.encoder.tensors)
-    for k, v in ref.encoder.tensors.items():
-        np.testing.assert_allclose(chk.encoder.tensors[k], v, rtol=0, atol=1e-12, err_msg=k)
+    assert sorted(chk.tensors) == sorted(ref.tensors)
+    for k, v in ref.tensors.items():
+        np.testing.assert_allclose(chk.tensors[k], v, rtol=0, atol=1e-12, err_msg=k)
     np.testing.assert_allclose(chk.index.vectors, ref.index.vectors, rtol=0, atol=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_apex_at_origin_gradient_equals_tape(hidden_dim):
     cfg = TrainConfig(seed=11, **TINY, hidden_dim=hidden_dim)
     batch = first_batch(cfg)
     assert 0 in batch.text_nodes        # the root concept: zero latent, zero bias
-    params = EncoderParams.init(cfg).tensors
+    params = init_tensors(cfg)
     img_rows = encoder_forward(params, batch.image_latents, "img", hidden_dim)
     txt_rows = encoder_forward(params, batch.text_latents, "txt", hidden_dim)
 
@@ -133,7 +133,7 @@ def objective_inputs(mode, batch_size, seed):
     batch = first_batch(cfg)
     rng = np.random.default_rng(seed)
     params = {k: v + 0.05 * rng.standard_normal(v.shape)
-              for k, v in EncoderParams.init(cfg).tensors.items()}
+              for k, v in init_tensors(cfg).items()}
     rows = [encoder_forward(params, lat, m, 0)
             for m, lat in (("img", batch.image_latents), ("txt", batch.text_latents))]
     scalars = [params[k] for k in ("log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")]
@@ -180,7 +180,7 @@ def test_train_step_with_workspace_allocates_no_bxb_matrix():
     b = 256
     cfg = TrainConfig(seed=3, **{**TINY, "batch_size": b})
     batch = first_batch(cfg)
-    params = ParamVector.of(EncoderParams.init(cfg).tensors)
+    params = ParamVector.of(init_tensors(cfg))
     state = AdamState.zeros(params)
     workspace = objective_workspace(b)
     train_step(params, state, batch, cfg, 1, workspace)     # warm up lazy set-up

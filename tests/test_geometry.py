@@ -41,9 +41,13 @@ class TestCurvature:
             Curvature(-1.0)
 
     def test_clamped_range(self):
-        assert Curvature.clamped(0.01).c == 0.1
-        assert Curvature.clamped(50.0).c == 10.0
-        assert Curvature.clamped(2.5).c == 2.5
+        def clamped(raw):
+            return LossParams(log_inv_temp=0.0, log_curv=math.log(raw),
+                              log_scale_img=0.0, log_scale_txt=0.0).curv().c
+
+        assert clamped(0.01) == 0.1
+        assert clamped(50.0) == 10.0
+        assert clamped(2.5) == math.exp(math.log(2.5))
 
 
 class TestLorentzInner:

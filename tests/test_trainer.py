@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,12 @@ import pytest
 from hycone import dumpio, trainer
 from hycone.analysis import Labels
 from hycone.hierarchy import (
-    MAX_HELD_OUT_IMAGES, MAX_TREE_NODES, PairSampler, generate_tree, held_out_images,
-    tree_node_count,
+    MAX_BATCH_SIZE, MAX_DIM, MAX_HELD_OUT_IMAGES, MAX_STEPS, MAX_TREE_NODES, PairSampler,
+    generate_tree, held_out_images, tree_node_count,
 )
-from hycone.losses import BatchEmbeddings, SimilarityMode, logit_matrix, total_loss
+from hycone.losses import BatchEmbeddings, LossParams, SimilarityMode, logit_matrix, total_loss
 from hycone.trainer import (
     AdamState,
-    EncoderParams,
     ParamVector,
     TrainConfig,
     adamw_step,
@@ -20,6 +20,7 @@ from hycone.trainer import (
     checkpoint_bytes,
     curve_csv,
     encoder_forward,
+    init_tensors,
     load_checkpoint,
     lr_at,
     reference_config,
@@ -92,6 +93,17 @@ class TestConfigDomain:
         with pytest.raises(ValueError, match="held-out image"):
             TrainConfig(**{**TINY, "held_out_per_leaf": per_leaf})
 
+    @pytest.mark.parametrize("field, cap", [
+        ("batch_size", MAX_BATCH_SIZE), ("steps", MAX_STEPS),
+        ("latent_dim", MAX_DIM), ("embed_dim", MAX_DIM), ("hidden_dim", MAX_DIM),
+    ])
+    def test_sizes_above_cap_rejected_before_allocating(self, field, cap):
+        # Validation alone: nothing of the size is allocated.
+        for value in (cap + 1, 10**12):
+            with pytest.raises(ValueError, match=f"<= {cap}, got {value}"):
+                TrainConfig(**{**TINY, field: value})
+        assert getattr(TrainConfig(**{**TINY, field: cap}), field) == cap
+
     def test_tree_cap_admits_documented_shapes(self):
         # README reference, the benchmark's wide run, the small test trees,
         # and the largest trees under the cap.
@@ -160,7 +172,7 @@ class TestFlatAdamW:
         cfg = replace(reference_config(), **extra)
         tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
         sampler = PairSampler(tree, cfg.seed)
-        init = EncoderParams.init(cfg).tensors
+        init = init_tensors(cfg)
         params, state = ParamVector.of(init), AdamState.zeros(init)
         ref = dict(init)
         ref_m = {k: np.zeros_like(p) for k, p in init.items()}
@@ -188,7 +200,7 @@ class TestFlatAdamW:
             assert moments[0]["log_curv"] == 0.0 and moments[1]["log_curv"] == 0.0
 
     def test_views_share_one_vector(self):
-        params = ParamVector.of(EncoderParams.init(TrainConfig(**TINY)).tensors)
+        params = ParamVector.of(init_tensors(TrainConfig(**TINY)))
         assert list(params) == sorted(params)
         assert sum(np.size(params[k]) for k in params) == params.flat.size
         for k in params:
@@ -208,7 +220,7 @@ class TestFlatAdamW:
 
     @pytest.mark.parametrize("as_vector", [False, True])
     def test_nonfinite_names_first_tensor_in_sorted_order(self, as_vector):
-        tensors = EncoderParams.init(TrainConfig(**TINY)).tensors
+        tensors = init_tensors(TrainConfig(**TINY))
         grads = {k: np.zeros(np.shape(p)) for k, p in tensors.items()}
         grads["txt_w"][0, 0] = np.nan
         grads["log_curv"] = np.array(np.inf)
@@ -249,12 +261,12 @@ class TestTraining:
         loaded = load_checkpoint(save_checkpoint(chk, tmp_path / "c.bin"))
         tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
         batch = PairSampler(tree, cfg.seed).next_batch(cfg.batch_size)
-        for enc in (chk.encoder, loaded.encoder):
-            params = enc.loss_params()
+        for c in (chk, loaded):
+            params = c.loss_params()
             assert params.entail_weight == 0.0
             rows = BatchEmbeddings(
-                images=encoder_forward(enc.tensors, batch.image_latents, "img", cfg.hidden_dim),
-                texts=encoder_forward(enc.tensors, batch.text_latents, "txt", cfg.hidden_dim),
+                images=encoder_forward(c.tensors, batch.image_latents, "img", cfg.hidden_dim),
+                texts=encoder_forward(c.tensors, batch.text_latents, "txt", cfg.hidden_dim),
             )
             out = total_loss(rows, params, cfg.mode())
             assert out.total == out.contrastive
@@ -262,7 +274,7 @@ class TestTraining:
     def test_fixed_curvature_flag(self):
         cfg = TrainConfig(seed=11, fixed_curvature=True, **TINY)
         chk = train(cfg)
-        assert float(chk.encoder.tensors["log_curv"]) == 0.0
+        assert float(chk.tensors["log_curv"]) == 0.0
         assert np.all(chk.curve[:, 6] == 1.0)
 
     def test_inner_product_logits_bound(self):
@@ -274,10 +286,9 @@ class TestTraining:
 
         tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
         batch = PairSampler(tree, cfg.seed).next_batch(cfg.batch_size)
-        enc = chk.encoder
-        img = np.asarray(encoder_forward(enc.tensors, batch.image_latents, "img", cfg.hidden_dim))
-        txt = np.asarray(encoder_forward(enc.tensors, batch.text_latents, "txt", cfg.hidden_dim))
-        params = enc.loss_params()
+        img = np.asarray(encoder_forward(chk.tensors, batch.image_latents, "img", cfg.hidden_dim))
+        txt = np.asarray(encoder_forward(chk.tensors, batch.text_latents, "txt", cfg.hidden_dim))
+        params = chk.loss_params()
         images, texts = lift_batch(BatchEmbeddings(images=img, texts=txt), params)
         logits = logit_matrix(images, texts, params, SimilarityMode.LORENTZ_INNER)
         bound = -(1.0 / params.curv().c) * params.inv_temp()
@@ -297,18 +308,10 @@ class TestTraining:
         with pytest.raises(DivergenceError, match="step"):
             train(cfg)
 
-    def test_scale_folding_preserves_embeddings(self):
-        cfg = TrainConfig(seed=11, **TINY)
-        chk = train(cfg)
-        folded = chk.encoder.fold_scales()
-        a = build_embedding_index(chk.encoder, cfg)
-        b = build_embedding_index(folded, cfg)
-        assert np.max(np.abs(a.vectors - b.vectors)) < 1e-10
-
     def test_index_labels_equal_pair_labels(self):
         cfg = TrainConfig(seed=11, **TINY)
         tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
-        index = build_embedding_index(EncoderParams.init(cfg), cfg, tree)
+        index = build_embedding_index(init_tensors(cfg), cfg, tree)
         _, names = held_out_images(tree, cfg.held_out_per_leaf, cfg.seed)
         pairs = [("text", tree.nodes[i].path) for i in tree.internal] + [("image", n) for n in names]
         assert index.labels == Labels.from_pairs(pairs)
@@ -318,20 +321,20 @@ class TestTraining:
                           depth=2, branching=3, latent_dim=8, embed_dim=8,
                           held_out_per_leaf=2)
         chk = train(cfg)
-        assert "img_w1" in chk.encoder.tensors
+        assert "img_w1" in chk.tensors
         assert chk.curve[-10:, 3].mean() < chk.curve[:10, 3].mean()
 
 
 class TestEncoderInit:
     def test_expected_unit_norm_after_scale(self):
         cfg = TrainConfig(seed=0, **TINY)
-        enc = EncoderParams.init(cfg)
+        tensors = init_tensors(cfg)
         from hycone.hierarchy import PairSampler, generate_tree
 
         tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
         batch = PairSampler(tree, cfg.seed).next_batch(8)
-        rows = np.asarray(encoder_forward(enc.tensors, batch.image_latents, "img", 0))
-        scaled = rows * np.exp(float(enc.tensors["log_scale_img"]))
+        rows = np.asarray(encoder_forward(tensors, batch.image_latents, "img", 0))
+        scaled = rows * np.exp(float(tensors["log_scale_img"]))
         mean_norm = np.linalg.norm(scaled, axis=1).mean()
         assert 0.3 < mean_norm < 3.0
 
@@ -344,8 +347,17 @@ class TestCheckpointIO:
         loaded = load_checkpoint(path)
         assert loaded.config == cfg
         assert loaded.clamp_hits == chk.clamp_hits
-        for k, v in chk.encoder.tensors.items():
-            assert np.array_equal(loaded.encoder.tensors[k], v)
+        for k, v in chk.tensors.items():
+            assert np.array_equal(loaded.tensors[k], v)
+
+    def test_loss_params_survive_roundtrip(self, tmp_path):
+        cfg = TrainConfig(seed=11, cone_boundary=0.25, entail_weight=0.35, **TINY)
+        chk = train(cfg)
+        loaded = load_checkpoint(save_checkpoint(chk, tmp_path / "c.bin"))
+        want, got = chk.loss_params(), loaded.loss_params()
+        assert (want.entail_weight, want.cone_boundary) == (0.35, 0.25)
+        for f in dataclasses.fields(LossParams):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.bin"

@@ -12,6 +12,10 @@ set:
   and the `train` stdout of the seed-7 Lorentz and sphere references,
   `--no-entailment`, `--fixed-curvature`, `--hidden-dim 8`,
   `--inner-product-logits` and the benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6);
+- the dump, labels and stdout of an `embed` of each of those checkpoints
+  at its default held-out count, so every tensor layout (affine and
+  hidden-layer, hyperboloid and sphere) goes through `load_checkpoint`
+  and `build_embedding_index`;
 - the dump and labels of a 200,021-row `embed` of the Lorentz reference
   checkpoint, and its stdout;
 - on each of those dumps, the stdout of `stats`, `traverse`, `retrieve`
@@ -135,6 +139,9 @@ def run_side(side: Side, prompts: Path) -> None:
     for name, flags in TRAIN_RUNS.items():
         side.cli(f"{name}/train-stdout", "train", "--seed", SEED, *flags, "--out", name)
         side.files(name, [f"{name}/{f}" for f in TRAIN_FILES])
+        side.cli(f"{name}/embed-stdout", "embed", "--checkpoint", f"{name}/checkpoint.bin",
+                 "--out", f"{name}/embed.hypb")
+        side.files(name, [f"{name}/embed.hypb", f"{name}/embed.labels"])
     side.cli("embed-200k/embed-stdout", "embed", "--checkpoint", "ref-lorentz/checkpoint.bin",
              "--out", "big.hypb", "--held-out-per-leaf", BIG_HELD_OUT)
     side.files("embed-200k", ["big.hypb", "big.labels"])
