@@ -16,6 +16,12 @@ retrieve's top k, traverse's texts, classify's rows), and the per-row
 class is one code array, read from the first byte of each row, that
 class lookups and statistics share.
 
+A traversal is one array: :func:`interpolate_steps` gives the walk as
+one (steps, n) array, and :func:`traverse` scores it in blocks of steps,
+each with one steps x candidates inner product, one cone mask and one
+argmax per step; a block holds at most TRAVERSE_BLOCK float64 elements
+of steps x candidates x dim, which bounds its memory.
+
 Classification is batched: :func:`class_scores` builds the K class
 embeddings once and scores all I images against them in one matrix
 product; the typed single-image :func:`classify` is a thin wrapper over
@@ -206,9 +212,9 @@ class Lorentz:
     def root_proxy(self, rows: np.ndarray, root: np.ndarray) -> np.ndarray:
         return np.linalg.norm(rows, axis=-1)
 
-    def interpolate(self, y: np.ndarray, root: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
+    def interpolate(self, y: np.ndarray, root: np.ndarray, ts: np.ndarray) -> np.ndarray:
         v = np.asarray(geometry.log_space(y, self.c))
-        return [np.asarray(geometry.exp_space(v * (1.0 - t), self.c)) for t in ts]
+        return np.asarray(geometry.exp_space(v * (1.0 - ts)[:, None], self.c))
 
     def inner(self, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
         """Scores of N rows against one vector (N,) or K rows (N x K)."""
@@ -224,16 +230,15 @@ class Lorentz:
         """Pre-lift rows, scaled, through the origin exponential map."""
         return np.asarray(geometry.exp_space(rows * scale, self.c))
 
-    def cone(self, apexes: np.ndarray, y: np.ndarray, boundary: float, slack: float) -> np.ndarray:
-        """Apexes whose cone holds y (hinge <= slack); none at the origin,
-        where the cone formula is undefined."""
-        if float(np.dot(y, y)) == 0.0:
-            return np.zeros(apexes.shape[0], dtype=bool)
+    def cone(self, apexes: np.ndarray, steps: np.ndarray, boundary: float, slack: float) -> np.ndarray:
+        """(steps, apexes) mask: whether each apex's cone holds each step
+        (hinge <= slack).  A step at the origin, where the cone formula is
+        undefined, is in no cone."""
         apex_t = np.asarray(geometry.time_part(apexes, self.c))
-        y_t = np.broadcast_to(np.asarray(geometry.time_part(y, self.c)), apex_t.shape)
-        hinge = entailment.hinge_rows(apexes, apex_t, np.broadcast_to(y, apexes.shape), y_t,
+        steps_t = np.asarray(geometry.time_part(steps, self.c))
+        hinge = entailment.hinge_rows(apexes, apex_t, steps[:, None], steps_t[:, None],
                                       self.c, boundary)
-        return np.asarray(hinge)[:, 0] <= slack
+        return (np.asarray(hinge)[..., 0] <= slack) & (np.vecdot(steps, steps) != 0.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -269,15 +274,13 @@ class Sphere:
     def root_proxy(self, rows: np.ndarray, root: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 - rows @ root)
 
-    def interpolate(self, y: np.ndarray, root: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for t in ts:
-            mix = (1.0 - t) * y + t * root
-            norm = float(np.linalg.norm(mix))
-            if norm < 1e-9:
-                raise ValueError(f"sphere interpolation passes through zero at t={t:.4f}")
-            out.append(mix / norm)
-        return out
+    def interpolate(self, y: np.ndarray, root: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        mix = (1.0 - ts)[:, None] * y + ts[:, None] * root
+        norms = np.sqrt(np.vecdot(mix, mix))    # per-step norm bits, which norm(axis=1) can miss
+        small = np.flatnonzero(norms < 1e-9)
+        if small.size:
+            raise ValueError(f"sphere interpolation passes through zero at t={ts[small[0]]:.4f}")
+        return mix / norms[:, None]
 
     def inner(self, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
         return rows @ other.T
@@ -293,8 +296,8 @@ class Sphere:
             raise ValueError(f"row {small[0]} has near-zero norm and no direction on the sphere")
         return rows / norms
 
-    def cone(self, apexes: np.ndarray, y: np.ndarray, boundary: float, slack: float) -> np.ndarray:
-        return np.ones(apexes.shape[0], dtype=bool)
+    def cone(self, apexes: np.ndarray, steps: np.ndarray, boundary: float, slack: float) -> np.ndarray:
+        return np.ones((steps.shape[0], apexes.shape[0]), dtype=bool)
 
 
 def space_of(name: str, curvature: float | None = None) -> Lorentz | Sphere:
@@ -454,9 +457,15 @@ def stats_hist_csv(stats: dict[str, ClassStats]) -> str:
 # Geodesic interpolation and traversal
 # ---------------------------------------------------------------------------
 
-def interpolate_steps(y, index: EmbeddingIndex, steps: int = 50) -> list[np.ndarray]:
-    """Equally spaced walk from an embedding to [ROOT]; step 0 is y, the
-    last step is [ROOT] exactly.
+# The most float64 elements a block of traversal steps scores at once,
+# counted as block x candidates x dim (8 MB): the cone's largest
+# intermediate has that shape.  A benchmark walk fits in one block.
+TRAVERSE_BLOCK = 2**20
+
+
+def interpolate_steps(y, index: EmbeddingIndex, steps: int = 50) -> np.ndarray:
+    """Equally spaced walk from an embedding to [ROOT], one row per step;
+    step 0 is y, the last step is [ROOT] exactly.
 
     lorentz: linear interpolation of the origin log map, lifted back via
     the exponential map (the radial distance shrinks linearly).  sphere:
@@ -470,7 +479,7 @@ def interpolate_steps(y, index: EmbeddingIndex, steps: int = 50) -> list[np.ndar
     y = np.asarray(y, dtype=np.float64)
     root = index.geom.root(index.vectors, index.root_id)
     out = index.geom.interpolate(y, root, np.linspace(0.0, 1.0, steps))
-    out[0], out[-1] = y.copy(), root.copy()
+    out[0], out[-1] = y, root
     return out
 
 
@@ -488,34 +497,38 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
 
     Candidates are [ROOT], which always qualifies, and the texts whose
     cone holds the step (the space's cone filter): on lorentz, hinge loss
-    <= cone_slack, and no text at the exact origin, where the cone formula
-    is undefined; on the sphere, every text.  Scoring is by the space's
-    inner product.  Ties prefer [ROOT], then the lowest row index.  A
-    cone boundary that is not finite and positive is a ValueError.
+    <= cone_slack, and no text at a step at the exact origin, where the
+    cone formula is undefined; on the sphere, every text.  Scoring is by
+    the space's inner product.  Ties prefer [ROOT], then the lowest row
+    index.  The walk is scored in blocks of steps of at most
+    TRAVERSE_BLOCK elements of steps x candidates x dim.  A cone slack
+    below 0 or NaN, or a cone boundary that is not finite and positive,
+    is a ValueError; an infinite slack keeps every text.
     """
     cone_boundary = entailment.ConeParams(cone_boundary).boundary
+    if not cone_slack >= 0.0:
+        raise ValueError(f"cone slack must be >= 0, got {cone_slack}")
     if text_index.root_id is None:
         raise ValueError("traversal needs an index with a [ROOT] entry")
     cand = np.concatenate([[text_index.root_id], text_index.rows_of_class("text")])
     vectors = text_index.vectors[cand]
     geom = text_index.geom
-    retrieved: list[tuple[int, str]] = []
+    block = max(1, TRAVERSE_BLOCK // max(vectors.size, 1))
+    best = []
     # A query too long to lift overflows: one error, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, step in enumerate(interpolate_steps(y, text_index, steps=steps)):
-            scores = geom.inner(vectors, step)    # not finite either if the step is not
-            if not np.isfinite(scores).all():
-                row = cand[np.argmin(np.isfinite(scores))]
-                raise ValueError(f"traversal step {k} scores non-finite against row {row}")
-            scores[1:][~geom.cone(vectors[1:], step, cone_boundary, cone_slack)] = -np.inf
-            best = int(np.argmax(scores))   # the first maximum: [ROOT], then the lowest row
-            retrieved.append((k, text_index.labels[cand[best]][1]))
-
-    unique: list[str] = []
-    for _, label in retrieved:
-        if label not in unique:
-            unique.append(label)
-    return TraversalResult(steps=tuple(retrieved), unique=tuple(unique))
+        walk = interpolate_steps(y, text_index, steps=steps)
+        for first in range(0, steps, block):
+            part = walk[first:first + block]
+            scores = geom.inner(part, vectors)    # not finite either where a step is not
+            finite = np.isfinite(scores)
+            if not finite.all():
+                k, j = np.argwhere(~finite)[0]
+                raise ValueError(f"traversal step {first + k} scores non-finite against row {cand[j]}")
+            scores[:, 1:][~geom.cone(vectors[1:], part, cone_boundary, cone_slack)] = -np.inf
+            best.append(np.argmax(scores, axis=1))   # the first maximum: [ROOT], then the lowest row
+    labels = [text_index.labels[row][1] for row in cand[np.concatenate(best)]]
+    return TraversalResult(steps=tuple(enumerate(labels)), unique=tuple(dict.fromkeys(labels)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _query_vector(args: argparse.Namespace, index: analysis.EmbeddingIndex) -> np.ndarray:
+    if args.row is not None and args.vector is not None:
+        raise ValueError("give --row or --vector, not both")
     if args.row is not None:
         if not (0 <= args.row < index.count):
             raise ValueError(f"row {args.row} outside index of size {index.count}")
@@ -86,7 +88,10 @@ def _query_vector(args: argparse.Namespace, index: analysis.EmbeddingIndex) -> n
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    chk = trainer.train(config)
+    # Overflowing latents (a huge noise) or rows (runaway weights) end the
+    # run in one error line; numpy's warnings would add more lines.
+    with np.errstate(over="ignore", invalid="ignore"):
+        chk = trainer.train(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trainer.save_checkpoint(chk, out / "checkpoint.bin")
@@ -233,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", default=None, help="comma-separated floats")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--cone-slack", type=float, default=0.0,
-                   help="allow hinge loss up to this value in the cone filter")
+                   help="allow hinge loss up to this value (>= 0; inf keeps every text) "
+                        "in the cone filter")
     p.add_argument("--cone-boundary", type=float, default=CONE_BOUNDARY)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_traverse)

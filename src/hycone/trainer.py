@@ -157,7 +157,9 @@ def init_tensors(config: TrainConfig) -> dict[str, np.ndarray]:
     # rows have expected unit norm once the 1/sqrt(n) scale applies:
     # image latents carry ~depth + noise^2*latent_dim squared norm,
     # text latents (uniform over the ancestor chain) ~(depth-1)/2.
-    img_sq = config.depth + config.noise**2 * latent
+    # A float64 power: where a huge noise's square overflows, Python's
+    # raises OverflowError, and this gives the image encoder zero gains.
+    img_sq = config.depth + np.float64(config.noise) ** 2 * latent
     txt_sq = max((config.depth - 1) / 2.0, 0.5)
     tensors: dict[str, np.ndarray] = {}
     for modality, in_sq in (("img", img_sq), ("txt", txt_sq)):
@@ -380,10 +382,13 @@ def train_step(params: ParamVector, state: AdamState, batch: PairBatch,
 
     lr = lr_at(step, config)
     with np.errstate(all="ignore"):   # runaway params surface as divergence
-        params, state = adamw_step(
-            params, grads, state, lr,
-            betas=config.betas, weight_decay=config.weight_decay, eps=config.adam_eps,
-        )
+        try:
+            params, state = adamw_step(
+                params, grads, state, lr,
+                betas=config.betas, weight_decay=config.weight_decay, eps=config.adam_eps,
+            )
+        except ValueError as exc:     # a non-finite gradient of a finite loss
+            raise DivergenceError(f"{exc} at step {step}") from None
 
     inv_t = float(np.asarray(clamped_inv_temp(params["log_inv_temp"])))
     metrics = {

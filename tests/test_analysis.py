@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hycone import analysis, geometry
+from hycone import analysis, entailment, geometry
 from hycone.analysis import (
     LABEL_CLASSES,
     EmbeddingIndex,
@@ -607,7 +608,7 @@ class TestTraverseTies:
         # the slack puts every step but the last inside its cone.
         idx = lorentz_index([ray_point(0.0)], [("text", "origin")], root=True)
         y = ray_point(2.5).space
-        assert idx.geom.cone(idx.vectors[:1], y, 0.1, 0.01).all()
+        assert idx.geom.cone(idx.vectors[:1], y[None, :], 0.1, 0.01).all()
         res = traverse(y, idx, steps=5, cone_slack=0.01)
         assert res.unique == ("[ROOT]",)
 
@@ -628,6 +629,147 @@ class TestTraverseTies:
         )
         res = traverse(np.array([0.0, 1.0]), idx, steps=5)
         assert res.unique == ("[ROOT]",)
+
+
+def per_step_traverse(y, index, steps, slack, boundary=0.1):
+    """The per-step traversal the one-array walk replaced, kept as the
+    oracle: one inner product and one cone test per step, on broadcast
+    rows, and no cone at a step at the origin."""
+    cand = np.concatenate([[index.root_id], index.rows_of_class("text")])
+    vectors, geom = index.vectors[cand], index.geom
+    out = []
+    for k, step in enumerate(interpolate_steps(y, index, steps=steps)):
+        scores = geom.inner(vectors, step)
+        if isinstance(geom, analysis.Lorentz):
+            apexes = vectors[1:]
+            apex_t = np.asarray(geometry.time_part(apexes, geom.c))
+            step_t = np.broadcast_to(np.asarray(geometry.time_part(step, geom.c)), apex_t.shape)
+            hinge = np.asarray(entailment.hinge_rows(
+                apexes, apex_t, np.broadcast_to(step, apexes.shape), step_t, geom.c, boundary))
+            held = (hinge[:, 0] <= slack) & (float(np.dot(step, step)) != 0.0)
+            scores[1:][~held] = -np.inf
+        out.append((k, index.labels[cand[np.argmax(scores)]][1]))
+    return tuple(out)
+
+
+def random_walk_index(space, seed, texts=12, dim=3):
+    """Texts at radii 0.02 to 1, with a duplicate pair and, on lorentz, one
+    at the origin; images further out, each near a text's ray; [ROOT]
+    appended."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((texts, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pre = dirs * rng.uniform(0.02, 1.0, (texts, 1))
+    pre[1] = pre[0]
+    if space == "lorentz":
+        pre[2] = 0.0
+    near = dirs[rng.integers(0, texts, 8)]
+    pre = np.vstack([pre, near * rng.uniform(1.5, 3.0, (8, 1)) + 0.2 * rng.standard_normal((8, dim))])
+    geom = analysis.Lorentz(1.3) if space == "lorentz" else analysis.Sphere()
+    labels = [("text", f"t{i}") for i in range(texts)] + [("image", f"i{i}") for i in range(8)]
+    return with_root(EmbeddingIndex(space=space, curvature=geom.c, vectors=geom.lift(pre, 1.0),
+                                    labels=labels))
+
+
+class TestOneArrayWalk:
+    """The walk is one (steps, n) array, scored in blocks of steps, with
+    the per-step algorithm's outputs."""
+
+    @pytest.mark.parametrize("space", ["lorentz", "sphere"])
+    @pytest.mark.parametrize("slack", [0.0, 0.05, math.inf])
+    def test_same_steps_as_per_step_oracle(self, space, slack):
+        labels = set()
+        for seed in range(6):
+            idx = random_walk_index(space, seed)
+            for row in idx.rows_of_class("image"):
+                y = idx.vectors[row]
+                res = traverse(y, idx, steps=9, cone_slack=slack)
+                assert res.steps == per_step_traverse(y, idx, 9, slack)
+                labels.update(label for _, label in res.steps)
+        assert len(labels) > 3      # the walks retrieve texts, not [ROOT] alone
+
+    @pytest.mark.parametrize("space", ["lorentz", "sphere"])
+    @pytest.mark.parametrize("block_steps, steps", [(1, 5), (3, 7), (4, 50)])
+    def test_blocks_give_the_same_steps(self, monkeypatch, space, block_steps, steps):
+        # 7 steps in blocks of 3 leave a last block of one step.
+        idx = random_walk_index(space, 11)
+        size = (len(idx.rows_of_class("text")) + 1) * idx.dim
+        monkeypatch.setattr(analysis, "TRAVERSE_BLOCK", block_steps * size)
+        for row in idx.rows_of_class("image"):
+            y = idx.vectors[row]
+            for slack in (0.0, 0.05):
+                assert traverse(y, idx, steps=steps, cone_slack=slack).steps == \
+                    per_step_traverse(y, idx, steps, slack)
+
+    def test_lorentz_walk_bits_are_per_step_exp_maps(self):
+        idx = random_walk_index("lorentz", 3)
+        c, ts = idx.curvature, np.linspace(0.0, 1.0, 40)
+        for y in idx.vectors[idx.rows_of_class("image")]:
+            walk = interpolate_steps(y, idx, steps=40)
+            v = np.asarray(geometry.log_space(y, c))
+            expected = [np.asarray(geometry.exp_space(v * (1.0 - t), c)) for t in ts]
+            expected[0], expected[-1] = y, np.zeros(idx.dim)
+            assert walk.shape == (40, idx.dim)
+            assert walk.tobytes() == np.stack(expected).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_sphere_walk_bits_are_per_step_norms(self, dim):
+        idx = random_walk_index("sphere", 5, dim=dim)
+        root = idx.vectors[idx.root_id]
+        ts = np.linspace(0.0, 1.0, 40)
+        for y in idx.vectors[idx.rows_of_class("image")]:
+            walk = interpolate_steps(y, idx, steps=40)
+            expected = []
+            for t in ts:
+                mix = (1.0 - t) * y + t * root
+                expected.append(mix / np.linalg.norm(mix))
+            expected[0], expected[-1] = y, root
+            assert walk.tobytes() == np.stack(expected).tobytes()
+
+    def test_lorentz_cone_is_empty_at_origin_steps(self):
+        # A step whose sum of squares is 0, underflow included, is in no
+        # cone, even with an infinite slack; every other step is.
+        idx = random_walk_index("lorentz", 2)
+        texts = idx.vectors[idx.rows_of_class("text")]
+        walk = interpolate_steps(idx.vectors[idx.rows_of_class("image")[0]], idx, steps=6)
+        walk = np.vstack([walk, np.full(idx.dim, 1e-200)])
+        mask = idx.geom.cone(texts, walk, 0.1, math.inf)
+        assert mask.shape == (7, len(texts))
+        assert mask[:-2].all() and not mask[-2:].any()
+        assert analysis.Sphere().cone(texts, walk, 0.1, 0.0).shape == (7, len(texts))
+
+    def test_non_finite_step_is_named_across_blocks(self, monkeypatch):
+        idx = random_walk_index("lorentz", 4)
+        walk = interpolate_steps(idx.vectors[-2], idx, steps=9)
+        walk[5] = np.nan
+        monkeypatch.setattr(analysis, "interpolate_steps", lambda y, index, steps: walk)
+        monkeypatch.setattr(analysis, "TRAVERSE_BLOCK", 2 * idx.dim * (len(idx.rows_of_class("text")) + 1))
+        with pytest.raises(ValueError, match=f"^traversal step 5 scores non-finite against row {idx.root_id}$"):
+            traverse(idx.vectors[-2], idx, steps=9)
+
+    @pytest.mark.parametrize("slack", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_cone_slack_below_zero_or_nan_rejected(self, slack):
+        idx = random_walk_index("lorentz", 1)
+        with pytest.raises(ValueError, match="cone slack must be >= 0"):
+            traverse(idx.vectors[-2], idx, cone_slack=slack)
+
+    def test_walk_memory_is_bounded_by_the_block(self):
+        # 2,000 texts x 200 steps x 16 dims is 51 MB per intermediate
+        # unblocked; a block holds at most TRAVERSE_BLOCK float64 elements.
+        rng = np.random.default_rng(9)
+        geom = analysis.Lorentz(1.0)
+        vecs = geom.lift(rng.standard_normal((2001, 16)) * 0.3, 1.0)
+        idx = with_root(EmbeddingIndex(
+            space="lorentz", curvature=1.0, vectors=vecs,
+            labels=[("text", f"t{i}") for i in range(2000)] + [("image", "y")],
+        ))
+        tracemalloc.start()
+        try:
+            traverse(vecs[-1] * 3.0, idx, steps=200, cone_slack=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * analysis.TRAVERSE_BLOCK * 8
 
 
 class TestSpaces:

@@ -48,6 +48,24 @@ class TestTrainCommand:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flag, tensor", [
+        ("--entail-weight=1e308", "img_b"), ("--cone-boundary=1e308", "log_curv"),
+    ])
+    def test_non_finite_gradient_is_numerical_failure(self, tmp_path, capsys, flag, tensor):
+        # Valid values whose gradient overflows: exit 2, naming the tensor and step.
+        assert main(["train", *TINY, flag, "--out", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err == (
+            f"numerical failure: non-finite gradient for parameter '{tensor}' at step 0\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_noise_with_overflowing_square_trains(self, tmp_path, capsys):
+        # The image encoder's gains go to 0 instead of raising OverflowError.
+        assert main(["train", *TINY, "--noise=1e160", "--out", str(tmp_path / "n")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["stats", "--dump", str(tmp_path / "n" / "embeddings.hypb")]) == 0
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code = main(["train", *TINY, "--warmup", "999", "--out", str(tmp_path / "e")])
         assert code == 1
@@ -444,6 +462,20 @@ class TestQueryValidation:
     def test_cone_boundary_must_be_finite_positive(self, dump, capsys, boundary):
         assert main(["traverse", "--dump", dump, "--row", "1", f"--cone-boundary={boundary}"]) == 1
         assert "cone boundary" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("slack", ["nan", "-1", "-inf"])
+    def test_cone_slack_must_be_at_least_zero(self, dump, capsys, slack):
+        assert main(["traverse", "--dump", dump, "--row", "1", f"--cone-slack={slack}"]) == 1
+        assert "cone slack must be >= 0" in one_error_line(capsys)
+
+    def test_infinite_cone_slack_keeps_every_text(self, dump, capsys):
+        assert main(["traverse", "--dump", dump, "--row", "1", "--cone-slack=inf"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["retrieve", "traverse"])
+    def test_row_and_vector_are_exclusive(self, dump, capsys, command):
+        assert main([command, "--dump", dump, "--row", "1", "--vector=0.1,0.2,0.3"]) == 1
+        assert one_error_line(capsys) == "error: give --row or --vector, not both\n"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("command", [["retrieve", "--row", "0"], ["stats"]])

@@ -5,7 +5,9 @@ JSONDecodeError, UnicodeDecodeError), and every command that reads them
 exit 1 with one `error:` line, never a traceback; so do the query
 commands at the edges of their flags, on a dump whose header curvature
 lies outside the trainer's clamp range, and on `--vector` components up
-to the largest float.
+to the largest float.  `train` with any flag at the edges of its domain
+ends in success with a dump that `stats` reads, or in exit 1 or 2 with
+one line.
 
 Neither format carries a checksum, so a flip inside a float payload may
 load silently; the properties allow that and only pin how damage that is
@@ -13,6 +15,7 @@ detected gets reported.
 """
 
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -22,9 +25,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hycone import trainer
+from hycone import hierarchy, trainer
 from hycone.analysis import EmbeddingIndex, interpolate_steps, with_root
-from hycone.cli import main
+from hycone.cli import _flag_fields, main
 from hycone.dumpio import _HEADER, read_dump, write_dump
 
 TINY = [
@@ -295,3 +298,51 @@ def test_query_vector_draws(trained, capsys, argv, data):
     vector = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                 min_size=dim, max_size=dim))
     run_query(trained, capsys, *argv, "--vector=" + ",".join(map(repr, vector)))
+
+
+# Each size flag's cap, checked before anything is allocated; warmup's is
+# the step count, and a tree's shape is capped by its node count.
+SIZE_CAPS = {
+    "batch_size": hierarchy.MAX_BATCH_SIZE, "steps": hierarchy.MAX_STEPS,
+    "warmup": hierarchy.MAX_STEPS, "latent_dim": hierarchy.MAX_DIM,
+    "embed_dim": hierarchy.MAX_DIM, "hidden_dim": hierarchy.MAX_DIM,
+    "depth": hierarchy.MAX_TREE_NODES, "branching": hierarchy.MAX_TREE_NODES,
+    "held_out_per_leaf": hierarchy.MAX_HELD_OUT_IMAGES,
+}
+TINY_VALUES = {flag[2:].replace("-", "_"): value for flag, value in zip(TINY[::2], TINY[1::2])}
+
+
+def train_flag(f) -> st.SearchStrategy:
+    """argv for one TrainConfig flag, its value drawn around the edges of
+    its domain; "default" is its value in TINY, else the field's default."""
+    flag = "--" + f.name.replace("_", "-")
+    default = TINY_VALUES.get(f.name, f.default)
+    if isinstance(f.default, bool):
+        return st.sampled_from([[], [flag]])
+    if isinstance(f.default, str):
+        return st.sampled_from(trainer.SPACES).map(lambda v: [f"{flag}={v}"])
+    if isinstance(f.default, float):
+        values = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e160, 1e308, float(default)]
+    else:
+        values = [-1, 0, 1, 2, 3, 10**12, int(default)]
+        if f.name in SIZE_CAPS:
+            values.append(SIZE_CAPS[f.name] + 1)
+    return st.sampled_from(values).map(lambda v: [f"{flag}={v!r}"])
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_train_flag_draws(capsys, data):
+    fields = {f.name: f for f in _flag_fields()}
+    names = data.draw(st.lists(st.sampled_from(sorted(fields)), unique=True, min_size=1, max_size=3))
+    argv = [a for name in names for a in data.draw(train_flag(fields[name]), label=name)]
+    with tempfile.TemporaryDirectory() as tmp:
+        capsys.readouterr()
+        code = main(["train", *TINY, *argv, "--out", str(Path(tmp) / "run")])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            assert main(["stats", "--dump", str(Path(tmp) / "run" / "embeddings.hypb")]) == 0
+        else:
+            prefix = {1: "error: ", 2: "numerical failure: "}[code]
+            assert err.startswith(prefix) and err.count("\n") == 1, err

@@ -11,16 +11,19 @@ set:
 - `checkpoint.bin`, `curve.csv`, `embeddings.hypb`, `embeddings.labels`
   and the `train` stdout of the seed-7 Lorentz and sphere references,
   `--no-entailment`, `--fixed-curvature`, `--hidden-dim 8`,
-  `--inner-product-logits` and the benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6);
+  `--inner-product-logits`, the benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6)
+  and a depth-8, branching-4 run, whose 21,845 texts make a traversal
+  score its walk in several blocks;
 - the dump, labels and stdout of an `embed` of each of those checkpoints
   at its default held-out count, so every tensor layout (affine and
   hidden-layer, hyperboloid and sphere) goes through `load_checkpoint`
   and `build_embedding_index`;
 - the dump and labels of a 200,021-row `embed` of the Lorentz reference
   checkpoint, and its stdout;
-- on each of those dumps, the stdout of `stats`, `traverse`, `retrieve`
-  (raw and `--calibrated`) and `classify` (against a fixed random prompt
-  set, with the dump's own checkpoint);
+- on each of those dumps, the stdout of `stats`, `traverse` (from an
+  image row, from the same row with `--cone-slack 0.05`, and from the
+  first text row), `retrieve` (raw and `--calibrated`) and `classify`
+  (against a fixed random prompt set, with the dump's own checkpoint);
 - `gradcheck` stdout at the default flags and at `--points 3 --seeds 2`.
 
 Each output gets one line: its SHA-256 prefix and `same`, or both
@@ -52,6 +55,8 @@ TRAIN_RUNS = {
     "inner-product": ["--inner-product-logits"],
     "wide": ["--batch-size", "1024", "--hidden-dim", "64", "--depth", "4", "--branching", "6",
              "--steps", "40", "--warmup", "4"],
+    "deep": ["--depth", "8", "--branching", "4", "--steps", "20", "--warmup", "2",
+             "--held-out-per-leaf", "1"],
 }
 TRAIN_FILES = ("checkpoint.bin", "curve.csv", "embeddings.hypb", "embeddings.labels")
 # 21 text rows plus 64 leaves x 3125 held-out images: the benchmark's big dump.
@@ -122,11 +127,15 @@ def dump_count(path: Path) -> int:
 
 def analyse(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) -> None:
     """The README's analysis commands on one dump, from two image rows
-    (the last row and the middle one; images follow the text rows)."""
+    (the last row and the middle one; images follow the text rows) and
+    the first text row (row 0)."""
     count = dump_count(side.work / dump)
     last, middle = max(count - 1, 0), count // 2
     side.cli(f"{name}/stats", "stats", "--dump", dump)
     side.cli(f"{name}/traverse", "traverse", "--dump", dump, "--row", last, "--steps", 50)
+    side.cli(f"{name}/traverse-slack", "traverse", "--dump", dump, "--row", last, "--steps", 50,
+             "--cone-slack", 0.05)
+    side.cli(f"{name}/traverse-text", "traverse", "--dump", dump, "--row", 0, "--steps", 50)
     side.cli(f"{name}/retrieve", "retrieve", "--dump", dump, "--row", middle, "--k", 5)
     side.cli(f"{name}/retrieve-calibrated", "retrieve", "--dump", dump, "--row", middle, "--k", 5,
              "--calibrated", "--tau", 0.07)
