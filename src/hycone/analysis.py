@@ -314,7 +314,7 @@ class EmbeddingIndex:
     curvature: float | None           # lorentz only; set to None on the sphere
     vectors: np.ndarray               # N x n float64 space components
     labels: Labels                    # (class, text) per row; pairs are converted
-    root_id: int | None = None        # default: the first row of class "root", if any
+    root_id: int | None = field(init=False)   # the first row of class "root", if any
     classes: np.ndarray = field(init=False, repr=False, compare=False)  # codes into LABEL_CLASSES
     geom: Lorentz | Sphere = field(init=False, repr=False, compare=False)  # space_of(space, curvature)
 
@@ -335,10 +335,8 @@ class EmbeddingIndex:
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "classes", classes)
-        if self.root_id is None:
-            roots = np.flatnonzero(classes == _ROOT_CODE)
-            if roots.size:
-                object.__setattr__(self, "root_id", int(roots[0]))
+        roots = np.flatnonzero(classes == _ROOT_CODE)
+        object.__setattr__(self, "root_id", int(roots[0]) if roots.size else None)
 
     @property
     def count(self) -> int:
@@ -385,13 +383,12 @@ def with_root(index: EmbeddingIndex) -> EmbeddingIndex:
 # Radial statistics
 # ---------------------------------------------------------------------------
 
-def root_distance_proxy(index: EmbeddingIndex, rows: np.ndarray | None = None) -> np.ndarray:
+def root_distance_proxy(index: EmbeddingIndex) -> np.ndarray:
     """Monotone distance-from-[ROOT] proxy per row.
 
     lorentz: ||z_space||; sphere: 0.5 * (1 - <z, root>).
     """
-    vectors = index.vectors if rows is None else np.asarray(rows, dtype=np.float64)
-    return index.geom.root_proxy(vectors, index.geom.root(index.vectors, index.root_id))
+    return index.geom.root_proxy(index.vectors, index.geom.root(index.vectors, index.root_id))
 
 
 @dataclass(frozen=True)

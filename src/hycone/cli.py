@@ -26,9 +26,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-# TrainConfig fields that are not flags: optimizer and initial-scalar
-# settings stay at their defaults from the command line.
-_NOT_FLAGS = {"tau_init", "curv_init", "betas", "adam_eps"}
 _SWITCH_HELP = {
     "no_entailment": "drop the entailment term (entail weight 0)",
     "fixed_curvature": "freeze the curvature parameter at its initial value",
@@ -38,14 +35,10 @@ _SWITCH_HELP = {
 _CHOICES = {"space": trainer.SPACES}
 
 
-def _flag_fields() -> list[dataclasses.Field]:
-    return [f for f in dataclasses.fields(TrainConfig) if f.name not in _NOT_FLAGS]
-
-
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """One flag per TrainConfig field: a switch for each bool, otherwise a
     value of the default's type."""
-    for f in _flag_fields():
+    for f in dataclasses.fields(TrainConfig):
         flag = "--" + f.name.replace("_", "-")
         if isinstance(f.default, bool):
             p.add_argument(flag, action="store_true", help=_SWITCH_HELP[f.name])
@@ -55,7 +48,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in _flag_fields()})
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -168,10 +161,14 @@ def cmd_classify(args) -> int:
     prompts = dumpio.read_dump(args.prompts)
     images = dumpio.read_dump(args.images)
     # Image rows are scored at the curvature they were dumped at; a
-    # checkpoint at another curvature is rejected by class_scores.  The
-    # sphere has none, and scoring there reads no curvature.
+    # checkpoint from the other space, or at another curvature (rejected by
+    # class_scores), does not fit them.  The sphere has no curvature, and
+    # scoring there reads none.
     if args.checkpoint:
-        params = trainer.load_checkpoint(args.checkpoint).loss_params()
+        chk = trainer.load_checkpoint(args.checkpoint)
+        if chk.config.space != images.space:
+            raise ValueError(f"checkpoint is a {chk.config.space} run, images are a {images.space} dump")
+        params = chk.loss_params()
     else:
         params = LossParams.init(prompts.dim, curv=images.curvature or CURV_INIT)
     prompt_sets: dict[str, list] = {}

@@ -49,10 +49,6 @@ class Curvature:
         if not (np.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"curvature must be a finite positive real, got {self.c}")
 
-    @property
-    def sqrt_c(self) -> float:
-        return float(np.sqrt(self.c))
-
 
 def _vector(x, name: str) -> np.ndarray:
     arr = np.array(x, dtype=np.float64, copy=True)

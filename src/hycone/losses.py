@@ -58,8 +58,11 @@ class LossParams:
     cone_boundary: float = CONE_BOUNDARY
 
     def __post_init__(self):
-        if self.entail_weight < 0.0:
-            raise ValueError("entailment weight must be >= 0")
+        """The domain TrainConfig checks: a finite weight >= 0, a finite
+        positive cone boundary."""
+        if not (np.isfinite(self.entail_weight) and self.entail_weight >= 0.0):
+            raise ValueError(f"entailment weight must be finite and >= 0, got {self.entail_weight!r}")
+        entailment.ConeParams(self.cone_boundary)
 
     @classmethod
     def init(cls, embed_dim: int, *, tau: float = TAU_INIT, curv: float = CURV_INIT,

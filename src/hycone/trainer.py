@@ -39,10 +39,8 @@ from .hierarchy import (
     held_out_count, held_out_images, tree_node_count,
 )
 from .losses import (
-    CURV_INIT,
     ENTAIL_WEIGHT_DEFAULT,
     INV_TEMP_MAX,
-    TAU_INIT,
     LossParams,
     SimilarityMode,
     clamped_curv,
@@ -54,6 +52,9 @@ from .losses import (
 
 SPACES = ("lorentz", "sphere")
 CURVE_COLUMNS = ("step", "contrastive", "entailment", "total", "lr", "tau", "c")
+# AdamW's moment decay rates and denominator floor, as in MERU.
+ADAM_BETAS = (0.9, 0.98)
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -68,9 +69,6 @@ _FLOAT_FIELDS = {
     "noise": ("latent noise", False),
     "entail_weight": ("entailment weight", False),
     "cone_boundary": ("cone boundary", True),
-    "tau_init": ("initial tau", True),
-    "curv_init": ("initial curvature", True),
-    "adam_eps": ("Adam epsilon", True),
 }
 
 
@@ -94,10 +92,6 @@ class TrainConfig:
     hidden_dim: int = 0
     entail_weight: float = ENTAIL_WEIGHT_DEFAULT
     cone_boundary: float = CONE_BOUNDARY
-    tau_init: float = TAU_INIT
-    curv_init: float = CURV_INIT
-    betas: tuple[float, float] = (0.9, 0.98)
-    adam_eps: float = 1e-8
     held_out_per_leaf: int = 4
 
     def __post_init__(self):
@@ -116,8 +110,6 @@ class TrainConfig:
             if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
                 bound = "> 0" if positive else ">= 0"
                 raise ValueError(f"{what} ({name}) must be finite and {bound}, got {value!r}")
-        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ValueError(f"Adam betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.embed_dim < 1 or self.hidden_dim < 0:
             raise ValueError("need embed_dim >= 1 and hidden_dim >= 0")
         for name in ("latent_dim", "embed_dim", "hidden_dim"):
@@ -172,7 +164,7 @@ def init_tensors(config: TrainConfig) -> dict[str, np.ndarray]:
         else:
             tensors[f"{modality}_w"] = gain * rng.standard_normal((latent, n))
             tensors[f"{modality}_b"] = np.zeros(n)
-    lp = LossParams.init(n, tau=config.tau_init, curv=config.curv_init)
+    lp = LossParams.init(n)
     tensors["log_inv_temp"] = np.asarray(lp.log_inv_temp)
     tensors["log_curv"] = np.asarray(lp.log_curv)
     tensors["log_scale_img"] = np.asarray(lp.log_scale_img)
@@ -275,41 +267,35 @@ class AdamState:
 
 
 def adamw_step(params, grads, state: AdamState, lr: float,
-               betas: tuple[float, float] = (0.9, 0.98), weight_decay: float = 0.2,
-               eps: float = 1e-8) -> tuple[ParamVector, AdamState]:
-    """One decoupled-weight-decay Adam update of every tensor in `grads`;
-    pure (returns a new ParamVector and state).
+               weight_decay: float = 0.2) -> tuple[ParamVector, AdamState]:
+    """One decoupled-weight-decay Adam update of every tensor; pure
+    (returns a new ParamVector and state).
 
     `params` is a ParamVector or a dict of named tensors; a dict is first
-    copied into one.  The update runs once over the whole flat vector.
-    Tensors missing from `grads` keep their values and moments exactly.
+    copied into one.  `grads` holds every tensor's gradient.  The update
+    runs once over the whole flat vector; a zero gradient with zero moments
+    leaves a tensor's bits unchanged.
     """
     params = ParamVector.of(params)
     layout = params.layout
-    g = np.zeros(layout.size)
-    frozen = []
+    g = np.empty(layout.size)
     for k, sl in zip(layout.names, layout.slices):
-        if k in grads:
-            g[sl] = np.ravel(grads[k])
-        else:
-            frozen.append(sl)
+        g[sl] = np.ravel(grads[k])
     finite = np.isfinite(g)
     if not finite.all():
         bad = int(np.argmin(finite))
         name = next(k for k, sl in zip(layout.names, layout.slices) if bad < sl.stop)
         raise ValueError(f"non-finite gradient for parameter {name!r}")
 
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     t = state.step + 1
     p0 = params.flat
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    p = p0 - lr * m_hat / (np.sqrt(v_hat) + eps)
+    p = p0 - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     np.subtract(p, lr * weight_decay * p0, out=p, where=layout.decay)
-    for sl in frozen:
-        p[sl], m[sl], v[sl] = p0[sl], state.m[sl], state.v[sl]
     return ParamVector(layout, p), AdamState(step=t, m=m, v=v)
 
 
@@ -343,8 +329,8 @@ class Checkpoint:
 def _closed_form_gradients(params, batch: PairBatch, config: TrainConfig, lam: float,
                            img_rows, txt_rows, workspace=None):
     """((total, contrastive, entailment), grads) of the step's objective,
-    given the encoders' output rows; `grads` holds every trained tensor.
-    `workspace` goes to `objective_grad`."""
+    given the encoders' output rows; `grads` holds every tensor (log_curv's
+    is zero under fixed_curvature).  `workspace` goes to `objective_grad`."""
     total, cont, ent, g = objective_grad(
         img_rows, txt_rows,
         params["log_inv_temp"], params["log_curv"], params["log_scale_img"], params["log_scale_txt"],
@@ -357,7 +343,7 @@ def _closed_form_gradients(params, batch: PairBatch, config: TrainConfig, lam: f
         **g,
     }
     if config.fixed_curvature:
-        del grads["log_curv"]
+        grads["log_curv"] = 0.0
     return (total, cont, ent), grads
 
 
@@ -383,10 +369,7 @@ def train_step(params: ParamVector, state: AdamState, batch: PairBatch,
     lr = lr_at(step, config)
     with np.errstate(all="ignore"):   # runaway params surface as divergence
         try:
-            params, state = adamw_step(
-                params, grads, state, lr,
-                betas=config.betas, weight_decay=config.weight_decay, eps=config.adam_eps,
-            )
+            params, state = adamw_step(params, grads, state, lr, weight_decay=config.weight_decay)
         except ValueError as exc:     # a non-finite gradient of a finite loss
             raise DivergenceError(f"{exc} at step {step}") from None
 
@@ -465,12 +448,14 @@ def build_embedding_index(tensors: Mapping[str, np.ndarray], config: TrainConfig
 
 CHECKPOINT_MAGIC = b"HYEC"
 CHECKPOINT_VERSION = 1
+# Config keys that checkpoints held while the initial tau and curvature and
+# AdamW's betas and epsilon were settings.  A loaded checkpoint is never
+# trained further, so they are dropped on read.
+_RETIRED_CONFIG_KEYS = ("tau_init", "curv_init", "betas", "adam_eps")
 
 
 def _config_json(config: TrainConfig) -> bytes:
-    d = asdict(config)
-    d["betas"] = list(d["betas"])
-    return json.dumps(d, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return json.dumps(asdict(config), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def checkpoint_bytes(chk: Checkpoint) -> bytes:
@@ -527,13 +512,13 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = json.loads(take(cfg_len).decode("utf-8"))
     if not isinstance(cfg, dict):
         raise ValueError("checkpoint config is not a JSON object")
+    for key in _RETIRED_CONFIG_KEYS:
+        cfg.pop(key, None)
     known = {f.name for f in fields(TrainConfig)}
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"unknown checkpoint config key {unknown[0]!r}")
     try:
-        if "betas" in cfg:
-            cfg["betas"] = tuple(cfg["betas"])
         config = TrainConfig(**cfg)
     except TypeError as exc:    # a value of the wrong type
         raise ValueError(f"bad checkpoint config: {exc}") from exc
@@ -547,12 +532,16 @@ def load_checkpoint(path) -> Checkpoint:
         n_items = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
         tensors[name] = arr if ndim else arr.reshape(())
-    expected = set(init_tensors(config))
-    if set(tensors) != expected:
+    expected = init_tensors(config)
+    if tensors.keys() != expected.keys():
         raise ValueError(
-            f"checkpoint tensors do not match its config: missing {sorted(expected - set(tensors))}, "
-            f"unexpected {sorted(set(tensors) - expected)}"
+            f"checkpoint tensors do not match its config: missing {sorted(expected.keys() - tensors)}, "
+            f"unexpected {sorted(tensors.keys() - expected)}"
         )
+    for name in sorted(tensors):
+        if tensors[name].shape != expected[name].shape:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
+                             f"its config implies {expected[name].shape}")
     (meta_len,) = struct.unpack("<I", take(4))
     meta = json.loads(take(meta_len).decode("utf-8"))
     if not (isinstance(meta, dict) and isinstance(meta.get("clamp_hits"), dict)):

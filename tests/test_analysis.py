@@ -112,7 +112,6 @@ class TestRootDistanceStats:
         idx = EmbeddingIndex(
             space="sphere", curvature=None, vectors=vecs,
             labels=(("root", "[ROOT]"), ("text", "same"), ("text", "anti"), ("image", "orth")),
-            root_id=0,
         )
         prox = root_distance_proxy(idx)
         assert prox[1] == 0.0          # equal to the root
@@ -158,7 +157,7 @@ class TestInterpolateSteps:
         vecs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         idx = EmbeddingIndex(
             space="sphere", curvature=None, vectors=vecs,
-            labels=(("root", "[ROOT]"), ("image", "anti"), ("text", "t")), root_id=0,
+            labels=(("root", "[ROOT]"), ("image", "anti"), ("text", "t")),
         )
         with pytest.raises(ValueError, match="zero"):
             interpolate_steps(vecs[1], idx, steps=21)

@@ -231,6 +231,28 @@ class TestClassifyCurvature:
         np.testing.assert_array_equal(got, want.scores)
 
 
+class TestClassifySpace:
+    @pytest.mark.parametrize("checkpoint_run, image_run", [
+        (["--space", "sphere"], ["--fixed-curvature"]),     # images at c = 1.0
+        (["--space", "sphere"], []),
+        ([], ["--space", "sphere"]),
+    ], ids=["sphere-on-lorentz-c1", "sphere-on-lorentz", "lorentz-on-sphere"])
+    def test_checkpoint_from_other_space_rejected(self, tmp_path, capsys, checkpoint_run, image_run):
+        chk = run_train(tmp_path, "chk", checkpoint_run, capsys=capsys)
+        img = run_train(tmp_path, "img", image_run, capsys=capsys)
+        rng = np.random.default_rng(2)
+        write_dump(EmbeddingIndex(space="lorentz", curvature=1.0, vectors=rng.standard_normal((2, 8)),
+                                  labels=(("text", "p"), ("text", "q"))), tmp_path / "p.hypb")
+        code = main(["classify", "--prompts", str(tmp_path / "p.hypb"),
+                     "--images", str(img / "embeddings.hypb"),
+                     "--checkpoint", str(chk / "checkpoint.bin")])
+        assert code == 1
+        chk_space, img_space = ("sphere", "lorentz") if checkpoint_run else ("lorentz", "sphere")
+        assert one_error_line(capsys) == (
+            f"error: checkpoint is a {chk_space} run, images are a {img_space} dump\n"
+        )
+
+
 def with_config_key(src, dst, key, value):
     """Copy a checkpoint, adding one key to its config JSON."""
     raw = src.read_bytes()
@@ -300,16 +322,13 @@ class TestHelp:
 
 
 class TestTrainFlags:
-    NOT_FLAGS = {"tau_init", "curv_init", "betas", "adam_eps"}
-
     def train_parser(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         return sub.choices["train"]
 
     def test_flags_and_defaults_are_the_config_fields(self):
         actions = {a.dest: a for a in self.train_parser()._actions if a.dest not in ("help", "out")}
-        fields = {f.name: f for f in dataclasses.fields(trainer.TrainConfig)
-                  if f.name not in self.NOT_FLAGS}
+        fields = {f.name: f for f in dataclasses.fields(trainer.TrainConfig)}
         assert list(actions) == list(fields)
         for name, f in fields.items():
             action = actions[name]
@@ -320,6 +339,23 @@ class TestTrainFlags:
             else:
                 assert action.type is type(f.default)
         assert actions["space"].choices == trainer.SPACES
+
+    def test_every_config_field_is_a_flag(self):
+        # Each of the 19 fields at a value other than its default, set through its flag.
+        want = trainer.TrainConfig(
+            batch_size=8, steps=30, warmup=3, peak_lr=1e-3, weight_decay=0.1, seed=5,
+            no_entailment=True, fixed_curvature=True, inner_product_logits=True, space="sphere",
+            depth=2, branching=3, latent_dim=8, embed_dim=6, noise=0.2, hidden_dim=4,
+            entail_weight=0.3, cone_boundary=0.2, held_out_per_leaf=2,
+        )
+        argv = []
+        for f in dataclasses.fields(want):
+            value = getattr(want, f.name)
+            assert value != f.default, f.name
+            flag = "--" + f.name.replace("_", "-")
+            argv += [flag] if value is True else [flag, str(value)]
+        assert len(dataclasses.fields(want)) == 19
+        assert _config_from_args(build_parser().parse_args(["train", *argv, "--out", "x"])) == want
 
     def test_default_flags_give_the_default_config(self):
         args = build_parser().parse_args(["train", "--out", "x"])
@@ -361,6 +397,38 @@ class TestCheckpointReader:
         assert "'txt_w'" in one_error_line(capsys)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, shape", [("log_curv", (3,)), ("txt_w", (5, 2)), ("img_b", (16, 1))])
+    def test_tensor_shape_must_match_config(self, tmp_path, capsys, name, shape):
+        out = run_train(tmp_path, "a", capsys=capsys)
+        chk = trainer.load_checkpoint(out / "checkpoint.bin")
+        expected = chk.tensors[name].shape
+        chk.tensors[name] = np.zeros(shape)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(trainer.checkpoint_bytes(chk))
+        want = (f"error: checkpoint tensor '{name}' has shape {shape}, "
+                f"its config implies {expected}\n")
+        assert self.embed(tmp_path, bad) == 1
+        assert one_error_line(capsys) == want
+        dump = str(out / "embeddings.hypb")
+        assert main(["classify", "--prompts", dump, "--images", dump, "--checkpoint", str(bad)]) == 1
+        assert one_error_line(capsys) == want
+
+    def test_retired_config_keys_load_and_embed_alike(self, tmp_path, capsys):
+        # The keys checkpoints held while the initial tau and curvature and
+        # AdamW's betas and epsilon were settings, at their values then.
+        out = run_train(tmp_path, "a", capsys=capsys)
+        old = out / "checkpoint.bin"
+        for key, value in (("tau_init", 0.07), ("curv_init", 1.0), ("betas", [0.9, 0.98]),
+                           ("adam_eps", 1e-8)):
+            old = with_config_key(old, tmp_path / f"old-{key}.bin", key, value)
+        assert (trainer.load_checkpoint(old).config
+                == trainer.load_checkpoint(out / "checkpoint.bin").config)
+        assert self.embed(tmp_path, old) == 0
+        capsys.readouterr()
+        assert (tmp_path / "e.hypb").read_bytes() == (out / "embeddings.hypb").read_bytes()
+        assert (tmp_path / "e.labels").read_bytes() == (out / "embeddings.labels").read_bytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [-1e308, np.nan])
     def test_overflowing_weight_is_one_line_error(self, tmp_path, capsys, value):
         out = run_train(tmp_path, "a", capsys=capsys)
@@ -372,7 +440,7 @@ class TestCheckpointReader:
         assert "non-finite component" in one_error_line(capsys)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("key, value", [("embed_dim", 0), ("tau_init", 0.0), ("curv_init", 0.0)])
+    @pytest.mark.parametrize("key, value", [("embed_dim", 0)])
     def test_config_out_of_range_is_one_line_error(self, tmp_path, capsys, key, value):
         out = run_train(tmp_path, "a", capsys=capsys)
         bad = with_config_key(out / "checkpoint.bin", tmp_path / "bad.bin", key, value)

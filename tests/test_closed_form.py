@@ -31,10 +31,10 @@ def first_batch(cfg):
 
 def tape_gradients(params, batch, cfg, lam):
     """((total, contrastive, entailment), grads) of one training step on the
-    reverse tape: the trainer's encoders and objective on tape nodes."""
-    frozen = {"log_curv"} if cfg.fixed_curvature else set()
+    reverse tape: the trainer's encoders and objective on tape nodes.  Under
+    fixed curvature the curvature's gradient is zero."""
     tape = Tape()
-    tvars = {k: (tape.const(v) if k in frozen else tape.var(v)) for k, v in params.items()}
+    tvars = {k: tape.var(v) for k, v in params.items()}
     img_rows = trainer.encoder_forward(tvars, batch.image_latents, "img", cfg.hidden_dim)
     txt_rows = trainer.encoder_forward(tvars, batch.text_latents, "txt", cfg.hidden_dim)
     terms = trainer.objective(
@@ -43,7 +43,9 @@ def tape_gradients(params, batch, cfg, lam):
         mode=cfg.mode(), entail_weight=lam, cone_boundary=cfg.cone_boundary,
     )
     grads_by_id = tape.backward(terms[0])
-    grads = {k: grads_by_id[v.idx] for k, v in tvars.items() if k not in frozen}
+    grads = {k: grads_by_id[v.idx] for k, v in tvars.items()}
+    if cfg.fixed_curvature:
+        grads["log_curv"] = np.zeros(())
     return tuple(float(np.asarray(ad.value_of(x))) for x in terms), grads
 
 

@@ -42,8 +42,7 @@ class TestRoundtrip:
     def test_sphere_roundtrip_and_root_id(self, tmp_path):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         idx = EmbeddingIndex(space="sphere", curvature=None, vectors=vecs,
-                             labels=(("text", "a"), ("image", "b"), ("root", "[ROOT]")),
-                             root_id=2)
+                             labels=(("text", "a"), ("image", "b"), ("root", "[ROOT]")))
         path, _ = write_dump(idx, tmp_path / "s.hypb")
         loaded = read_dump(path)
         assert loaded.space == "sphere"

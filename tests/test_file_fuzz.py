@@ -14,6 +14,7 @@ load silently; the properties allow that and only pin how damage that is
 detected gets reported.
 """
 
+import dataclasses
 import json
 import math
 import shutil
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from hycone import hierarchy, trainer
 from hycone.analysis import EmbeddingIndex, interpolate_steps, with_root
-from hycone.cli import _flag_fields, main
+from hycone.cli import main
 from hycone.dumpio import _HEADER, read_dump, write_dump
 
 TINY = [
@@ -333,7 +334,7 @@ def train_flag(f) -> st.SearchStrategy:
 @settings(FUZZ, max_examples=200)
 @given(data=st.data())
 def test_train_flag_draws(capsys, data):
-    fields = {f.name: f for f in _flag_fields()}
+    fields = {f.name: f for f in dataclasses.fields(trainer.TrainConfig)}
     names = data.draw(st.lists(st.sampled_from(sorted(fields)), unique=True, min_size=1, max_size=3))
     argv = [a for name in names for a in data.draw(train_flag(fields[name]), label=name)]
     with tempfile.TemporaryDirectory() as tmp:

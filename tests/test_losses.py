@@ -206,6 +206,28 @@ class TestTotalLoss:
         assert out.total == out.contrastive
 
 
+class TestLossParamsDomain:
+    """The domain TrainConfig checks for the entailment weight and the cone
+    boundary; outside it, total_loss returned NaN or inf."""
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+    def test_entail_weight_finite_non_negative(self, weight):
+        with pytest.raises(ValueError, match="entailment weight must be finite and >= 0"):
+            unit_params(entail_weight=weight)
+        with pytest.raises(ValueError, match="entailment weight"):
+            LossParams.init(N, entail_weight=weight)
+
+    @pytest.mark.parametrize("boundary", [-1.0, 0.0, math.nan, math.inf])
+    def test_cone_boundary_finite_positive(self, boundary):
+        with pytest.raises(ValueError, match="cone boundary constant must be positive"):
+            unit_params(cone_boundary=boundary)
+        with pytest.raises(ValueError, match="cone boundary"):
+            LossParams.init(N, cone_boundary=boundary)
+
+    def test_domain_edges_accepted(self):
+        assert unit_params(entail_weight=0.0, cone_boundary=1e-300).entail_weight == 0.0
+
+
 class TestRankingEquivalence:
     def test_inner_product_order_matches_distance_order(self):
         rng = np.random.default_rng(9)

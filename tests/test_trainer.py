@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestSchedule:
 
 
 # Float fields that must be > 0; the others must be >= 0.  All must be finite.
-POSITIVE_FIELDS = ("peak_lr", "cone_boundary", "tau_init", "curv_init", "adam_eps")
+POSITIVE_FIELDS = ("peak_lr", "cone_boundary")
 NON_NEGATIVE_FIELDS = ("weight_decay", "noise", "entail_weight")
 
 
@@ -72,13 +73,6 @@ class TestConfigDomain:
         else:
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**TINY, **{field: value})
-
-    @pytest.mark.parametrize("betas", [(np.nan, 0.98), (0.9, np.inf), (-np.inf, 0.98),
-                                       (0.9, 1.0), (-1.0, 0.98), (0.9,)])
-    def test_betas(self, betas):
-        with pytest.raises(ValueError, match="betas"):
-            TrainConfig(**TINY, betas=betas)
-        assert TrainConfig(**TINY, betas=(0.0, 0.0)).betas == (0.0, 0.0)
 
     @pytest.mark.parametrize("depth, branching", [(40, 2), (10**18, 2), (2, 10**18), (5, 10), (16, 2)])
     def test_tree_above_cap_rejected_before_it_is_built(self, depth, branching):
@@ -187,7 +181,7 @@ class TestFlatAdamW:
                 _, grads = trainer._closed_form_gradients(ref, batch, cfg, lam, *rows)
                 upd, upd_m, upd_v = dict_adamw_step(
                     {k: ref[k] for k in grads}, grads, ref_m, ref_v, step + 1, lr_at(step, cfg),
-                    cfg.betas, cfg.weight_decay, cfg.adam_eps)
+                    trainer.ADAM_BETAS, cfg.weight_decay, trainer.ADAM_EPS)
             ref, ref_m, ref_v = {**ref, **upd}, {**ref_m, **upd_m}, {**ref_v, **upd_v}
             moments = ParamVector(params.layout, state.m), ParamVector(params.layout, state.v)
             assert state.step == step + 1
@@ -207,16 +201,10 @@ class TestFlatAdamW:
             assert np.shares_memory(params[k], params.flat)
         assert params["log_curv"].shape == () and params["img_w"].shape == (8, 8)
 
-    def test_missing_gradient_keeps_tensor_and_moments(self):
-        params = {"a": np.array([[1.0, 2.0]]), "b": np.array([[0.5, -0.5]])}   # both decay
-        grads = {"a": np.array([[0.3, -0.1]]), "b": np.array([[0.2, 0.4]])}
-        params, state = adamw_step(params, grads, AdamState.zeros(params), lr=0.1)
-        b, m, v = params["b"].copy(), state.m[2:].copy(), state.v[2:].copy()
-        new, new_state = adamw_step(params, {"a": grads["a"]}, state, lr=0.1)
-        np.testing.assert_array_equal(new["b"], b)
-        np.testing.assert_array_equal(new_state.m[2:], m)
-        np.testing.assert_array_equal(new_state.v[2:], v)
-        assert not np.array_equal(new["a"], params["a"])
+    def test_missing_gradient_raises_naming_the_tensor(self):
+        params = {"a": np.array([[1.0, 2.0]]), "b": np.array([[0.5, -0.5]])}
+        with pytest.raises(KeyError, match="'b'"):
+            adamw_step(params, {"a": np.array([[0.3, -0.1]])}, AdamState.zeros(params), lr=0.1)
 
     @pytest.mark.parametrize("as_vector", [False, True])
     def test_nonfinite_names_first_tensor_in_sorted_order(self, as_vector):
@@ -228,7 +216,7 @@ class TestFlatAdamW:
         params = ParamVector.of(tensors) if as_vector else tensors
         with pytest.raises(ValueError, match=r"^non-finite gradient for parameter 'img_b'$"):
             adamw_step(params, grads, AdamState.zeros(tensors), lr=0.1)
-        del grads["img_b"]
+        grads["img_b"][-1] = 0.0
         with pytest.raises(ValueError, match=r"^non-finite gradient for parameter 'log_curv'$"):
             adamw_step(params, grads, AdamState.zeros(tensors), lr=0.1)
 
@@ -368,7 +356,6 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("cfg_json, match", [
         (b'{"batch_size":8,"stepz":30}', "unknown checkpoint config key 'stepz'"),
         (b'[1, 2]', "not a JSON object"),
-        (b'{"betas":0.9}', "bad checkpoint config"),
     ])
     def test_bad_config_json_is_value_error(self, tmp_path, cfg_json, match):
         p = tmp_path / "c.bin"
@@ -376,6 +363,23 @@ class TestCheckpointIO:
                       + cfg_json)
         with pytest.raises(ValueError, match=match):
             load_checkpoint(p)
+
+    def test_retired_config_keys_are_dropped(self, tmp_path):
+        # The config JSON a checkpoint held while the initial tau and
+        # curvature and AdamW's betas and epsilon were settings.
+        cfg = TrainConfig()
+        chk = trainer.Checkpoint(config=cfg, tensors=init_tensors(cfg), curve=np.zeros((0, 7)),
+                                 clamp_hits={"tau": 0, "curv": 0})
+        raw = checkpoint_bytes(chk)
+        old = json.dumps({**dataclasses.asdict(cfg), "tau_init": 0.07, "curv_init": 1.0,
+                          "betas": [0.9, 0.98], "adam_eps": 1e-8},
+                         sort_keys=True, separators=(",", ":")).encode("utf-8")
+        n = int.from_bytes(raw[8:12], "little")
+        (tmp_path / "old.bin").write_bytes(raw[:8] + len(old).to_bytes(4, "little") + old + raw[12 + n:])
+        loaded = load_checkpoint(tmp_path / "old.bin")
+        assert loaded.config == TrainConfig()
+        for k, v in chk.tensors.items():
+            assert loaded.tensors[k].tobytes() == v.tobytes()
 
     def test_curve_csv_header(self):
         chk = train(TrainConfig(seed=11, **TINY))

@@ -14,6 +14,10 @@ set:
   `--inner-product-logits`, the benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6)
   and a depth-8, branching-4 run, whose 21,845 texts make a traversal
   score its walk in several blocks;
+- each of those checkpoints' bytes after its config JSON, as
+  `<run>/checkpoint.tensors`: its tensors and metadata, so a change to the
+  config JSON alone reads `checkpoint.bin DIFFERS` beside
+  `checkpoint.tensors same`;
 - the dump, labels and stdout of an `embed` of each of those checkpoints
   at its default held-out count, so every tensor layout (affine and
   hidden-layer, hyperboloid and sphere) goes through `load_checkpoint`
@@ -21,9 +25,11 @@ set:
 - the dump and labels of a 200,021-row `embed` of the Lorentz reference
   checkpoint, and its stdout;
 - on each of those dumps, the stdout of `stats`, `traverse` (from an
-  image row, from the same row with `--cone-slack 0.05`, and from the
-  first text row), `retrieve` (raw and `--calibrated`) and `classify`
-  (against a fixed random prompt set, with the dump's own checkpoint);
+  image row, from the same row with `--cone-slack 0.05` and with
+  `--cone-slack inf`, where texts below the root concept qualify, and
+  from the first text row), `retrieve` (raw and `--calibrated`) and
+  `classify` (against a fixed random prompt set, with the dump's own
+  checkpoint);
 - `gradcheck` stdout at the default flags and at `--points 3 --seeds 2`.
 
 Each output gets one line: its SHA-256 prefix and `same`, or both
@@ -101,6 +107,15 @@ class Side:
                 digest(path.read_bytes()) if path.exists() else "missing"
             )
 
+    def checkpoint_tensors(self, name: str) -> None:
+        """The digest of a checkpoint's bytes after its config JSON (magic,
+        version and the JSON's length come first)."""
+        path = self.work / name / "checkpoint.bin"
+        raw = path.read_bytes() if path.exists() else b""
+        self.outputs[f"{name}/checkpoint.tensors"] = (
+            digest(raw[12 + struct.unpack_from("<I", raw, 8)[0]:]) if len(raw) >= 12 else "missing"
+        )
+
 
 def write_prompts(path: Path) -> None:
     """A fixed prompt-set dump: PROMPTS_PER_CLASS random pre-lift vectors
@@ -135,6 +150,8 @@ def analyse(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) ->
     side.cli(f"{name}/traverse", "traverse", "--dump", dump, "--row", last, "--steps", 50)
     side.cli(f"{name}/traverse-slack", "traverse", "--dump", dump, "--row", last, "--steps", 50,
              "--cone-slack", 0.05)
+    side.cli(f"{name}/traverse-slack-inf", "traverse", "--dump", dump, "--row", last, "--steps", 50,
+             "--cone-slack", "inf")
     side.cli(f"{name}/traverse-text", "traverse", "--dump", dump, "--row", 0, "--steps", 50)
     side.cli(f"{name}/retrieve", "retrieve", "--dump", dump, "--row", middle, "--k", 5)
     side.cli(f"{name}/retrieve-calibrated", "retrieve", "--dump", dump, "--row", middle, "--k", 5,
@@ -148,6 +165,7 @@ def run_side(side: Side, prompts: Path) -> None:
     for name, flags in TRAIN_RUNS.items():
         side.cli(f"{name}/train-stdout", "train", "--seed", SEED, *flags, "--out", name)
         side.files(name, [f"{name}/{f}" for f in TRAIN_FILES])
+        side.checkpoint_tensors(name)
         side.cli(f"{name}/embed-stdout", "embed", "--checkpoint", f"{name}/checkpoint.bin",
                  "--out", f"{name}/embed.hypb")
         side.files(name, [f"{name}/embed.hypb", f"{name}/embed.labels"])
