@@ -20,13 +20,20 @@ only to check that they are UTF-8, finds the rows with one newline scan
 and the class codes with whole-buffer numpy work, and a row's text is
 decoded when it is accessed.  The writer writes those bytes back as they
 are.  Dumps are interchange artifacts: storage is 32-bit, all math
-promotes to 64-bit on load.  Writes are atomic (temp file + rename).
+promotes to 64-bit on load.
+
+Writes are atomic (temp file + rename) and streamed: `write_dump`
+converts, checks and writes the payload WRITE_BLOCK rows at a time.  A
+row that float32 cannot hold stops the write, and any dump and labels
+at the path stay as they were.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +45,9 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIBIQd")
 SPACE_CODES = {"lorentz": 0, "sphere": 1}
 SPACE_NAMES = {v: k for k, v in SPACE_CODES.items()}
+# Rows converted to float32 and written at a time (a module constant, not
+# a flag): 8,192 rows of width 16 are 512 KB.
+WRITE_BLOCK = 8192
 
 
 class DumpFormatError(ValueError):
@@ -48,20 +58,36 @@ def labels_path(path) -> Path:
     return Path(path).with_suffix(".labels")
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write `data` to a temp file beside `path`, then rename it over
-    `path`: readers see the old bytes or the new, never a partial file.
-    The temp file is created exclusively, under a random name, with the
-    mode a plain write gives (0o666 less the umask)."""
+def atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the bytes-like `chunks`, in order, to a temp file beside
+    `path`, then rename it over `path`: readers see the old bytes or the
+    new, never a partial file.  If producing a chunk raises, the temp file
+    is removed and `path` is untouched.  The temp file is created
+    exclusively, under a random name, with the mode a plain write gives
+    (0o666 less the umask)."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _float32_blocks(vectors: np.ndarray) -> Iterator[np.ndarray]:
+    """`vectors` as little-endian float32, WRITE_BLOCK rows at a time;
+    raises ValueError at the first row that float32 cannot hold."""
+    for start in range(0, vectors.shape[0], WRITE_BLOCK):
+        with np.errstate(over="ignore"):    # what float32 cannot hold becomes inf, refused below
+            block = np.ascontiguousarray(vectors[start:start + WRITE_BLOCK], dtype="<f4")
+        if not np.isfinite(block).all():
+            row = start + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
+            raise ValueError(f"row {row} does not fit the dump's float32 storage: "
+                             f"a component is beyond {np.finfo(np.float32).max:.4g} in magnitude")
+        yield block
 
 
 def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
@@ -75,16 +101,10 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
         row, text = next((i, text) for i, (_, text) in enumerate(index.labels)
                          if "\n" in text or "\r" in text)
         raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
-    with np.errstate(over="ignore"):    # what float32 cannot hold becomes inf, refused below
-        payload = np.ascontiguousarray(index.vectors, dtype="<f4")
-    if not np.isfinite(payload).all():
-        row = int(np.flatnonzero(~np.isfinite(payload).all(axis=1))[0])
-        raise ValueError(f"row {row} does not fit the dump's float32 storage: "
-                         f"a component is beyond {np.finfo(np.float32).max:.4g} in magnitude")
-    atomic_write(path, header + payload.tobytes())
+    atomic_write(path, itertools.chain([header], _float32_blocks(index.vectors)))
 
     lpath = labels_path(path)
-    atomic_write(lpath, sidecar)
+    atomic_write(lpath, [sidecar])
     return path, lpath
 
 

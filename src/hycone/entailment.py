@@ -44,7 +44,7 @@ class ConeParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.boundary) and self.boundary > 0.0):
-            raise ValueError(f"cone boundary constant must be positive, got {self.boundary}")
+            raise ValueError(f"cone boundary constant must be finite and positive, got {self.boundary}")
 
 
 # ---------------------------------------------------------------------------

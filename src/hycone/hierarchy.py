@@ -5,10 +5,15 @@ nodes that spawn "image" samples (leaf latent plus small isotropic
 noise).  Every training pair is (ancestor text node, image of a leaf),
 the ancestor drawn uniformly from the leaf's chain, modelling captions of
 varying specificity.  Generation is a pure function of (config, seed).
+
+Held-out images come in blocks of rows from one generator: read in
+order, the blocks hold the numbers of one draw of the whole set, so
+`trainer.build_embedding_index` never holds the whole draw.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +62,18 @@ def is_ancestor(text_path: str, leaf_path: str) -> bool:
 # 1,555 nodes (depth 4, branching 6).
 MAX_TREE_NODES = 100_000
 # The most held-out images `held_out_images` draws: 2.5 times the
-# benchmark's 200,000-image dump.
+# benchmark's 200,000-image dump.  The draw is made a block at a time;
+# only the index grows with the count.
 MAX_HELD_OUT_IMAGES = 500_000
 # The other sizes a run or a query allocates by, each checked before
 # anything is built (TrainConfig, root_distance_stats, interpolate_steps):
 # - batch size: the objective's B x B workspace is 805 MB at 4,096
 #   (the benchmark's widest batch is 1,024);
 # - steps: the loss curve is 56 MB at 1,000,000;
-# - latent, embedding and hidden widths: a 500,000-row held-out draw at
-#   width 256 is about 1 GB (the widest run uses 64);
+# - latent, embedding and hidden widths: a 500,000-row index at width
+#   256 is about 1 GB of float64 (the widest run uses 64), while
+#   `trainer.build_embedding_index` draws the held-out set in blocks
+#   (trainer.EMBED_BLOCK) of 1-2 MB at the reference widths;
 # - histogram bins and traversal steps (defaults 32 and 50).
 MAX_BATCH_SIZE = 4096
 MAX_STEPS = 1_000_000
@@ -198,18 +206,30 @@ def held_out_count(leaves: int, per_leaf: int) -> int:
     return leaves * per_leaf
 
 
-def held_out_images(tree: ConceptTree, per_leaf: int, seed: int) -> tuple[np.ndarray, list[str]]:
-    """Evaluation image latents never seen by the pair sampler.
+def held_out_images(tree: ConceptTree, per_leaf: int, seed: int,
+                    rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Evaluation image latents never seen by the pair sampler, grouped by
+    leaf: row r is an image of leaf r // per_leaf, labelled
+    "<leaf path>/h<r % per_leaf>".
 
-    Returns (latents, labels), grouped by leaf; labels are
-    "<leaf path>/h<j>".  One noise draw covers all leaves: it yields the
-    same numbers as one (per_leaf, latent_dim) draw per leaf in turn.
+    The count is checked when this is called; the rows are drawn as the
+    returned iterator is read, in (first row, latents) blocks of `rows`
+    to 2 * rows - 1 rows, or in one block when there are fewer than
+    `rows`.  One noise stream covers all leaves: it yields the same
+    numbers as one (per_leaf, latent_dim) draw per leaf in turn.
     """
     count = held_out_count(len(tree.leaves), per_leaf)
+    if rows < 1:
+        raise ValueError(f"need at least one row per block, got {rows}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    latents = rng.standard_normal((count, tree.latent_dim))
-    latents *= tree.noise      # in place, so a large draw needs no second temporary
-    latents += np.repeat(tree.leaf_latents(), per_leaf, axis=0)
-    paths = [tree.nodes[leaf].path for leaf in tree.leaves]
-    labels = [f"{path}/h{j}" for path in paths for j in range(per_leaf)]
-    return latents, labels
+    leaf_latents = tree.leaf_latents()
+    blocks = max(1, count // rows)
+    stops = [count * (k + 1) // blocks for k in range(blocks)]
+
+    def block(start: int, stop: int) -> tuple[int, np.ndarray]:
+        latents = rng.standard_normal((stop - start, tree.latent_dim))
+        latents *= tree.noise      # in place, so a block needs no second temporary
+        latents += leaf_latents[np.arange(start, stop) // per_leaf]
+        return start, latents
+
+    return map(block, [0, *stops[:-1]], stops)

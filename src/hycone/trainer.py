@@ -55,6 +55,17 @@ CURVE_COLUMNS = ("step", "contrastive", "entailment", "total", "lr", "tau", "c")
 # AdamW's moment decay rates and denominator floor, as in MERU.
 ADAM_BETAS = (0.9, 0.98)
 ADAM_EPS = 1e-8
+# Multiply-adds of each encoder product per block of held-out images (a
+# module constant, not a flag): 4,096 to 8,191 rows at latent width 32
+# and embedding width 16.  At some output widths numpy's OpenBLAS rounds
+# a product of at most 10^6 multiply-adds (its small-matrix kernel)
+# differently from a larger one, and the last (height mod 4) rows of
+# such a product differently again.  A set smaller than a block is one
+# block and every other block is above 10^6, so each row gets the bits
+# the whole-set product gives it.  The narrower the layers, the taller
+# the block: its latents are under 2^25 * latent_dim / (multiply-adds
+# per row) bytes, and the whole set when that exceeds it.
+EMBED_BLOCK = 2**21
 
 
 class DivergenceError(RuntimeError):
@@ -415,29 +426,37 @@ def build_embedding_index(tensors: Mapping[str, np.ndarray], config: TrainConfig
                           tree: ConceptTree | None = None,
                           held_out_per_leaf: int | None = None) -> EmbeddingIndex:
     """Embed all text concept nodes plus a held-out image set with the
-    named `tensors` (a dict or a ParamVector) of a run of `config`."""
+    named `tensors` (a dict or a ParamVector) of a run of `config`.  Each
+    block of held-out images is encoded and lifted into its rows of the
+    index's matrix as it is drawn, so no temporary spans the whole set."""
     if tree is None:
         tree = generate_tree(
             config.depth, config.branching, config.latent_dim, config.noise, config.seed
         )
     per_leaf = config.held_out_per_leaf if held_out_per_leaf is None else held_out_per_leaf
-    txt_latents = np.stack([tree.nodes[i].latent for i in tree.internal])
-    img_latents, img_names = held_out_images(tree, per_leaf, config.seed)
-    # The label sidecar's bytes, each row formatted once: one join covers
-    # every image row (200,000 on the benchmark's big dump).
-    sidecar = "".join(f"text\t{tree.nodes[i].path}\n" for i in tree.internal)
-    sidecar += "image\t" + "\nimage\t".join(img_names) + "\n"
-
-    txt_rows = np.asarray(encoder_forward(tensors, txt_latents, "txt", config.hidden_dim))
-    img_rows = np.asarray(encoder_forward(tensors, img_latents, "img", config.hidden_dim))
+    widths = [w for w in (config.latent_dim, config.hidden_dim, config.embed_dim) if w]
+    madds = min(k * n for k, n in zip(widths, widths[1:]))     # per row, in the smaller product
+    images = held_out_images(tree, per_leaf, config.seed, -(-EMBED_BLOCK // madds))
+    texts = len(tree.internal)
+    vectors = np.empty((texts + len(tree.leaves) * per_leaf, config.embed_dim))
     space = space_of(config.space, float(np.asarray(clamped_curv(tensors["log_curv"]))))
+    txt_latents = np.stack([tree.nodes[i].latent for i in tree.internal])
+    txt_rows = np.asarray(encoder_forward(tensors, txt_latents, "txt", config.hidden_dim))
+    vectors[:texts] = space.lift(txt_rows, np.exp(tensors["log_scale_txt"]))
+    img_scale = np.exp(tensors["log_scale_img"])
+    for first, latents in images:
+        img_rows = np.asarray(encoder_forward(tensors, latents, "img", config.hidden_dim))
+        vectors[texts + first:texts + first + len(latents)] = space.lift(img_rows, img_scale)
+    # The label sidecar's bytes: one join per leaf over its images'
+    # "/h<j>" suffixes, so no string is built per image row.
+    suffixes = [f"/h{j}\n" for j in range(per_leaf)]
+    sidecar = "".join(f"text\t{tree.nodes[i].path}\n" for i in tree.internal)
+    sidecar += "".join(prefix + prefix.join(suffixes)
+                       for prefix in (f"image\t{tree.nodes[i].path}" for i in tree.leaves))
     return EmbeddingIndex(
         space=config.space,
         curvature=space.c,
-        vectors=np.vstack([
-            space.lift(txt_rows, np.exp(tensors["log_scale_txt"])),
-            space.lift(img_rows, np.exp(tensors["log_scale_img"])),
-        ]),
+        vectors=vectors,
         labels=Labels.from_sidecar(sidecar.encode("utf-8")),
     )
 
@@ -487,7 +506,7 @@ def checkpoint_bytes(chk: Checkpoint) -> bytes:
 
 def save_checkpoint(chk: Checkpoint, path) -> Path:
     path = Path(path)
-    atomic_write(path, checkpoint_bytes(chk))
+    atomic_write(path, [checkpoint_bytes(chk)])
     return path
 
 
@@ -565,5 +584,5 @@ def curve_csv(curve: np.ndarray) -> str:
 
 def save_curve(curve: np.ndarray, path) -> Path:
     path = Path(path)
-    atomic_write(path, curve_csv(curve).encode("utf-8"))
+    atomic_write(path, [curve_csv(curve).encode("utf-8")])
     return path

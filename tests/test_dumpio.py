@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hycone import dumpio
 from hycone.analysis import LABEL_CLASSES, EmbeddingIndex
 from hycone.dumpio import DumpFormatError, atomic_write, labels_path, read_dump, write_dump
 
@@ -60,6 +61,41 @@ class TestRoundtrip:
 
     def test_labels_path_convention(self, tmp_path):
         assert labels_path(tmp_path / "x.hypb").name == "x.labels"
+
+
+class TestBlockedWrite:
+    """`write_dump` converts and writes WRITE_BLOCK rows at a time."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("count", [0, 1, 2, 6, 7, 8, 13, 14, 15, 21])
+    def test_bytes_equal_the_whole_array_write(self, tmp_path, monkeypatch, block, count):
+        rng = np.random.default_rng(count)
+        vecs = rng.standard_normal((count, 5)) * 10.0 ** rng.integers(-40, 38, (count, 5))
+        idx = lorentz_index(vecs, [("image", f"i{i}") for i in range(count)], c=0.5)
+        monkeypatch.setattr(dumpio, "WRITE_BLOCK", block)
+        path, lpath = write_dump(idx, tmp_path / "d.hypb")
+        header = dumpio._HEADER.pack(b"HYPB", 1, 0, 5, count, 0.5)
+        assert path.read_bytes() == header + vecs.astype("<f4").tobytes()
+        assert lpath.read_bytes() == "".join(f"image\ti{i}\n" for i in range(count)).encode()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_row_beyond_float32_in_a_late_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(dumpio, "WRITE_BLOCK", block)
+        vecs = np.zeros((20, 3))
+        vecs[17, 2] = -1e39
+        big = lorentz_index(vecs, [("text", f"t{i}") for i in range(20)])
+        with pytest.raises(ValueError, match="^row 17 does not fit"):
+            write_dump(big, tmp_path / "new.hypb")
+        assert list(tmp_path.iterdir()) == []
+        # An existing pair at the path keeps its bytes.
+        path, lpath = write_dump(lorentz_index(np.ones((2, 2)), [("text", "a")] * 2),
+                                 tmp_path / "old.hypb")
+        before = path.read_bytes(), lpath.read_bytes()
+        with pytest.raises(ValueError, match="^row 17 does not fit"):
+            write_dump(big, path)
+        assert (path.read_bytes(), lpath.read_bytes()) == before
+        assert sorted(tmp_path.iterdir()) == [path, lpath]
 
 
 class TestFormatErrors:
@@ -187,9 +223,25 @@ class TestAtomicWrite:
     def test_mode_is_that_of_a_plain_write(self, tmp_path):
         plain = tmp_path / "plain"
         plain.write_bytes(b"")
-        atomic_write(tmp_path / "atomic", b"x")
+        atomic_write(tmp_path / "atomic", [b"x"])
         assert (tmp_path / "atomic").stat().st_mode == plain.stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        atomic_write(tmp_path / "a", [b"ab", bytearray(b"c"), np.arange(2, dtype="<u2"), b""])
+        assert (tmp_path / "a").read_bytes() == b"abc\x00\x00\x01\x00"
+
+    def test_a_failing_chunk_leaves_the_old_file(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            raise ValueError("chunk failed")
+
+        with pytest.raises(ValueError, match="chunk failed"):
+            atomic_write(tmp_path / "a", chunks())
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+        assert (tmp_path / "a").read_bytes() == b"old"
 
 
 # -- the v1 reader against the text-mode parse it replaced -------------------

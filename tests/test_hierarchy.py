@@ -111,46 +111,80 @@ class TestPairSampler:
                                   np.stack([tree.nodes[n].latent for n in text_nodes]))
 
 
+def drawn(tree, per_leaf, seed, rows=5):
+    """The held-out latents: `held_out_images`'s blocks, concatenated."""
+    return np.concatenate([latents for _, latents in held_out_images(tree, per_leaf, seed, rows)])
+
+
+def whole_draw(tree, per_leaf, seed):
+    """The held-out set as one draw of every row, plus each leaf latent
+    repeated per_leaf times: what `held_out_images` returned before it
+    drew in blocks."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    latents = rng.standard_normal((len(tree.leaves) * per_leaf, tree.latent_dim))
+    latents *= tree.noise
+    latents += np.repeat(tree.leaf_latents(), per_leaf, axis=0)
+    return latents
+
+
 class TestHeldOut:
     def test_labels_and_determinism(self):
         tree = generate_tree(2, 2, 4, 0.1, seed=6)
-        lat1, names1 = held_out_images(tree, per_leaf=3, seed=6)
-        lat2, names2 = held_out_images(tree, per_leaf=3, seed=6)
-        assert names1 == names2
+        lat1 = drawn(tree, per_leaf=3, seed=6)
+        lat2 = drawn(tree, per_leaf=3, seed=6)
         assert np.array_equal(lat1, lat2)
         assert lat1.shape == (12, 4)
-        assert names1[0] == tree.nodes[tree.leaves[0]].path + "/h0"
 
     def test_disjoint_from_training_noise(self):
         tree = generate_tree(2, 2, 4, 0.5, seed=8)
-        held, _ = held_out_images(tree, per_leaf=1, seed=8)
+        held = drawn(tree, per_leaf=1, seed=8)
         batch = PairSampler(tree, seed=8).next_batch(4)
         assert not np.array_equal(held[: len(batch.image_latents)], batch.image_latents)
 
     def test_matches_per_leaf_draws(self):
         tree = generate_tree(3, 3, 5, 0.3, seed=4)
         rng = np.random.default_rng(np.random.SeedSequence([4, 2]))
-        want, want_names = [], []
+        want = []
         for leaf in tree.leaves:
             node = tree.nodes[leaf]
             noise = rng.standard_normal((7, tree.latent_dim))
             for j in range(7):
                 want.append(node.latent + tree.noise * noise[j])
-                want_names.append(f"{node.path}/h{j}")
-        lat, names = held_out_images(tree, per_leaf=7, seed=4)
+        lat = drawn(tree, per_leaf=7, seed=4)
         assert np.array_equal(lat, np.stack(want))
-        assert names == want_names
+
+    # 4 leaves, so 4 to 28 rows: below, at and above a multiple of each
+    # block height.
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("per_leaf", [1, 2, 3, 4, 7])
+    def test_blocks_read_in_order_are_one_draw(self, rows, per_leaf):
+        tree = generate_tree(2, 2, 4, 0.3, seed=5)
+        blocks = list(held_out_images(tree, per_leaf, 5, rows))
+        firsts = [first for first, _ in blocks]
+        sizes = [len(latents) for _, latents in blocks]
+        assert firsts == [sum(sizes[:k]) for k in range(len(blocks))]
+        if sum(sizes) < rows:
+            assert len(blocks) == 1
+        else:
+            assert all(rows <= size < 2 * rows for size in sizes)
+        assert np.array_equal(np.concatenate([latents for _, latents in blocks]),
+                              whole_draw(tree, per_leaf, seed=5))
+
+    def test_block_height_at_least_one(self):
+        tree = generate_tree(2, 2, 4, 0.3, seed=5)
+        with pytest.raises(ValueError, match="at least one row per block, got 0"):
+            held_out_images(tree, 1, 5, 0)
 
     def test_needs_one_image_per_leaf(self):
         tree = generate_tree(2, 2, 4, 0.1, seed=6)
         with pytest.raises(ValueError, match="at least one"):
-            held_out_images(tree, per_leaf=0, seed=6)
+            held_out_images(tree, per_leaf=0, seed=6, rows=5)
 
     def test_count_above_cap_rejected_before_drawing(self):
         tree = generate_tree(2, 2, 4, 0.1, seed=6)     # 4 leaves
         assert held_out_count(4, MAX_HELD_OUT_IMAGES // 4) == MAX_HELD_OUT_IMAGES
         with pytest.raises(ValueError, match=f"more than {MAX_HELD_OUT_IMAGES}"):
-            held_out_images(tree, per_leaf=MAX_HELD_OUT_IMAGES // 4 + 1, seed=6)
+            held_out_images(tree, per_leaf=MAX_HELD_OUT_IMAGES // 4 + 1, seed=6, rows=5)
         # The wide run's dump and the benchmark's 200,000-image dump are admitted.
         assert held_out_count(6 ** 4, 4) == 5184
         assert held_out_count(4 ** 3, 3125) == 200_000

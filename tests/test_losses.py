@@ -219,7 +219,7 @@ class TestLossParamsDomain:
 
     @pytest.mark.parametrize("boundary", [-1.0, 0.0, math.nan, math.inf])
     def test_cone_boundary_finite_positive(self, boundary):
-        with pytest.raises(ValueError, match="cone boundary constant must be positive"):
+        with pytest.raises(ValueError, match="cone boundary constant must be finite and positive"):
             unit_params(cone_boundary=boundary)
         with pytest.raises(ValueError, match="cone boundary"):
             LossParams.init(N, cone_boundary=boundary)

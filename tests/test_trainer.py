@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hycone import dumpio, trainer
-from hycone.analysis import Labels
+from hycone.analysis import Labels, space_of
 from hycone.hierarchy import (
     MAX_BATCH_SIZE, MAX_DIM, MAX_HELD_OUT_IMAGES, MAX_STEPS, MAX_TREE_NODES, PairSampler,
-    generate_tree, held_out_images, tree_node_count,
+    generate_tree, tree_node_count,
 )
-from hycone.losses import BatchEmbeddings, LossParams, SimilarityMode, logit_matrix, total_loss
+from hycone.losses import (
+    BatchEmbeddings, LossParams, SimilarityMode, clamped_curv, logit_matrix, total_loss,
+)
 from hycone.trainer import (
     AdamState,
     ParamVector,
@@ -300,7 +303,8 @@ class TestTraining:
         cfg = TrainConfig(seed=11, **TINY)
         tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
         index = build_embedding_index(init_tensors(cfg), cfg, tree)
-        _, names = held_out_images(tree, cfg.held_out_per_leaf, cfg.seed)
+        names = [f"{tree.nodes[leaf].path}/h{j}" for leaf in tree.leaves
+                 for j in range(cfg.held_out_per_leaf)]
         pairs = [("text", tree.nodes[i].path) for i in tree.internal] + [("image", n) for n in names]
         assert index.labels == Labels.from_pairs(pairs)
 
@@ -311,6 +315,96 @@ class TestTraining:
         chk = train(cfg)
         assert "img_w1" in chk.tensors
         assert chk.curve[-10:, 3].mean() < chk.curve[:10, 3].mean()
+
+
+def whole_set_vectors(tensors, cfg, tree, per_leaf):
+    """The index matrix as `build_embedding_index` made it before blocks:
+    one draw of the whole held-out set, `np.repeat` of the leaf latents,
+    one encode and one lift per modality, then `np.vstack`."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
+    img_latents = rng.standard_normal((len(tree.leaves) * per_leaf, tree.latent_dim))
+    img_latents *= tree.noise
+    img_latents += np.repeat(tree.leaf_latents(), per_leaf, axis=0)
+    txt_latents = np.stack([tree.nodes[i].latent for i in tree.internal])
+    space = space_of(cfg.space, float(clamped_curv(tensors["log_curv"])))
+    return np.vstack([
+        space.lift(np.asarray(encoder_forward(tensors, latents, mod, cfg.hidden_dim)),
+                   np.exp(tensors[f"log_scale_{mod}"]))
+        for latents, mod in ((txt_latents, "txt"), (img_latents, "img"))
+    ])
+
+
+BLOCKED_CONFIGS = {    # name: (config fields, multiply-adds per row in the smaller product)
+    "lorentz": (dict(depth=2, branching=2, latent_dim=8, embed_dim=6), 48),
+    "sphere": (dict(depth=2, branching=2, latent_dim=8, embed_dim=6, space="sphere"), 48),
+    "hidden": (dict(depth=2, branching=2, latent_dim=8, embed_dim=6, hidden_dim=5), 30),
+}
+
+
+def perturbed_tensors(cfg):
+    """A run's tensors with every entry moved, biases included, so each
+    term of the encoders shows in the bits."""
+    rng = np.random.default_rng(cfg.seed)
+    return {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in init_tensors(cfg).items()}
+
+
+def assert_index_is_whole_set(cfg, per_leaf=None):
+    tensors = perturbed_tensors(cfg)
+    tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
+    want = whole_set_vectors(tensors, cfg, tree, per_leaf or cfg.held_out_per_leaf)
+    index = build_embedding_index(tensors, cfg, tree, per_leaf)
+    assert index.vectors.shape == want.shape
+    assert np.array_equal(index.vectors, want)
+
+
+class TestBlockedIndex:
+    # 4 leaves, so 4 to 28 held-out rows: below, at and above a multiple
+    # of each block height.  A one-row block is left out: numpy multiplies
+    # it by gemv, and EMBED_BLOCK never makes a block that short.
+    @pytest.mark.parametrize("name", BLOCKED_CONFIGS)
+    @pytest.mark.parametrize("rows", [2, 3, 7])
+    @pytest.mark.parametrize("per_leaf", [1, 2, 3, 4, 7])
+    def test_equals_whole_set_bit_for_bit(self, monkeypatch, name, rows, per_leaf):
+        fields, madds = BLOCKED_CONFIGS[name]
+        monkeypatch.setattr(trainer, "EMBED_BLOCK", rows * madds)
+        assert_index_is_whole_set(TrainConfig(seed=3, held_out_per_leaf=per_leaf, **fields))
+
+    # Output widths 2 and 3 from latent width 32: OpenBLAS rounds these
+    # differently in products of at most 10^6 multiply-adds and in the
+    # last (height mod 4) rows of one, so a fixed 8,192-row blocking
+    # changes bits.  400 rows are one block; 66,000 and 88,004 rows are
+    # one to four.
+    @pytest.mark.parametrize("fields", [
+        dict(latent_dim=32, embed_dim=2),
+        dict(latent_dim=32, embed_dim=3, space="sphere"),
+        dict(latent_dim=32, hidden_dim=3, embed_dim=16),
+    ])
+    @pytest.mark.parametrize("per_leaf", [100, 16_500, 22_001])
+    def test_narrow_widths_keep_whole_set_bits(self, fields, per_leaf):
+        assert_index_is_whole_set(TrainConfig(seed=5, depth=2, branching=2, **fields), per_leaf)
+
+    def test_whole_set_temporaries_are_gone(self):
+        # 64 leaves x 782 images = 50,048 rows, twelve blocks.  The index
+        # is 50,069 x 16 float64 (6.4 MB) and a block's latents 1-2 MB; the
+        # whole-set algorithm holds two 12.8 MB latent arrays at once.
+        bound = 16 * 2**20
+        cfg = TrainConfig(seed=7, held_out_per_leaf=782)
+        tensors = init_tensors(cfg)
+        tree = generate_tree(cfg.depth, cfg.branching, cfg.latent_dim, cfg.noise, cfg.seed)
+        peaks = []
+        for build in (lambda: build_embedding_index(tensors, cfg, tree).vectors,
+                      lambda: whole_set_vectors(tensors, cfg, tree, cfg.held_out_per_leaf)):
+            tracemalloc.start()
+            try:
+                vectors = build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert vectors.shape == (50_069, 16)
+        blocked, whole = peaks
+        assert blocked < bound < whole, (blocked, whole)
+        assert np.array_equal(build_embedding_index(tensors, cfg, tree).vectors,
+                              whole_set_vectors(tensors, cfg, tree, cfg.held_out_per_leaf))
 
 
 class TestEncoderInit:

@@ -22,8 +22,10 @@ set:
   at its default held-out count, so every tensor layout (affine and
   hidden-layer, hyperboloid and sphere) goes through `load_checkpoint`
   and `build_embedding_index`;
-- the dump and labels of a 200,021-row `embed` of the Lorentz reference
-  checkpoint, and its stdout;
+- the dump and labels of a 200,021-row `embed` of the Lorentz and sphere
+  reference checkpoints and of the `--hidden-dim 8` one, and their
+  stdout: `embed` draws, encodes and lifts these in many blocks, so the
+  sphere lift and the tanh layer are compared across blocks too;
 - on each of those dumps, the stdout of `stats`, `traverse` (from an
   image row, from the same row with `--cone-slack 0.05` and with
   `--cone-slack inf`, where texts below the root concept qualify, and
@@ -65,8 +67,11 @@ TRAIN_RUNS = {
              "--held-out-per-leaf", "1"],
 }
 TRAIN_FILES = ("checkpoint.bin", "curve.csv", "embeddings.hypb", "embeddings.labels")
-# 21 text rows plus 64 leaves x 3125 held-out images: the benchmark's big dump.
+# 21 text rows plus 64 leaves x 3125 held-out images: the benchmark's big
+# dump, embedded from each of these runs' checkpoints.
 BIG_HELD_OUT = 3125
+BIG_EMBEDS = {"embed-200k": "ref-lorentz", "embed-200k-sphere": "ref-sphere",
+              "embed-200k-hidden-8": "hidden-8"}
 GRADCHECK_RUNS = {"gradcheck": [], "gradcheck-small": ["--points", "3", "--seeds", "2"]}
 DUMP_HEADER = struct.Struct("<4sIBIQd")     # magic, version, space, dim, count, curvature
 PROMPT_CLASSES, PROMPTS_PER_CLASS, PROMPT_DIM = 3, 4, 16
@@ -169,12 +174,14 @@ def run_side(side: Side, prompts: Path) -> None:
         side.cli(f"{name}/embed-stdout", "embed", "--checkpoint", f"{name}/checkpoint.bin",
                  "--out", f"{name}/embed.hypb")
         side.files(name, [f"{name}/embed.hypb", f"{name}/embed.labels"])
-    side.cli("embed-200k/embed-stdout", "embed", "--checkpoint", "ref-lorentz/checkpoint.bin",
-             "--out", "big.hypb", "--held-out-per-leaf", BIG_HELD_OUT)
-    side.files("embed-200k", ["big.hypb", "big.labels"])
+    for name, run in BIG_EMBEDS.items():
+        side.cli(f"{name}/embed-stdout", "embed", "--checkpoint", f"{run}/checkpoint.bin",
+                 "--out", f"{name}.hypb", "--held-out-per-leaf", BIG_HELD_OUT)
+        side.files(name, [f"{name}.hypb", f"{name}.labels"])
     for name in TRAIN_RUNS:
         analyse(side, name, f"{name}/embeddings.hypb", f"{name}/checkpoint.bin", prompts)
-    analyse(side, "embed-200k", "big.hypb", "ref-lorentz/checkpoint.bin", prompts)
+    for name, run in BIG_EMBEDS.items():
+        analyse(side, name, f"{name}.hypb", f"{run}/checkpoint.bin", prompts)
     for name, flags in GRADCHECK_RUNS.items():
         side.cli(name, "gradcheck", *flags)
 
