@@ -8,13 +8,17 @@ Works on an :class:`EmbeddingIndex` in either representation space,
 Both have the same methods, and :func:`space_of` picks one per index:
 nothing else branches on the space.
 
-Indexes are immutable after load; every query here is read-only.  Each
-row is validated once, when the index is built.  Labels are kept as the
-sidecar's UTF-8 bytes plus row offsets (:class:`Labels`); a row is
-decoded and split into (class, text) only when it is accessed (a
-retrieve's top k, traverse's texts, classify's rows), and the per-row
-class is one code array, read from the first byte of each row, that
-class lookups and statistics share.
+Indexes are immutable after load; every query here is read-only.  An
+index keeps its rows as stored: a dump's float32 payload is read in
+place.  Rows are validated when the index is built, and queries read
+them ROW_BLOCK rows at a time, each block promoted to float64
+(:func:`row_blocks`), so no float64 copy of the whole set is made.
+
+Labels are kept as the sidecar's UTF-8 bytes plus row offsets
+(:class:`Labels`); a row is decoded and split into (class, text) only
+when it is accessed (a retrieve's top k, traverse's texts, classify's
+rows), and the per-row class is one code array, read from the first byte
+of each row, that class lookups and statistics share.
 
 A traversal is one array: :func:`interpolate_steps` gives the walk as
 one (steps, n) array, and :func:`traverse` scores it in blocks of steps,
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -50,6 +54,15 @@ SPHERE_NORM_TOL = 1e-6
 # curvature of LossParams, which stores c in log space: exp(log(c)) can
 # miss c by an ulp or two.
 CURV_RTOL = 1e-12
+
+# Rows an index reads (as float64) or a dump writes (as float32) at a
+# time; a module constant, not a flag.  OpenBLAS scores rows in groups of
+# 4 and numpy scores a lone row with a dot product, each rounding its own
+# way, so a block is a multiple of 4 rows and never one row alone: each
+# row then gets the bits of a one-thread product over the whole set.  The
+# blocks give those bits at 1 and 2 BLAS threads, where a whole-set
+# product split between 2 threads rounds the rows at its split otherwise.
+ROW_BLOCK = 8192
 
 _CLASS_CODES = {cls: code for code, cls in enumerate(LABEL_CLASSES)}
 _ROOT_CODE = _CLASS_CODES["root"]
@@ -183,6 +196,30 @@ class Labels(Sequence):
         return f"Labels({list(self)!r})"
 
 
+def row_blocks(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, float64 rows) of N x n `rows` of any float type,
+    ROW_BLOCK rows at a time; a last block of one row joins the block
+    before it."""
+    n, start = rows.shape[0], 0
+    while start < n:
+        stop = start + ROW_BLOCK
+        if stop + 1 == n:
+            stop = n
+        with np.errstate(invalid="ignore"):     # a signalling NaN; the row check reports it
+            block = np.asarray(rows[start:stop], dtype=np.float64)
+        yield start, block
+        start = stop
+
+
+def map_rows(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The (N,) float64 results of a per-row `fn`, applied to the blocks
+    of :func:`row_blocks`."""
+    out = np.empty(rows.shape[0])
+    for first, block in row_blocks(rows):
+        out[first:first + block.shape[0]] = fn(block)
+    return out
+
+
 @dataclass(frozen=True)
 class Lorentz:
     """Hyperboloid of curvature -c.  Rows are space components, [ROOT] is
@@ -198,9 +235,10 @@ class Lorentz:
 
     def check_rows(self, rows: np.ndarray, first_row: int) -> None:
         """Every finite row is a point: its time component is derived.
-        One sum screens all rows; a non-finite one is located only then."""
+        One float64 sum screens all rows, whatever their storage type; a
+        non-finite one is located only then."""
         with np.errstate(invalid="ignore", over="ignore"):     # inf - inf, or a finite overflow
-            total = rows.sum()
+            total = rows.sum(dtype=np.float64)
         if not np.isfinite(total):
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             if bad.size:    # else the sum overflowed on finite rows
@@ -250,9 +288,10 @@ class Sphere:
     c = None    # no curvature parameter
 
     def check_rows(self, rows: np.ndarray, first_row: int) -> None:
-        """Unit norms; `first_row` numbers the first of `rows` in errors."""
+        """Unit float64 norms; `first_row` numbers the first of `rows` in
+        errors, which name the row furthest off."""
         if rows.shape[0]:
-            norms = np.linalg.norm(rows, axis=1)
+            norms = map_rows(lambda block: np.linalg.norm(block, axis=1), rows)
             off = np.abs(norms - 1.0)
             if not float(off.max()) <= SPHERE_NORM_TOL:   # NaN rows fail too
                 bad = int(np.argmax(off))
@@ -262,10 +301,12 @@ class Sphere:
                 )
 
     def root(self, vectors: np.ndarray, root_id: int | None = None) -> np.ndarray:
-        """Row `root_id` if given, else the normalized mean of all rows."""
+        """Row `root_id` if given, else the normalized mean of all rows.
+        The mean sums float32 rows in float64 one row after another, as a
+        mean of their float64 copy does, and gives its bits."""
         if root_id is not None:
-            return vectors[root_id]
-        mean = vectors.mean(axis=0)
+            return np.asarray(vectors[root_id], dtype=np.float64)
+        mean = vectors.mean(axis=0, dtype=np.float64)
         norm = float(np.linalg.norm(mean))
         if not norm >= 1e-9:
             raise ValueError("degenerate sphere root: mean embedding has near-zero norm")
@@ -308,31 +349,45 @@ def space_of(name: str, curvature: float | None = None) -> Lorentz | Sphere:
     raise ValueError(f"unknown space {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EmbeddingIndex:
+    """Labelled rows of one space.  Built from `vectors` (N x n space
+    components) and `labels`; float32 rows are kept as they are, without
+    a copy, and any other rows as float64.  Queries read the rows through
+    :func:`row_blocks`; :attr:`vectors` is the whole set as float64, made
+    anew on each access."""
+
     space: str                        # "lorentz" | "sphere"
     curvature: float | None           # lorentz only; set to None on the sphere
-    vectors: np.ndarray               # N x n float64 space components
+    payload: np.ndarray = field(repr=False)   # N x n rows as stored: float32 or float64
     labels: Labels                    # (class, text) per row; pairs are converted
-    root_id: int | None = field(init=False)   # the first row of class "root", if any
-    classes: np.ndarray = field(init=False, repr=False, compare=False)  # codes into LABEL_CLASSES
-    geom: Lorentz | Sphere = field(init=False, repr=False, compare=False)  # space_of(space, curvature)
+    root_id: int | None               # the first row of class "root", if any
+    classes: np.ndarray = field(repr=False, compare=False)  # codes into LABEL_CLASSES
+    geom: Lorentz | Sphere = field(repr=False, compare=False)  # space_of(space, curvature)
+
+    def __init__(self, space: str, curvature: float | None, vectors, labels):
+        for name, value in (("space", space), ("curvature", curvature),
+                            ("payload", vectors), ("labels", labels)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError(f"index vectors must be N x n, got shape {vectors.shape}")
+        rows = self.payload
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float32):
+            rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError(f"index vectors must be N x n, got shape {rows.shape}")
         labels = self.labels if isinstance(self.labels, Labels) else Labels.from_pairs(self.labels)
-        if vectors.shape[0] != len(labels):
+        if rows.shape[0] != len(labels):
             raise ValueError(
-                f"row count {vectors.shape[0]} != label count {len(labels)}"
+                f"row count {rows.shape[0]} != label count {len(labels)}"
             )
         classes = labels.class_codes()
         geom = space_of(self.space, self.curvature)
-        geom.check_rows(vectors, 0)
+        geom.check_rows(rows, 0)
         object.__setattr__(self, "geom", geom)
         object.__setattr__(self, "curvature", geom.c)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "payload", rows)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "classes", classes)
         roots = np.flatnonzero(classes == _ROOT_CODE)
@@ -340,11 +395,22 @@ class EmbeddingIndex:
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self.payload.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.payload.shape[1]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Every row as float64: the payload itself if it is float64, else
+        a whole-set copy, which `stats`, `retrieve` and `traverse` never
+        make."""
+        return self.rows(slice(None))
+
+    def rows(self, which) -> np.ndarray:
+        """Rows `which` (a row number, slice or row array) as float64."""
+        return np.asarray(self.payload[which], dtype=np.float64)
 
     def rows_of_class(self, cls: str) -> np.ndarray:
         return np.flatnonzero(self.classes == _CLASS_CODES.get(cls, -1))
@@ -355,14 +421,15 @@ def estimate_root(index: EmbeddingIndex) -> np.ndarray:
     components) for lorentz, the normalized mean of all rows for sphere."""
     if index.count == 0:
         raise ValueError("cannot estimate a root for an empty index")
-    return index.geom.root(index.vectors)
+    return index.geom.root(index.payload)
 
 
 def with_root(index: EmbeddingIndex) -> EmbeddingIndex:
     """Index with a [ROOT] entry appended (no-op if already present).
 
     The existing rows were validated when `index` was built; only the
-    appended row is checked.
+    appended row is checked.  The new index holds a float64 copy of the
+    rows; :func:`traverse` needs no [ROOT] row and no copy.
     """
     if index.root_id is not None:
         return index
@@ -370,7 +437,7 @@ def with_root(index: EmbeddingIndex) -> EmbeddingIndex:
     index.geom.check_rows(root, index.count)
     out = copy.copy(index)   # a frozen dataclass copy; __post_init__ does not run
     for name, value in (
-        ("vectors", np.vstack([index.vectors, root])),
+        ("payload", np.vstack([index.payload, root])),    # float64, as `root` is
         ("labels", index.labels + (("root", ROOT_LABEL),)),
         ("classes", np.append(index.classes, np.int8(_ROOT_CODE))),
         ("root_id", index.count),
@@ -388,7 +455,9 @@ def root_distance_proxy(index: EmbeddingIndex) -> np.ndarray:
 
     lorentz: ||z_space||; sphere: 0.5 * (1 - <z, root>).
     """
-    return index.geom.root_proxy(index.vectors, index.geom.root(index.vectors, index.root_id))
+    geom = index.geom
+    root = geom.root(index.payload, index.root_id)
+    return map_rows(lambda rows: geom.root_proxy(rows, root), index.payload)
 
 
 @dataclass(frozen=True)
@@ -474,7 +543,7 @@ def interpolate_steps(y, index: EmbeddingIndex, steps: int = 50) -> np.ndarray:
     if steps > MAX_TRAVERSE_STEPS:
         raise ValueError(f"need at most {MAX_TRAVERSE_STEPS} interpolation steps, got {steps}")
     y = np.asarray(y, dtype=np.float64)
-    root = index.geom.root(index.vectors, index.root_id)
+    root = index.geom.root(index.payload, index.root_id)
     out = index.geom.interpolate(y, root, np.linspace(0.0, 1.0, steps))
     out[0], out[-1] = y, root
     return out
@@ -492,12 +561,13 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
              cone_boundary: float = entailment.CONE_BOUNDARY) -> TraversalResult:
     """Walk an embedding to [ROOT], retrieving the best text at each step.
 
-    Candidates are [ROOT], which always qualifies, and the texts whose
-    cone holds the step (the space's cone filter): on lorentz, hinge loss
-    <= cone_slack, and no text at a step at the exact origin, where the
-    cone formula is undefined; on the sphere, every text.  Scoring is by
-    the space's inner product.  Ties prefer [ROOT], then the lowest row
-    index.  The walk is scored in blocks of steps of at most
+    Candidates are [ROOT] (the index's root row, else the space's root,
+    so the index needs no [ROOT] row), which always qualifies, and the
+    texts whose cone holds the step (the space's cone filter): on
+    lorentz, hinge loss <= cone_slack, and no text at a step at the exact
+    origin, where the cone formula is undefined; on the sphere, every
+    text.  Scoring is by the space's inner product.  Ties prefer [ROOT],
+    then the lowest row index.  The walk is scored in blocks of steps of at most
     TRAVERSE_BLOCK elements of steps x candidates x dim.  A cone slack
     below 0 or NaN, or a cone boundary that is not finite and positive,
     is a ValueError; an infinite slack keeps every text.
@@ -505,16 +575,20 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
     cone_boundary = entailment.ConeParams(cone_boundary).boundary
     if not cone_slack >= 0.0:
         raise ValueError(f"cone slack must be >= 0, got {cone_slack}")
-    if text_index.root_id is None:
-        raise ValueError("traversal needs an index with a [ROOT] entry")
-    cand = np.concatenate([[text_index.root_id], text_index.rows_of_class("text")])
-    vectors = text_index.vectors[cand]
+    texts = text_index.rows_of_class("text")
+    # [ROOT] is the index's root row, or else the space's root, numbered
+    # as the row `with_root` would append.
+    root_id = text_index.root_id
+    cand = np.concatenate([[text_index.count if root_id is None else root_id], texts])
     geom = text_index.geom
-    block = max(1, TRAVERSE_BLOCK // max(vectors.size, 1))
+    block = max(1, TRAVERSE_BLOCK // max(cand.size * text_index.dim, 1))
     best = []
     # A query too long to lift overflows: one error, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         walk = interpolate_steps(y, text_index, steps=steps)
+        # The root row's vector, or else the walk's last step: the space's root exactly.
+        root = walk[-1] if root_id is None else text_index.rows(root_id)
+        vectors = np.vstack([root, text_index.rows(texts)])
         for first in range(0, steps, block):
             part = walk[first:first + block]
             scores = geom.inner(part, vectors)    # not finite either where a step is not
@@ -524,7 +598,8 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
                 raise ValueError(f"traversal step {first + k} scores non-finite against row {cand[j]}")
             scores[:, 1:][~geom.cone(vectors[1:], part, cone_boundary, cone_slack)] = -np.inf
             best.append(np.argmax(scores, axis=1))   # the first maximum: [ROOT], then the lowest row
-    labels = [text_index.labels[row][1] for row in cand[np.concatenate(best)]]
+    root_label = ROOT_LABEL if root_id is None else text_index.labels[root_id][1]
+    labels = [text_index.labels[cand[j]][1] if j else root_label for j in np.concatenate(best)]
     return TraversalResult(steps=tuple(enumerate(labels)), unique=tuple(dict.fromkeys(labels)))
 
 
@@ -572,7 +647,8 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
         raise ValueError(f"tau must be a finite positive number, got {tau}")
     # A query too long to lift overflows: one error, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = index.geom.inner(index.vectors, np.asarray(query, dtype=np.float64))
+        query = np.asarray(query, dtype=np.float64)
+        scores = map_rows(lambda rows: index.geom.inner(rows, query), index.payload)
         if calibrated:
             z = -index.geom.distance(scores) / tau
             z -= z.max()

@@ -19,11 +19,15 @@ reader keeps the sidecar as bytes (:class:`Labels`): it decodes them once
 only to check that they are UTF-8, finds the rows with one newline scan
 and the class codes with whole-buffer numpy work, and a row's text is
 decoded when it is accessed.  The writer writes those bytes back as they
-are.  Dumps are interchange artifacts: storage is 32-bit, all math
-promotes to 64-bit on load.
+are.  Dumps are interchange artifacts: storage is 32-bit.  The index
+that `read_dump` returns keeps the float32 payload in place, as a view
+of a read-only map of the file, and every query promotes it to 64-bit
+one block of `analysis.ROW_BLOCK` rows at a time, so no float64 copy of
+the whole set is made.  The writer replaces a file by renaming a new one
+over it, so an index keeps the bytes it mapped.
 
 Writes are atomic (temp file + rename) and streamed: `write_dump`
-converts, checks and writes the payload WRITE_BLOCK rows at a time.  A
+converts, checks and writes the payload in those same blocks.  A
 row that float32 cannot hold stops the write, and any dump and labels
 at the path stay as they were.
 """
@@ -31,6 +35,7 @@ at the path stay as they were.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import struct
 from collections.abc import Iterable, Iterator
@@ -38,16 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import EmbeddingIndex, LabelClassError, Labels
+from .analysis import EmbeddingIndex, LabelClassError, Labels, row_blocks
 
 MAGIC = b"HYPB"
 VERSION = 1
 _HEADER = struct.Struct("<4sIBIQd")
 SPACE_CODES = {"lorentz": 0, "sphere": 1}
 SPACE_NAMES = {v: k for k, v in SPACE_CODES.items()}
-# Rows converted to float32 and written at a time (a module constant, not
-# a flag): 8,192 rows of width 16 are 512 KB.
-WRITE_BLOCK = 8192
 
 
 class DumpFormatError(ValueError):
@@ -77,12 +79,12 @@ def atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _float32_blocks(vectors: np.ndarray) -> Iterator[np.ndarray]:
-    """`vectors` as little-endian float32, WRITE_BLOCK rows at a time;
+def _float32_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """`rows` as little-endian float32, in the blocks of `row_blocks`;
     raises ValueError at the first row that float32 cannot hold."""
-    for start in range(0, vectors.shape[0], WRITE_BLOCK):
+    for start, block in row_blocks(rows):
         with np.errstate(over="ignore"):    # what float32 cannot hold becomes inf, refused below
-            block = np.ascontiguousarray(vectors[start:start + WRITE_BLOCK], dtype="<f4")
+            block = np.ascontiguousarray(block, dtype="<f4")
         if not np.isfinite(block).all():
             row = start + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
             raise ValueError(f"row {row} does not fit the dump's float32 storage: "
@@ -101,7 +103,7 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
         row, text = next((i, text) for i, (_, text) in enumerate(index.labels)
                          if "\n" in text or "\r" in text)
         raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
-    atomic_write(path, itertools.chain([header], _float32_blocks(index.vectors)))
+    atomic_write(path, itertools.chain([header], _float32_blocks(index.payload)))
 
     lpath = labels_path(path)
     atomic_write(lpath, [sidecar])
@@ -109,33 +111,31 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
 
 
 def read_dump(path) -> EmbeddingIndex:
-    """Load a dump/labels pair, validating format and invariants."""
+    """Load a dump/labels pair, validating format and invariants.  The
+    index's rows are a view of a read-only map of the file's payload."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise DumpFormatError(
-            f"truncated header: got {len(raw)} bytes, need {_HEADER.size}"
-        )
-    magic, version, space_code, dim, count, curv = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise DumpFormatError(f"bad magic at offset 0: {magic!r}")
-    if version != VERSION:
-        raise DumpFormatError(f"unsupported version {version} at offset 4")
-    if space_code not in SPACE_NAMES:
-        raise DumpFormatError(f"unknown space code {space_code} at offset 8")
-    expected = count * dim * 4
-    got = len(raw) - _HEADER.size
-    if got != expected:
-        raise DumpFormatError(
-            f"payload length mismatch at offset {_HEADER.size}: "
-            f"expected {expected} bytes, found {got}"
-        )
-    with np.errstate(invalid="ignore"):     # a signalling NaN; the row check reports it
-        vectors = (
-            np.frombuffer(raw, dtype="<f4", count=count * dim, offset=_HEADER.size)
-            .astype(np.float64)
-            .reshape(count, dim)
-        )
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise DumpFormatError(
+                f"truncated header: got {len(head)} bytes, need {_HEADER.size}"
+            )
+        magic, version, space_code, dim, count, curv = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise DumpFormatError(f"bad magic at offset 0: {magic!r}")
+        if version != VERSION:
+            raise DumpFormatError(f"unsupported version {version} at offset 4")
+        if space_code not in SPACE_NAMES:
+            raise DumpFormatError(f"unknown space code {space_code} at offset 8")
+        expected = count * dim * 4
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got != expected:
+            raise DumpFormatError(
+                f"payload length mismatch at offset {_HEADER.size}: "
+                f"expected {expected} bytes, found {got}"
+            )
+        raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    vectors = np.frombuffer(raw, dtype="<f4", count=count * dim, offset=_HEADER.size).reshape(count, dim)
 
     lpath = labels_path(path)
     try:

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -18,11 +19,13 @@ from hycone.analysis import (
     retrieve,
     root_distance_proxy,
     root_distance_stats,
+    row_blocks,
     stats_hist_csv,
     stats_summary_csv,
     traverse,
     with_root,
 )
+from hycone.dumpio import read_dump, write_dump
 from hycone.entailment import ConeParams, entailment_loss_pair
 from hycone.hierarchy import MAX_BINS, MAX_TRAVERSE_STEPS
 from hycone.geometry import (
@@ -211,10 +214,16 @@ class TestTraverse:
         assert res.steps[0][1] == "near"
         assert res.unique[-1] == "[ROOT]"
 
-    def test_requires_root_entry(self):
-        idx = lorentz_index([ray_point(1.0)], [("text", "t")])
-        with pytest.raises(ValueError, match="ROOT"):
-            traverse(ray_point(1.0).space, idx)
+    def test_without_root_entry_walks_to_space_root(self):
+        # [ROOT] is the space's root, numbered and named as the row
+        # `with_root` appends, so the index needs no copy with that row.
+        for space in ("lorentz", "sphere"):
+            idx = random_walk_index(space, 7, rooted=False)
+            rooted = with_root(idx)
+            for row in idx.rows_of_class("image"):
+                for slack in (0.0, math.inf):
+                    assert traverse(idx.vectors[row], idx, steps=9, cone_slack=slack) == \
+                        traverse(idx.vectors[row], rooted, steps=9, cone_slack=slack)
 
     def test_cone_slack_relaxes_filter(self):
         t = ray_point(1.5)
@@ -651,10 +660,10 @@ def per_step_traverse(y, index, steps, slack, boundary=0.1):
     return tuple(out)
 
 
-def random_walk_index(space, seed, texts=12, dim=3):
+def random_walk_index(space, seed, texts=12, dim=3, rooted=True):
     """Texts at radii 0.02 to 1, with a duplicate pair and, on lorentz, one
     at the origin; images further out, each near a text's ray; [ROOT]
-    appended."""
+    appended if `rooted`."""
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((texts, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -666,8 +675,8 @@ def random_walk_index(space, seed, texts=12, dim=3):
     pre = np.vstack([pre, near * rng.uniform(1.5, 3.0, (8, 1)) + 0.2 * rng.standard_normal((8, dim))])
     geom = analysis.Lorentz(1.3) if space == "lorentz" else analysis.Sphere()
     labels = [("text", f"t{i}") for i in range(texts)] + [("image", f"i{i}") for i in range(8)]
-    return with_root(EmbeddingIndex(space=space, curvature=geom.c, vectors=geom.lift(pre, 1.0),
-                                    labels=labels))
+    idx = EmbeddingIndex(space=space, curvature=geom.c, vectors=geom.lift(pre, 1.0), labels=labels)
+    return with_root(idx) if rooted else idx
 
 
 class TestOneArrayWalk:
@@ -792,3 +801,130 @@ class TestSpaces:
         for k in range(4):
             np.testing.assert_allclose(space.inner(rows, others[k]), full[:, k],
                                        rtol=1e-12, atol=1e-15)
+
+
+# A small ROW_BLOCK for the tests below: a multiple of 4 rows, as ROW_BLOCK is.
+SMALL_BLOCK = 8
+
+
+def dump_index(tmp_path, space, count, dim, seed=0, edit=None):
+    """An index read back from a dump, so that its rows are the file's
+    float32 payload in place: 5 texts, then images.  `edit` may change
+    the float64 rows before they are written."""
+    rng = np.random.default_rng(seed)
+    geom = analysis.Lorentz(0.8) if space == "lorentz" else analysis.Sphere()
+    rows = geom.lift(rng.standard_normal((count, dim)) * 0.5, 1.0)
+    if edit:
+        edit(rows)
+    labels = [("text", f"t{i}") for i in range(5)] + [("image", f"i{i}") for i in range(count - 5)]
+    path = tmp_path / f"{space}-{count}-{dim}.hypb"
+    write_dump(EmbeddingIndex(space=space, curvature=geom.c, vectors=rows, labels=labels), path)
+    return read_dump(path)
+
+
+def damage_row(path, row, scale):
+    """Multiply row `row` of a dump's payload by `scale` in place."""
+    raw = bytearray(path.read_bytes())
+    dim = struct.unpack_from("<I", raw, 9)[0]
+    at = 29 + row * dim * 4
+    values = np.frombuffer(raw, dtype="<f4", count=dim, offset=at) * np.float32(scale)
+    raw[at:at + dim * 4] = values.astype("<f4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
+class TestRowBlocks:
+    """Queries read an index's rows ROW_BLOCK at a time, each block
+    promoted to float64 on its own; every result equals the one from the
+    whole float64 matrix, bit for bit.  57 rows leave a last block of one
+    row, which joins the block before it; 61 rows leave five."""
+
+    @pytest.mark.parametrize("count, last", [(57, (48, 9)), (61, (56, 5)), (8, (0, 8)), (1, (0, 1))])
+    def test_blocks_cover_the_rows_in_order(self, monkeypatch, count, last):
+        monkeypatch.setattr(analysis, "ROW_BLOCK", SMALL_BLOCK)
+        rows = np.arange(count * 2, dtype=np.float32).reshape(count, 2)
+        blocks = list(row_blocks(rows))
+        assert (blocks[-1][0], len(blocks[-1][1])) == last
+        assert all(b.dtype == np.float64 for _, b in blocks)
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), rows)
+        assert [first for first, _ in blocks] == list(range(0, last[0] + 1, SMALL_BLOCK))
+
+    @pytest.mark.parametrize("space, calibrated", [("lorentz", False), ("lorentz", True), ("sphere", False)])
+    @pytest.mark.parametrize("count", [57, 61])
+    @pytest.mark.parametrize("dim", [3, 16])
+    def test_retrieve_scores(self, tmp_path, monkeypatch, space, calibrated, count, dim):
+        idx = dump_index(tmp_path, space, count, dim)
+        for row in (0, 30, count - 1):
+            q = idx.rows(row)
+            whole = retrieve(q, idx, k=count, calibrated=calibrated)    # one block
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "ROW_BLOCK", SMALL_BLOCK)
+                blocked = retrieve(q, idx, k=count, calibrated=calibrated)
+            assert [(h.row, h.score.hex()) for h in blocked] == [(h.row, h.score.hex()) for h in whole]
+            if not calibrated:
+                scores = np.array([h.score for h in sorted(blocked, key=lambda h: h.row)])
+                assert scores.tobytes() == idx.geom.inner(idx.vectors, q).tobytes()
+
+    @pytest.mark.parametrize("space", ["lorentz", "sphere"])
+    @pytest.mark.parametrize("count", [57, 61])
+    @pytest.mark.parametrize("dim", [3, 16])
+    def test_root_proxies(self, tmp_path, monkeypatch, space, count, dim):
+        idx = dump_index(tmp_path, space, count, dim)
+        want = idx.geom.root_proxy(idx.vectors, estimate_root(idx))
+        monkeypatch.setattr(analysis, "ROW_BLOCK", SMALL_BLOCK)
+        assert root_distance_proxy(idx).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [57, 61, 3001])
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_sphere_root_is_the_float64_mean(self, tmp_path, count, dim):
+        idx = dump_index(tmp_path, "sphere", count, dim)
+        mean = idx.vectors.mean(axis=0)
+        assert idx.payload.dtype == np.float32
+        assert estimate_root(idx).tobytes() == (mean / np.linalg.norm(mean)).tobytes()
+
+    @pytest.mark.parametrize("space", ["lorentz", "sphere"])
+    def test_traverse(self, tmp_path, monkeypatch, space):
+        idx = dump_index(tmp_path, space, 61, 3, seed=4)
+        rooted = with_root(idx)
+        for row in (5, 33, 60):
+            for slack in (0.0, math.inf):
+                want = traverse(idx.vectors[row], rooted, steps=20, cone_slack=slack)
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "ROW_BLOCK", SMALL_BLOCK)
+                    assert traverse(idx.rows(row), idx, steps=20, cone_slack=slack) == want
+
+    @pytest.mark.parametrize("space, scale, message", [
+        ("lorentz", math.nan, "lorentz row 50 has a non-finite component"),
+        ("lorentz", math.inf, "lorentz row 50 has a non-finite component"),
+        ("sphere", math.nan, "sphere row 50 has norm nan, expected 1 within 1e-06"),
+        ("sphere", 1.5, r"sphere row 50 has norm 1\.5000000\d, expected 1 within 1e-06"),
+    ])
+    def test_bad_row_in_a_later_block_is_named(self, tmp_path, monkeypatch, space, scale, message):
+        dump_index(tmp_path, space, 61, 16)
+        path = tmp_path / f"{space}-61-16.hypb"
+        damage_row(path, 50, scale)
+        monkeypatch.setattr(analysis, "ROW_BLOCK", SMALL_BLOCK)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_dump(path)
+
+    @pytest.mark.parametrize("space", ["lorentz", "sphere"])
+    def test_score_ties_across_a_block_boundary_keep_the_lower_row(self, tmp_path, monkeypatch, space):
+        def duplicate(rows):
+            rows[9] = rows[6]
+        idx = dump_index(tmp_path, space, 61, 16, edit=duplicate)
+        monkeypatch.setattr(analysis, "ROW_BLOCK", SMALL_BLOCK)
+        assert [h.row for h in retrieve(idx.rows(6), idx, k=2)] == [6, 9]
+        assert [h.row for h in retrieve(idx.rows(9), idx, k=2)] == [6, 9]
+
+    def test_row_screen_sums_in_float64(self):
+        # float32 rows whose float32 sum would overflow: the screen's
+        # verdict is the same for either storage type.
+        class Rows(np.ndarray):
+            sums = []
+
+            def sum(self, *args, **kwargs):
+                Rows.sums.append(kwargs.get("dtype"))
+                return super().sum(*args, **kwargs)
+
+        rows = np.full((4, 3), 3e38, dtype=np.float32).view(Rows)
+        analysis.Lorentz(1.0).check_rows(rows, 0)
+        assert Rows.sums == [np.float64]

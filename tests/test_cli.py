@@ -2,14 +2,17 @@ import argparse
 import dataclasses
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hycone import analysis, geometry, trainer
 from hycone.analysis import EmbeddingIndex
-from hycone.cli import _config_from_args, build_parser, main
+from hycone.cli import _config_from_args, _json_indent2, build_parser, main
 from hycone.dumpio import read_dump, write_dump
 from hycone.hierarchy import MAX_BINS, MAX_TRAVERSE_STEPS
 from hycone.losses import LossParams
@@ -574,3 +577,62 @@ class TestQueryValidation:
         Path(dump).write_bytes(raw)
         assert main(["stats", "--dump", dump]) == 1
         assert "lorentz row 4 has a non-finite component" in one_error_line(capsys)
+
+
+# JSON payloads: empty and nested lists and dicts, labels with non-ASCII
+# and control characters, ints, bools, None and floats of every
+# magnitude, NaN and the infinities among them.
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """`retrieve` and `classify` print `json.dumps(payload, indent=2)`'s
+    text, written by a faster encoder."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_payloads)
+    def test_equals_json_dumps_indent2(self, obj):
+        assert _json_indent2(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[], {}], {"a": {"b": []}}, [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324],
+        {"label": "t\u00e9\x01\n\"\\", "n": -(2**70), "ok": True, "no": False, "x": None},
+        {"scores": {"\u2603": 1e308, "b": float("nan"), "c": -1.5}},
+    ])
+    def test_edge_payloads(self, obj):
+        assert _json_indent2(obj) == json.dumps(obj, indent=2)
+
+    def test_unsupported_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _json_indent2({"a": {1, 2}})
+
+
+class TestQueryMemory:
+    """`stats`, `retrieve` and `traverse` read a dump's float32 payload in
+    place, one block of rows at a time: none of them makes a float64 copy
+    of the whole set (before this, each one's traced peak was over twice
+    that copy's size)."""
+
+    def test_traced_peak_is_below_the_float64_matrix(self, tmp_path, capsys):
+        count, dim = 50_000, 16
+        rng = np.random.default_rng(8)
+        labels = [("text", f"t{i}") for i in range(20)] + [("image", f"i{i}") for i in range(count - 20)]
+        write_dump(EmbeddingIndex(space="lorentz", curvature=1.0, labels=labels,
+                                  vectors=rng.standard_normal((count, dim)) * 0.3), tmp_path / "m.hypb")
+        dump = str(tmp_path / "m.hypb")
+        for argv in (["retrieve", "--dump", dump, "--row", "100"],
+                     ["retrieve", "--dump", dump, "--row", "100", "--calibrated"],
+                     ["stats", "--dump", dump],
+                     ["traverse", "--dump", dump, "--row", "100"]):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert peak < count * dim * 8, (argv, peak)

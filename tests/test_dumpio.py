@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hycone import dumpio
+from hycone import analysis, dumpio
 from hycone.analysis import LABEL_CLASSES, EmbeddingIndex
 from hycone.dumpio import DumpFormatError, atomic_write, labels_path, read_dump, write_dump
 
@@ -64,7 +64,7 @@ class TestRoundtrip:
 
 
 class TestBlockedWrite:
-    """`write_dump` converts and writes WRITE_BLOCK rows at a time."""
+    """`write_dump` converts and writes analysis.ROW_BLOCK rows at a time."""
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     @pytest.mark.parametrize("count", [0, 1, 2, 6, 7, 8, 13, 14, 15, 21])
@@ -72,7 +72,7 @@ class TestBlockedWrite:
         rng = np.random.default_rng(count)
         vecs = rng.standard_normal((count, 5)) * 10.0 ** rng.integers(-40, 38, (count, 5))
         idx = lorentz_index(vecs, [("image", f"i{i}") for i in range(count)], c=0.5)
-        monkeypatch.setattr(dumpio, "WRITE_BLOCK", block)
+        monkeypatch.setattr(analysis, "ROW_BLOCK", block)
         path, lpath = write_dump(idx, tmp_path / "d.hypb")
         header = dumpio._HEADER.pack(b"HYPB", 1, 0, 5, count, 0.5)
         assert path.read_bytes() == header + vecs.astype("<f4").tobytes()
@@ -81,7 +81,7 @@ class TestBlockedWrite:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_row_beyond_float32_in_a_late_block(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(dumpio, "WRITE_BLOCK", block)
+        monkeypatch.setattr(analysis, "ROW_BLOCK", block)
         vecs = np.zeros((20, 3))
         vecs[17, 2] = -1e39
         big = lorentz_index(vecs, [("text", f"t{i}") for i in range(20)])

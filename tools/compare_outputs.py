@@ -32,6 +32,11 @@ set:
   from the first text row), `retrieve` (raw and `--calibrated`) and
   `classify` (against a fixed random prompt set, with the dump's own
   checkpoint);
+- the stdout of `stats` and `retrieve` on damaged copies of the Lorentz
+  and sphere 200,021-row dumps, one with a NaN in row DAMAGED_ROW and, for
+  the sphere, one with that row off the unit norm: the row is past the
+  first block of rows that an index reads, so these outputs show the
+  messages that checking rows block by block could renumber;
 - `gradcheck` stdout at the default flags and at `--points 3 --seeds 2`.
 
 Each output gets one line: its SHA-256 prefix and `same`, or both
@@ -72,6 +77,11 @@ TRAIN_FILES = ("checkpoint.bin", "curve.csv", "embeddings.hypb", "embeddings.lab
 BIG_HELD_OUT = 3125
 BIG_EMBEDS = {"embed-200k": "ref-lorentz", "embed-200k-sphere": "ref-sphere",
               "embed-200k-hidden-8": "hidden-8"}
+# Damaged copies of the big dumps: (dump, damage) per copy, at one row
+# past the first 8,192-row block.
+DAMAGED = {"damaged-nan": ("embed-200k", "nan"), "damaged-nan-sphere": ("embed-200k-sphere", "nan"),
+           "damaged-norm-sphere": ("embed-200k-sphere", "norm")}
+DAMAGED_ROW = 100_003
 GRADCHECK_RUNS = {"gradcheck": [], "gradcheck-small": ["--points", "3", "--seeds", "2"]}
 DUMP_HEADER = struct.Struct("<4sIBIQd")     # magic, version, space, dim, count, curvature
 PROMPT_CLASSES, PROMPTS_PER_CLASS, PROMPT_DIM = 3, 4, 16
@@ -145,6 +155,30 @@ def dump_count(path: Path) -> int:
     return DUMP_HEADER.unpack(head)[4] if len(head) == DUMP_HEADER.size else 0
 
 
+def write_damaged(work: Path, name: str, source: str, damage: str) -> None:
+    """A copy of dump `source` and its labels whose row DAMAGED_ROW holds
+    a NaN (`damage` "nan") or is scaled by 1.5 ("norm").  Nothing is
+    written when the source is missing or short, so the commands on the
+    copy record that."""
+    try:
+        raw = bytearray((work / f"{source}.hypb").read_bytes())
+        labels = (work / f"{source}.labels").read_bytes()
+    except OSError:
+        return
+    if dump_count(work / f"{source}.hypb") <= DAMAGED_ROW:
+        return
+    dim = DUMP_HEADER.unpack_from(raw)[3]
+    at = DUMP_HEADER.size + DAMAGED_ROW * dim * 4
+    row = np.frombuffer(raw, dtype="<f4", count=dim, offset=at).copy()
+    if damage == "nan":
+        row[0] = np.nan
+    else:
+        row *= np.float32(1.5)
+    raw[at:at + dim * 4] = row.tobytes()
+    (work / f"{name}.hypb").write_bytes(bytes(raw))
+    (work / f"{name}.labels").write_bytes(labels)
+
+
 def analyse(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) -> None:
     """The README's analysis commands on one dump, from two image rows
     (the last row and the middle one; images follow the text rows) and
@@ -182,6 +216,10 @@ def run_side(side: Side, prompts: Path) -> None:
         analyse(side, name, f"{name}/embeddings.hypb", f"{name}/checkpoint.bin", prompts)
     for name, run in BIG_EMBEDS.items():
         analyse(side, name, f"{name}.hypb", f"{run}/checkpoint.bin", prompts)
+    for name, (source, damage) in DAMAGED.items():
+        write_damaged(side.work, name, source, damage)
+        side.cli(f"{name}/stats", "stats", "--dump", f"{name}.hypb")
+        side.cli(f"{name}/retrieve", "retrieve", "--dump", f"{name}.hypb", "--row", 0, "--k", 5)
     for name, flags in GRADCHECK_RUNS.items():
         side.cli(name, "gradcheck", *flags)
 
