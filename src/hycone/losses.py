@@ -20,6 +20,7 @@ stays the oracle it is checked against (`gradcheck`).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,18 +220,40 @@ def objective(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_sca
 # keeps its Taylor branch, NORM_FLOOR / SQRT_FLOOR zero what they floor),
 # and under the same numpy and BLAS the result is the tape's to the bit.
 # Adjoints of the scalars are summed axis by axis, as the tape reduces them.
+#
+# Equal bits in fewer calls: ufuncs and their `reduce` are called directly
+# (no `np.sum`/`np.max`/`np.clip` wrappers); the learnable scalars are
+# Python floats, never a divisor that can be 0; no sum is reordered, and a
+# negation is dropped only where rounding's sign symmetry cancels it.  A
+# (B, n) adjoint that may arrive transposed is not updated in place: a new
+# array takes its layout from its operands, and the layout decides the
+# order of a later row or column sum.
+
+
+def inv_temp_read(log_inv_temp) -> tuple[float, float]:
+    """(exp(log_inv_temp), `clamped_inv_temp(log_inv_temp)`) as Python
+    floats, from one `np.exp`; `min` gives `np.clip`'s value, NaN included."""
+    e = float(np.exp(log_inv_temp))
+    return e, min(e, INV_TEMP_MAX)
+
+
+def curv_read(log_curv) -> tuple[float, float]:
+    """(exp(log_curv), `clamped_curv(log_curv)`) as Python floats, from one
+    `np.exp`; `min` and `max` give `np.clip`'s value, NaN included."""
+    e = float(np.exp(log_curv))
+    return e, min(max(e, CURV_MIN), CURV_MAX)
 
 
 def _total(x):
     """Sum to a scalar one axis at a time, as the tape reduces a
     broadcast scalar's adjoint."""
-    return x.sum(axis=0).sum(axis=0)
+    return np.add.reduce(np.add.reduce(x, axis=0), axis=0)
 
 
 def _safe_norm(rows):
     """`geometry.safe_norm` of rows: (norm (B, 1), unclamped mask (B, 1))."""
-    sq = np.sum(rows * rows, axis=-1, keepdims=True)
-    return np.sqrt(np.clip(sq, NORM_FLOOR, None)), sq > NORM_FLOOR
+    sq = np.add.reduce(rows * rows, axis=-1, keepdims=True)
+    return np.sqrt(np.maximum(sq, NORM_FLOOR)), sq > NORM_FLOOR
 
 
 def _norm_adjoint(g_norm, norm, unclamped):
@@ -243,13 +266,13 @@ class _Lift:
     """`lift_rows` forward, keeping what its backward needs."""
 
     def __init__(self, rows, log_scale, c, sqrt_c):
-        self.rows, self.scale = rows, np.exp(log_scale)
+        self.rows, self.scale = rows, float(np.exp(log_scale))
         self.v = rows * self.scale
         self.norm, self.unclamped = _safe_norm(self.v)
         self.t = sqrt_c * self.norm
         self.k = sinhc_kernel(self.t)
         self.sp = self.k * self.v
-        self.time = np.sqrt(np.sum(self.sp * self.sp, axis=-1, keepdims=True) + 1.0 / c)
+        self.time = np.sqrt(np.add.reduce(self.sp * self.sp, axis=-1, keepdims=True) + 1.0 / c)
 
     def backward(self, g_sp, g_time, c, sqrt_c):
         """(d rows, d log_scale, [d c through 1/c, d c through sqrt(c)]),
@@ -259,7 +282,7 @@ class _Lift:
         g_c_inv = -_total(g_u) / (c * c)
         q = g_u * self.sp
         g_sp = (g_sp + q) + q
-        g_t = np.sum(g_sp * self.v, axis=-1, keepdims=True) * dsinhc_kernel(self.t)
+        g_t = np.add.reduce(g_sp * self.v, axis=-1, keepdims=True) * dsinhc_kernel(self.t)
         g_c_sqrt = _total(g_t * self.norm) * 0.5 / sqrt_c
         q = _norm_adjoint(g_t * sqrt_c, self.norm, self.unclamped) * self.v
         g_v = (g_sp * self.k + q) + q
@@ -272,43 +295,44 @@ class _Hinge:
 
     def __init__(self, x_sp, x_t, y_sp, y_t, c, sqrt_c, boundary):
         self.x_sp, self.x_t, self.y_sp, self.y_t = x_sp, x_t, y_sp, y_t
-        self.ip = np.sum(x_sp * y_sp, axis=-1, keepdims=True) - x_t * y_t
+        self.ip = np.add.reduce(x_sp * y_sp, axis=-1, keepdims=True) - x_t * y_t
         self.cip = c * self.ip
         self.num = y_t + x_t * self.cip
         self.nx, self.nx_unclamped = _safe_norm(x_sp)
         self.r_arg = self.cip * self.cip - 1.0
-        self.r = np.sqrt(np.clip(self.r_arg, SQRT_FLOOR, None))
+        self.r = np.sqrt(np.maximum(self.r_arg, SQRT_FLOOR))
         self.den = self.nx * self.r
         self.q = self.num / self.den
-        self.ratio = np.clip(self.q, -1.0 + ANGLE_EPS, 1.0 - ANGLE_EPS)
+        self.ratio = np.minimum(np.maximum(self.q, -1.0 + ANGLE_EPS), 1.0 - ANGLE_EPS)
         self.a_den = sqrt_c * self.nx
         self.a = (2.0 * boundary) / self.a_den
-        self.a_cl = np.clip(self.a, None, 1.0 - ANGLE_EPS)
+        self.a_cl = np.minimum(self.a, 1.0 - ANGLE_EPS)
         self.z = np.arccos(self.ratio) - np.arcsin(self.a_cl)
-        self.total = np.sum(np.maximum(self.z, 0.0))
+        self.total = np.add.reduce(np.maximum(self.z, 0.0), axis=None)
         self.boundary = boundary
 
     def backward(self, g_h, c, sqrt_c):
         """Adjoints (x_sp, x_t, y_sp, y_t, [c through sqrt(c), c through
         c * ip]) of g_h times the row sum."""
-        g_z = g_h * (self.z > 0.0)
-        g_a_cl = -g_z / np.sqrt(np.maximum(1.0 - self.a_cl * self.a_cl, 1e-16))
+        neg_g_z = -g_h * (self.z > 0.0)        # -(g_z), negated once for both uses
+        g_a_cl = neg_g_z / np.sqrt(np.maximum(1.0 - self.a_cl * self.a_cl, 1e-16))
         g_a = g_a_cl * (self.a < 1.0 - ANGLE_EPS)
-        g_a_den = -g_a * (2.0 * self.boundary) / (self.a_den * self.a_den)
+        g_a_den = g_a * -(2.0 * self.boundary) / (self.a_den * self.a_den)
         g_c_sqrt = _total(g_a_den * self.nx) * 0.5 / sqrt_c
         qa = _norm_adjoint(g_a_den * sqrt_c, self.nx, self.nx_unclamped) * self.x_sp
         in_range = (self.q > -1.0 + ANGLE_EPS) & (self.q < 1.0 - ANGLE_EPS)
-        g_q = -g_z / np.sqrt(np.maximum(1.0 - self.ratio * self.ratio, 1e-16)) * in_range
+        g_q = neg_g_z / np.sqrt(np.maximum(1.0 - self.ratio * self.ratio, 1e-16)) * in_range
         g_num = g_q / self.den
         g_den = -g_q * self.num / (self.den * self.den)
         g_rr = g_den * self.nx * 0.5 / self.r * (self.r_arg > SQRT_FLOOR)
         qe = _norm_adjoint(g_den * self.r, self.nx, self.nx_unclamped) * self.x_sp
-        g_cip = (g_rr * self.cip + g_rr * self.cip) + g_num * self.x_t
+        g_cip = g_rr * self.cip
+        g_cip = (g_cip + g_cip) + g_num * self.x_t
         g_ip = g_cip * c
-        g_pm = -g_ip
         g_x_sp = (((qa + qa) + qe) + qe) + g_ip * self.y_sp
-        g_x_t = g_num * self.cip + g_pm * self.y_t
-        g_y_t = g_num + g_pm * self.x_t
+        # a + (-g_ip) * b == a - g_ip * b, as rounding is sign-symmetric
+        g_x_t = g_num * self.cip - g_ip * self.y_t
+        g_y_t = g_num - g_ip * self.x_t
         return g_x_sp, g_x_t, g_ip * self.x_sp, g_y_t, [g_c_sqrt, _total(g_cip * self.ip)]
 
 
@@ -324,26 +348,29 @@ def _contrastive_grad(logits, work):
     """
     b = logits.shape[0]
     w = 0.5 / b
-    mx_r = np.max(logits, axis=1, keepdims=True)
-    mx_c = np.max(logits, axis=0, keepdims=True)
+    mx_r = np.maximum.reduce(logits, axis=1, keepdims=True)
+    mx_c = np.maximum.reduce(logits, axis=0, keepdims=True)
     g_r = np.exp(np.subtract(logits, mx_r, out=work), out=work)
-    lse_r = np.log(np.sum(g_r, axis=1)) + mx_r[:, 0]
-    lse_c = np.log(np.sum(np.exp(np.subtract(logits, mx_c, out=g_r), out=g_r), axis=0)) + mx_c[0]
+    lse_r = np.log(np.add.reduce(g_r, axis=1)) + mx_r[:, 0]
+    np.exp(np.subtract(logits, mx_c, out=g_r), out=g_r)
+    lse_c = np.log(np.add.reduce(g_r, axis=0)) + mx_c[0]
     diag = np.diagonal(logits)
-    cont = 0.5 * (np.sum(lse_r - diag) / b + np.sum(lse_c - diag) / b)
+    cont = 0.5 * (np.add.reduce(lse_r - diag) / b + np.add.reduce(lse_c - diag) / b)
     g_r = np.exp(np.subtract(logits, lse_r[:, None], out=g_r), out=g_r)
     g_r *= w
     g = np.exp(np.subtract(logits, lse_c, out=logits), out=logits)
     g *= w
-    g_diag = ((np.diagonal(g) - w) - w) + np.diagonal(g_r)
+    # The diagonal's adjoint is ((g - w) - w) + g_r, as the tape adds it.
+    g_diag = g.reshape(-1, copy=False)[::b + 1]
+    g_diag -= w
+    g_diag -= w
     g += g_r
-    np.fill_diagonal(g, g_diag)
     return float(cont), g
 
 
 def _normalize_grad(g_n, rows, norm, unclamped):
     """Gradient w.r.t. rows of rows / safe_norm(rows)."""
-    g_norm = np.sum(-g_n * rows / (norm * norm), axis=-1, keepdims=True)
+    g_norm = np.add.reduce(-g_n * rows / (norm * norm), axis=-1, keepdims=True)
     q = _norm_adjoint(g_norm, norm, unclamped) * rows
     return (g_n / norm + q) + q
 
@@ -381,8 +408,7 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
     if workspace is None:
         workspace = objective_workspace(img_rows.shape[0])
     inner, neg_ic, acosh, sim, logits, tmp = workspace
-    e_it = np.exp(np.asarray(log_inv_temp, dtype=np.float64))
-    inv_temp = np.clip(e_it, None, INV_TEMP_MAX)
+    e_it, inv_temp = inv_temp_read(log_inv_temp)
     grads = dict.fromkeys(("log_curv", "log_scale_img", "log_scale_txt"), 0.0)
 
     if mode is SimilarityMode.COSINE:
@@ -397,9 +423,8 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
         grads["txt_rows"] = _normalize_grad((img_n.T @ g).T, txt_rows, txt_norm, txt_unclamped)
         return cont, cont, 0.0, grads
 
-    e_c = np.exp(np.asarray(log_curv, dtype=np.float64))
-    c = np.clip(e_c, CURV_MIN, CURV_MAX)
-    sqrt_c = np.sqrt(c)
+    e_c, c = curv_read(log_curv)
+    sqrt_c = math.sqrt(c)
     img, txt = _Lift(img_rows, log_scale_img, c, sqrt_c), _Lift(txt_rows, log_scale_txt, c, sqrt_c)
     # times as an outer product: one rounding per entry, as the tape's (B, 1) @ (1, B)
     np.matmul(img.sp, txt.sp.T, out=inner)
@@ -422,14 +447,15 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
         np.multiply(g, acosh, out=tmp)
         tmp /= sqrt_c * sqrt_c
         sim_c.append(_total(tmp) * 0.5 / sqrt_c)
-        g /= -sqrt_c
+        # The tape divides by -sqrt(c) and negates after the mask; both
+        # negations cancel to the bit.
+        g /= sqrt_c
         # max(max(x, 1), 1 + ACOSH_EPS) == max(x, 1 + ACOSH_EPS)
         np.maximum(neg_ic, 1.0 + ACOSH_EPS, out=tmp)
         np.square(tmp, out=tmp)
         tmp -= 1.0
         g /= np.sqrt(tmp, out=tmp)
         g *= neg_ic > 1.0
-        np.negative(g, out=g)
         sim_c.append(_total(np.multiply(g, inner, out=tmp)))
         g *= c
     # The times enter `inner` negated; -(g @ t) == (-g) @ t, as rounding is sign-symmetric.
@@ -454,7 +480,7 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
     for term in c_terms[1:]:
         g_c = g_c + term
     grads["log_inv_temp"] = g_inv_temp * (e_it < INV_TEMP_MAX) * e_it
-    grads["log_curv"] = g_c * ((e_c > CURV_MIN) & (e_c < CURV_MAX)) * e_c
+    grads["log_curv"] = g_c * (CURV_MIN < e_c < CURV_MAX) * e_c
     return total, cont, ent, grads
 
 

@@ -44,7 +44,8 @@ from .losses import (
     LossParams,
     SimilarityMode,
     clamped_curv,
-    clamped_inv_temp,
+    curv_read,
+    inv_temp_read,
     objective,  # noqa: F401  the tape oracle's step objective; bench/spec.py traces it here
     objective_grad,
     objective_workspace,
@@ -293,7 +294,7 @@ def adamw_step(params, grads, state: AdamState, lr: float,
     for k, sl in zip(layout.names, layout.slices):
         g[sl] = np.ravel(grads[k])
     finite = np.isfinite(g)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         bad = int(np.argmin(finite))
         name = next(k for k, sl in zip(layout.names, layout.slices) if bad < sl.stop)
         raise ValueError(f"non-finite gradient for parameter {name!r}")
@@ -301,12 +302,24 @@ def adamw_step(params, grads, state: AdamState, lr: float,
     b1, b2 = ADAM_BETAS
     t = state.step + 1
     p0 = params.flat
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    p = p0 - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    np.subtract(p, lr * weight_decay * p0, out=p, where=layout.decay)
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+    # p = p0 - lr m_hat / (sqrt(v_hat) + eps) - lr wd p0 (decayed tensors):
+    # each product and quotient in that order, into buffers of this call.
+    tmp = np.multiply(g, 1.0 - b1)
+    m = np.multiply(state.m, b1)
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v = np.multiply(state.v, b2)
+    v += tmp
+    np.divide(v, 1.0 - b2**t, out=tmp)
+    tmp = np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    upd = np.divide(m, 1.0 - b1**t, out=g)
+    upd *= lr
+    upd /= tmp
+    p = np.subtract(p0, upd)
+    np.subtract(p, np.multiply(p0, lr * weight_decay, out=tmp), out=p, where=layout.decay)
     return ParamVector(layout, p), AdamState(step=t, m=m, v=v)
 
 
@@ -368,32 +381,31 @@ def train_step(params: ParamVector, state: AdamState, batch: PairBatch,
     (`losses.objective_workspace`); without one the step allocates its own.
     """
     lam = config.trained_entail_weight
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):   # runaway params surface as divergence
         img_rows = encoder_forward(params, batch.image_latents, "img", config.hidden_dim)
         txt_rows = encoder_forward(params, batch.text_latents, "txt", config.hidden_dim)
         (total, cont, ent), grads = _closed_form_gradients(
             params, batch, config, lam, img_rows, txt_rows, workspace
         )
-    if not np.isfinite(total):
-        raise DivergenceError(f"non-finite loss at step {step}")
-
-    lr = lr_at(step, config)
-    with np.errstate(all="ignore"):   # runaway params surface as divergence
+        if not math.isfinite(total):
+            raise DivergenceError(f"non-finite loss at step {step}")
+        lr = lr_at(step, config)
         try:
             params, state = adamw_step(params, grads, state, lr, weight_decay=config.weight_decay)
         except ValueError as exc:     # a non-finite gradient of a finite loss
             raise DivergenceError(f"{exc} at step {step}") from None
 
-    inv_t = float(np.asarray(clamped_inv_temp(params["log_inv_temp"])))
+    e_it, inv_t = inv_temp_read(params["log_inv_temp"])
+    e_c, c = curv_read(params["log_curv"])
     metrics = {
         "contrastive": cont,
         "entailment": ent,
         "total": total,
         "lr": lr,
         "tau": 1.0 / inv_t if inv_t > 0.0 else float("inf"),
-        "c": float(np.asarray(clamped_curv(params["log_curv"]))),
-        "tau_clamped": float(np.exp(params["log_inv_temp"])) > INV_TEMP_MAX,
-        "curv_clamped": not (CURV_MIN <= float(np.exp(params["log_curv"])) <= CURV_MAX),
+        "c": c,
+        "tau_clamped": e_it > INV_TEMP_MAX,
+        "curv_clamped": not (CURV_MIN <= e_c <= CURV_MAX),
     }
     return params, state, metrics
 

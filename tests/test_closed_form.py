@@ -1,6 +1,7 @@
 """The closed-form objective gradient the trainer runs, against the reverse
 tape that stays its oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,11 @@ import pytest
 from hycone import autodiff as ad
 from hycone import trainer
 from hycone.autodiff import Tape
+from hycone.geometry import CURV_MAX, CURV_MIN
 from hycone.hierarchy import PairSampler, generate_tree
-from hycone.losses import SimilarityMode, objective_grad, objective_workspace
+from hycone.losses import (
+    INV_TEMP_MAX, SimilarityMode, objective, objective_grad, objective_workspace,
+)
 from hycone.trainer import (
     AdamState, ParamVector, TrainConfig, encoder_forward, init_tensors, train, train_step,
 )
@@ -49,7 +53,7 @@ def tape_gradients(params, batch, cfg, lam):
     return tuple(float(np.asarray(ad.value_of(x))) for x in terms), grads
 
 
-@pytest.mark.parametrize("batch_size", [4, 64])
+@pytest.mark.parametrize("batch_size", [3, 4, 64])
 @pytest.mark.parametrize("hidden_dim", [0, 8])
 @pytest.mark.parametrize("lam", [0.0, 0.2])
 @pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
@@ -66,10 +70,12 @@ def test_step_gradient_matches_tape(mode, lam, hidden_dim, batch_size):
 
     tape_terms, tape_grads = tape_gradients(params, batch, cfg, lam)
     terms, grads = trainer._closed_form_gradients(params, batch, cfg, lam, img_rows, txt_rows)
-    np.testing.assert_allclose(terms, tape_terms, rtol=1e-12, atol=0)
+    # To the bit: the layout of each returned row gradient, which decides
+    # the order of the encoder's sums, must be the tape's too.
+    assert terms == tape_terms
     assert sorted(grads) == sorted(tape_grads)
     for k, g in tape_grads.items():
-        np.testing.assert_allclose(grads[k], g, rtol=1e-10, atol=1e-15, err_msg=k)
+        np.testing.assert_array_equal(grads[k], g, err_msg=k)
 
 
 @pytest.mark.parametrize("extra", [
@@ -151,6 +157,56 @@ def assert_same_bits(a, b):
             assert np.array_equal(a[3][k], b[3][k]), k
         else:
             assert float.hex(float(a[3][k])) == float.hex(float(b[3][k])), k
+
+
+def _ulp(x, direction):
+    return float(np.nextafter(x, direction))
+
+
+LOG_TAU_MAX, LOG_C_MIN, LOG_C_MAX = map(math.log, (INV_TEMP_MAX, CURV_MIN, CURV_MAX))
+# Scalar values on and around each clamp: exp(log 100) and exp(log 10)
+# round just above their bound and exp(log 0.1) just above its, so each
+# bound is probed at its log, one ulp to either side, and well past it.
+CLAMP_EDGES = {
+    "tau-at": ("log_inv_temp", LOG_TAU_MAX),
+    "tau-past": ("log_inv_temp", LOG_TAU_MAX + 1.0),
+    "tau-ulp-inside": ("log_inv_temp", _ulp(LOG_TAU_MAX, -np.inf)),
+    **{f"curv-{bound}-{where}": ("log_curv", value)
+       for bound, log_c, inside in (("min", LOG_C_MIN, np.inf), ("max", LOG_C_MAX, -np.inf))
+       for where, value in (("at", log_c),
+                            ("ulp-inside", _ulp(log_c, inside)),
+                            ("ulp-outside", _ulp(log_c, -inside)),
+                            ("inside", log_c + math.copysign(0.5, inside)),
+                            ("outside", log_c - math.copysign(0.5, inside)))},
+}
+
+
+@pytest.mark.parametrize("edge", list(CLAMP_EDGES))
+@pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
+def test_clamp_edges_equal_tape(mode, edge):
+    # The other tests move the scalars 0.05 off their initial values, where
+    # no clamp is hit; here tau and c sit on, beside and past their clamps,
+    # where the closed form's Python-float clamps and masks must give the
+    # tape's (np.clip, strict-inequality mask) bits.
+    name, value = CLAMP_EDGES[edge]
+    inputs = objective_inputs(mode, 8, seed=4)
+    inputs[2 + ("log_inv_temp", "log_curv").index(name)] = np.asarray(value)
+    kw = dict(mode=mode, entail_weight=0.2, cone_boundary=0.1)
+    tape = Tape()
+    tvars = [tape.var(np.asarray(x, dtype=np.float64)) for x in inputs]
+    terms = objective(*tvars, **kw)
+    by_id = tape.backward(terms[0])
+    total, cont, ent, grads = objective_grad(*inputs, **kw)
+
+    assert [total, cont, ent] == [float(np.asarray(ad.value_of(t))) for t in terms]
+    names = ("img_rows", "txt_rows", "log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")
+    for k, v in zip(names, tvars):
+        np.testing.assert_array_equal(grads[k], by_id[v.idx], err_msg=k)
+    e = float(np.exp(value))
+    if name == "log_inv_temp":
+        assert (grads[name] == 0.0) == (e > INV_TEMP_MAX)
+    elif mode is not SimilarityMode.COSINE:
+        assert (grads[name] == 0.0) == (not CURV_MIN < e < CURV_MAX)
 
 
 @pytest.mark.parametrize("batch_size", [4, 64])

@@ -196,6 +196,42 @@ class TestFlatAdamW:
             assert params["log_curv"].tobytes() == init["log_curv"].tobytes()
             assert moments[0]["log_curv"] == 0.0 and moments[1]["log_curv"] == 0.0
 
+    @pytest.mark.parametrize("moments", ["zero", "random"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.2])
+    def test_bits_of_textbook_update_and_inputs_untouched(self, moments, weight_decay):
+        rng = np.random.default_rng([17, weight_decay > 0, moments == "random"])
+        tensors = {"a_w": rng.standard_normal((5, 3)), "b": rng.standard_normal(3),
+                   "c": np.asarray(rng.standard_normal())}     # decays a_w only
+        params = ParamVector.of(tensors)
+        grads = {k: rng.standard_normal(np.shape(v)) * 10.0 ** rng.integers(-6, 3)
+                 for k, v in tensors.items()}
+        if moments == "zero":
+            state = AdamState.zeros(params)
+        else:
+            n = params.flat.size
+            state = AdamState(step=6, m=rng.standard_normal(n), v=rng.random(n) * 1e-2)
+        ref_m = dict(ParamVector(params.layout, state.m))
+        ref_v = dict(ParamVector(params.layout, state.v))
+        kept = [a.copy() for a in (params.flat, state.m, state.v)]
+        kept_grads = {k: g.copy() for k, g in grads.items()}
+
+        new, new_state = adamw_step(params, grads, state, lr=3e-4, weight_decay=weight_decay)
+        ref, ref_m, ref_v = dict_adamw_step(tensors, grads, ref_m, ref_v, state.step + 1, 3e-4,
+                                            trainer.ADAM_BETAS, weight_decay, trainer.ADAM_EPS)
+        assert new_state.step == state.step + 1
+        for k in tensors:
+            assert new[k].tobytes() == ref[k].tobytes(), k
+            assert ParamVector(params.layout, new_state.m)[k].tobytes() == ref_m[k].tobytes(), k
+            assert ParamVector(params.layout, new_state.v)[k].tobytes() == ref_v[k].tobytes(), k
+        # The update writes only into arrays of its own.
+        for before, after in zip(kept, (params.flat, state.m, state.v)):
+            assert before.tobytes() == after.tobytes()
+        for k, g in grads.items():
+            assert g.tobytes() == kept_grads[k].tobytes(), k
+        for out in (new.flat, new_state.m, new_state.v):
+            for arr in (params.flat, state.m, state.v, *grads.values()):
+                assert not np.shares_memory(out, arr)
+
     def test_views_share_one_vector(self):
         params = ParamVector.of(init_tensors(TrainConfig(**TINY)))
         assert list(params) == sorted(params)

@@ -11,9 +11,12 @@ set:
 - `checkpoint.bin`, `curve.csv`, `embeddings.hypb`, `embeddings.labels`
   and the `train` stdout of the seed-7 Lorentz and sphere references,
   `--no-entailment`, `--fixed-curvature`, `--hidden-dim 8`,
-  `--inner-product-logits`, the benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6)
-  and a depth-8, branching-4 run, whose 21,845 texts make a traversal
-  score its walk in several blocks;
+  `--inner-product-logits`, `--space sphere --hidden-dim 8` (the cosine
+  closed form under a hidden layer), `--batch-size 3` (row and column
+  sums shorter than numpy's 8-element unrolled reduction), the
+  benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6) and
+  a depth-8, branching-4 run, whose 21,845 texts make a traversal score
+  its walk in several blocks;
 - each of those checkpoints' bytes after its config JSON, as
   `<run>/checkpoint.tensors`: its tensors and metadata, so a change to the
   config JSON alone reads `checkpoint.bin DIFFERS` beside
@@ -66,6 +69,8 @@ TRAIN_RUNS = {
     "fixed-curvature": ["--fixed-curvature"],
     "hidden-8": ["--hidden-dim", "8"],
     "inner-product": ["--inner-product-logits"],
+    "sphere-hidden-8": ["--space", "sphere", "--hidden-dim", "8"],
+    "batch-3": ["--batch-size", "3"],
     "wide": ["--batch-size", "1024", "--hidden-dim", "64", "--depth", "4", "--branching", "6",
              "--steps", "40", "--warmup", "4"],
     "deep": ["--depth", "8", "--branching", "4", "--steps", "20", "--warmup", "2",
