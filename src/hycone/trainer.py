@@ -313,7 +313,7 @@ def adamw_step(params, grads, state: AdamState, lr: float,
     v = np.multiply(state.v, b2)
     v += tmp
     np.divide(v, 1.0 - b2**t, out=tmp)
-    tmp = np.sqrt(tmp, out=tmp)
+    np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
     upd = np.divide(m, 1.0 - b1**t, out=g)
     upd *= lr
