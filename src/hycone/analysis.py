@@ -34,7 +34,6 @@ it.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -349,21 +348,21 @@ def space_of(name: str, curvature: float | None = None) -> Lorentz | Sphere:
     raise ValueError(f"unknown space {name!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class EmbeddingIndex:
     """Labelled rows of one space.  Built from `vectors` (N x n space
     components) and `labels`; float32 rows are kept as they are, without
     a copy, and any other rows as float64.  Queries read the rows through
     :func:`row_blocks`; :attr:`vectors` is the whole set as float64, made
-    anew on each access."""
+    anew on each access.  Indexes compare and hash by identity."""
 
     space: str                        # "lorentz" | "sphere"
     curvature: float | None           # lorentz only; set to None on the sphere
     payload: np.ndarray = field(repr=False)   # N x n rows as stored: float32 or float64
     labels: Labels                    # (class, text) per row; pairs are converted
     root_id: int | None               # the first row of class "root", if any
-    classes: np.ndarray = field(repr=False, compare=False)  # codes into LABEL_CLASSES
-    geom: Lorentz | Sphere = field(repr=False, compare=False)  # space_of(space, curvature)
+    classes: np.ndarray = field(repr=False)   # codes into LABEL_CLASSES
+    geom: Lorentz | Sphere = field(repr=False)   # space_of(space, curvature)
 
     def __init__(self, space: str, curvature: float | None, vectors, labels):
         for name, value in (("space", space), ("curvature", curvature),
@@ -427,23 +426,15 @@ def estimate_root(index: EmbeddingIndex) -> np.ndarray:
 def with_root(index: EmbeddingIndex) -> EmbeddingIndex:
     """Index with a [ROOT] entry appended (no-op if already present).
 
-    The existing rows were validated when `index` was built; only the
-    appended row is checked.  The new index holds a float64 copy of the
-    rows; :func:`traverse` needs no [ROOT] row and no copy.
+    A new index, built and validated like any other, whose float64 rows
+    are `index`'s rows followed by :func:`estimate_root`'s; :func:`traverse`
+    needs no [ROOT] row.
     """
     if index.root_id is not None:
         return index
-    root = estimate_root(index)[None, :]
-    index.geom.check_rows(root, index.count)
-    out = copy.copy(index)   # a frozen dataclass copy; __post_init__ does not run
-    for name, value in (
-        ("payload", np.vstack([index.payload, root])),    # float64, as `root` is
-        ("labels", index.labels + (("root", ROOT_LABEL),)),
-        ("classes", np.append(index.classes, np.int8(_ROOT_CODE))),
-        ("root_id", index.count),
-    ):
-        object.__setattr__(out, name, value)
-    return out
+    return EmbeddingIndex(index.space, index.curvature,
+                          np.vstack([index.payload, estimate_root(index)]),
+                          index.labels + (("root", ROOT_LABEL),))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -50,42 +49,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
-
-
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_json_str = json.encoder.encode_basestring_ascii    # the C routine, when CPython has it
-
-
-def _json_indent2(obj, pad: str = "") -> str:
-    """The text of `json.dumps(obj, indent=2)` for str-keyed dicts, lists,
-    tuples, strings, None, bools, ints and floats, non-finite ones as
-    `json` writes them.  CPython runs an indented dump in its pure-Python
-    encoder; this one escapes strings and formats numbers with the
-    routines `json` uses, in fewer calls."""
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _JSON_NONFINITE.get(text, text)
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        brackets = "{}"
-        # A finite float value, most of classify's output, skips the recursive call.
-        parts = [f"{_json_str(k)}: "
-                 + (float.__repr__(v) if type(v) is float and math.isfinite(v) else _json_indent2(v, inner))
-                 for k, v in obj.items()]
-    elif isinstance(obj, (list, tuple)):
-        brackets = "[]"
-        parts = [_json_indent2(v, inner) for v in obj]
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not parts:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -190,7 +153,7 @@ def cmd_retrieve(args) -> int:
             for h in hits
         ],
     }
-    _emit(_json_indent2(payload) + "\n", args.out)
+    _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK
 
 
@@ -219,7 +182,7 @@ def cmd_classify(args) -> int:
         {"image": label, "predicted": predicted, "scores": dict(zip(res.names, scores))}
         for (_, label), predicted, scores in zip(images.labels, res.predicted(), res.scores.tolist())
     ]
-    _emit(_json_indent2({"predictions": results}) + "\n", args.out)
+    _emit(json.dumps({"predictions": results}) + "\n", args.out)
     return EXIT_OK
 
 

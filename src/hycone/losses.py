@@ -389,9 +389,9 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
     Returns (total, contrastive, entailment, grads): the three floats
     `objective` computes, and `grads` mapping "img_rows", "txt_rows" and
     the four log-scalar argument names to d total / d input.  The
-    arithmetic is the tape's (see above), so the gradient is the tape's to
-    rounding (`gradcheck` checks rtol 1e-10).  That holds also where a text
-    row, a cone apex, sits at the origin and the cone is undefined: the
+    arithmetic is the tape's (see above), so the gradient equals the
+    tape's to the bit (`gradcheck` checks that).  That holds also where a
+    text row, a cone apex, sits at the origin and the cone is undefined: the
     tape's gradient there is the residue of cancelling ~1e147 terms, and
     the closed form, adding them in the same order, gives the same residue.
 

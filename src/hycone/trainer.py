@@ -107,6 +107,12 @@ class TrainConfig:
     held_out_per_leaf: int = 4
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            # A bool is never a number here, and an int is a float.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise TypeError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
         if self.space not in SPACES:
             raise ValueError(f"space must be one of {SPACES}, got {self.space!r}")
         if not (0 <= self.warmup < self.steps):
@@ -561,8 +567,7 @@ def load_checkpoint(path) -> Checkpoint:
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         n_items = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
-        tensors[name] = arr if ndim else arr.reshape(())
+        tensors[name] = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
     expected = init_tensors(config)
     if tensors.keys() != expected.keys():
         raise ValueError(

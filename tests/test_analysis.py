@@ -524,6 +524,14 @@ class TestIndexClasses:
         with pytest.raises(ValueError, match="sphere row 1 has norm 2"):
             with_root(idx)
 
+    def test_equality_is_identity_and_indexes_hash(self):
+        rows, labels = [ray_point(r) for r in (0.5, 1.0, 2.0)], [("image", "a"), ("text", "b"), ("image", "c")]
+        idx, twin = lorentz_index(rows, labels), lorentz_index(rows, labels)
+        rooted = with_root(idx)
+        assert idx == idx and with_root(idx) != idx and rooted == rooted
+        assert idx != twin          # equal rows, another index
+        assert hash(idx) == hash(idx) and idx in {idx} and len({idx, rooted, twin, idx}) == 3
+
     def test_nan_sphere_row_rejected(self):
         with pytest.raises(ValueError, match="sphere row 1"):
             EmbeddingIndex(space="sphere", curvature=None,

@@ -7,12 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hycone import analysis, geometry, trainer
 from hycone.analysis import EmbeddingIndex
-from hycone.cli import _config_from_args, _json_indent2, build_parser, main
+from hycone.cli import _config_from_args, build_parser, main
 from hycone.dumpio import read_dump, write_dump
 from hycone.hierarchy import MAX_BINS, MAX_TRAVERSE_STEPS
 from hycone.losses import LossParams
@@ -139,7 +137,9 @@ class TestRetrieveCommand:
         code = main(["retrieve", "--dump", str(out / "embeddings.hypb"),
                      "--row", "0", "--k", "4"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert text == json.dumps(payload) + "\n"    # one line
         assert len(payload["results"]) == 4
         assert payload["results"][0]["row"] == 0   # self-retrieval first
 
@@ -168,7 +168,9 @@ class TestClassifyCommand:
                      "--images", str(out / "embeddings.hypb"),
                      "--checkpoint", str(out / "checkpoint.bin")])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert text == json.dumps(payload) + "\n"    # one line
         assert len(payload["predictions"]) == emb.count
         first = payload["predictions"][0]
         assert first["predicted"] in ("alpha", "beta")
@@ -267,6 +269,16 @@ def with_config_key(src, dst, key, value):
     return dst
 
 
+def wrong_typed(default):
+    """A JSON value close to `default` but of another type: 0/1 for a
+    switch, a whole float for an int, a string for a float, 1 for a string."""
+    if isinstance(default, bool):
+        return int(default)
+    if isinstance(default, int):
+        return float(default)
+    return str(default) if isinstance(default, float) else 1
+
+
 class TestCheckpointConfigKeys:
     def test_unknown_key_is_one_line_error(self, tmp_path, capsys):
         out = run_train(tmp_path, "a", capsys=capsys)
@@ -288,6 +300,20 @@ class TestCheckpointConfigKeys:
         assert main(["embed", "--checkpoint", str(bad), "--out", str(tmp_path / "e.hypb")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad checkpoint config") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        (f.name, wrong_typed(f.default)) for f in dataclasses.fields(trainer.TrainConfig)
+    ] + [("batch_size", True), ("peak_lr", False), ("no_entailment", 0.0)])
+    def test_every_field_of_wrong_type_is_one_line_error(self, tmp_path, capsys, key, value):
+        # A whole float where an int belongs, a 0/1 for a switch, a bool
+        # for a number: each fails the same way, not in a traceback or a load.
+        out = run_train(tmp_path, "a", capsys=capsys)
+        bad = with_config_key(out / "checkpoint.bin", tmp_path / "bad.bin", key, value)
+        with pytest.raises(ValueError, match=f"bad checkpoint config: {key} must be of type"):
+            trainer.load_checkpoint(bad)
+        assert main(["embed", "--checkpoint", str(bad), "--out", str(tmp_path / "e.hypb")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad checkpoint config: {key} ") and err.count("\n") == 1
 
 
 class TestGradcheckCommand:
@@ -577,38 +603,6 @@ class TestQueryValidation:
         Path(dump).write_bytes(raw)
         assert main(["stats", "--dump", dump]) == 1
         assert "lorentz row 4 has a non-finite component" in one_error_line(capsys)
-
-
-# JSON payloads: empty and nested lists and dicts, labels with non-ASCII
-# and control characters, ints, bools, None and floats of every
-# magnitude, NaN and the infinities among them.
-json_payloads = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
-    max_leaves=30,
-)
-
-
-class TestJsonText:
-    """`retrieve` and `classify` print `json.dumps(payload, indent=2)`'s
-    text, written by a faster encoder."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(json_payloads)
-    def test_equals_json_dumps_indent2(self, obj):
-        assert _json_indent2(obj) == json.dumps(obj, indent=2)
-
-    @pytest.mark.parametrize("obj", [
-        [], {}, [[], {}], {"a": {"b": []}}, [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324],
-        {"label": "t\u00e9\x01\n\"\\", "n": -(2**70), "ok": True, "no": False, "x": None},
-        {"scores": {"\u2603": 1e308, "b": float("nan"), "c": -1.5}},
-    ])
-    def test_edge_payloads(self, obj):
-        assert _json_indent2(obj) == json.dumps(obj, indent=2)
-
-    def test_unsupported_type_is_a_type_error(self):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            _json_indent2({"a": {1, 2}})
 
 
 class TestQueryMemory:

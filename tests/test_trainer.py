@@ -77,6 +77,12 @@ class TestConfigDomain:
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**TINY, **{field: value})
 
+    def test_int_is_a_float_but_bool_is_no_number(self):
+        assert TrainConfig(**TINY, peak_lr=1, noise=0).peak_lr == 1
+        for field, value in (("peak_lr", True), ("depth", 2.0), ("no_entailment", 1)):
+            with pytest.raises(TypeError, match=f"{field} must be of type"):
+                TrainConfig(**{**TINY, field: value})
+
     @pytest.mark.parametrize("depth, branching", [(40, 2), (10**18, 2), (2, 10**18), (5, 10), (16, 2)])
     def test_tree_above_cap_rejected_before_it_is_built(self, depth, branching):
         # Validation alone: nothing of the tree's size is allocated.

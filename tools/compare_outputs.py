@@ -40,18 +40,26 @@ set:
   the sphere, one with that row off the unit norm: the row is past the
   first block of rows that an index reads, so these outputs show the
   messages that checking rows block by block could renumber;
+- the stdout of `embed` and of `classify --checkpoint` on copies of the
+  Lorentz reference checkpoint whose config JSON holds a value of the
+  wrong type: `"depth": 3.0` and `"no_entailment": 1`;
 - `gradcheck` stdout at the default flags and at `--points 3 --seeds 2`.
 
 Each output gets one line: its SHA-256 prefix and `same`, or both
 digests and `DIFFERS` (`MISSING` when a side wrote no such file).  The
 exit code and stderr of each command are part of its stdout output's
-digest.  Exits 1 on any difference or missing file.  Uses numpy and the
-standard library only.
+digest.  A `retrieve` or `classify` stdout gets a second line,
+`<name>.value`: the digest of the JSON value it prints, written as
+`json.dumps` writes it on one line, so a change to the layout alone
+reads `DIFFERS` on the first line and `same` on the second.  Exits 1 on
+any difference or missing file.  Uses numpy and the standard library
+only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -87,7 +95,11 @@ BIG_EMBEDS = {"embed-200k": "ref-lorentz", "embed-200k-sphere": "ref-sphere",
 DAMAGED = {"damaged-nan": ("embed-200k", "nan"), "damaged-nan-sphere": ("embed-200k-sphere", "nan"),
            "damaged-norm-sphere": ("embed-200k-sphere", "norm")}
 DAMAGED_ROW = 100_003
+# Copies of the Lorentz reference checkpoint with one config value of
+# the wrong type: (key, value) per copy.
+MALFORMED = {"config-depth-float": ("depth", 3.0), "config-switch-int": ("no_entailment", 1)}
 GRADCHECK_RUNS = {"gradcheck": [], "gradcheck-small": ["--points", "3", "--seeds", "2"]}
+JSON_COMMANDS = ("retrieve", "classify")
 DUMP_HEADER = struct.Struct("<4sIBIQd")     # magic, version, space, dim, count, curvature
 PROMPT_CLASSES, PROMPTS_PER_CLASS, PROMPT_DIM = 3, 4, 16
 
@@ -117,8 +129,14 @@ class Side:
     def cli(self, name: str, *argv) -> None:
         proc = subprocess.run([sys.executable, "-m", "hycone.cli", *map(str, argv)],
                               env=self.env, cwd=self.work, capture_output=True)
-        self.outputs[name] = digest(b"exit %d\n" % proc.returncode + proc.stdout
-                                    + b"\nstderr\n" + proc.stderr)
+        head, tail = b"exit %d\n" % proc.returncode, b"\nstderr\n" + proc.stderr
+        self.outputs[name] = digest(head + proc.stdout + tail)
+        if argv[0] in JSON_COMMANDS:
+            try:
+                value = json.dumps(json.loads(proc.stdout)).encode("utf-8")
+            except ValueError:      # no JSON (a failed command): its stdout as it is
+                value = proc.stdout
+            self.outputs[f"{name}.value"] = digest(head + value + tail)
 
     def files(self, prefix: str, paths) -> None:
         for p in paths:
@@ -184,6 +202,22 @@ def write_damaged(work: Path, name: str, source: str, damage: str) -> None:
     (work / f"{name}.labels").write_bytes(labels)
 
 
+def write_malformed(work: Path, name: str, key: str, value) -> None:
+    """A copy of the Lorentz reference checkpoint, `<name>.bin`, whose
+    config JSON maps `key` to `value`.  Nothing is written when the
+    reference is missing or short, so the commands on the copy record
+    that."""
+    try:
+        raw = (work / "ref-lorentz" / "checkpoint.bin").read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 8)
+        config = json.loads(raw[12:12 + n])
+    except (OSError, struct.error, ValueError):
+        return
+    config[key] = value
+    blob = json.dumps(config).encode("utf-8")
+    (work / f"{name}.bin").write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+
+
 def analyse(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) -> None:
     """The README's analysis commands on one dump, from two image rows
     (the last row and the middle one; images follow the text rows) and
@@ -225,6 +259,11 @@ def run_side(side: Side, prompts: Path) -> None:
         write_damaged(side.work, name, source, damage)
         side.cli(f"{name}/stats", "stats", "--dump", f"{name}.hypb")
         side.cli(f"{name}/retrieve", "retrieve", "--dump", f"{name}.hypb", "--row", 0, "--k", 5)
+    for name, (key, value) in MALFORMED.items():
+        write_malformed(side.work, name, key, value)
+        side.cli(f"{name}/embed", "embed", "--checkpoint", f"{name}.bin", "--out", f"{name}.hypb")
+        side.cli(f"{name}/classify", "classify", "--prompts", prompts,
+                 "--images", "ref-lorentz/embeddings.hypb", "--checkpoint", f"{name}.bin")
     for name, flags in GRADCHECK_RUNS.items():
         side.cli(name, "gradcheck", *flags)
 
