@@ -21,7 +21,7 @@ from .analysis import (
     traverse,
     with_root,
 )
-from .autodiff import GradReport, Node, Tape, backward, finite_diff
+from .autodiff import GradReport, Node, Tape, finite_diff
 from .dumpio import DumpFormatError, read_dump, write_dump
 from .entailment import ConeParams, entailment_loss_pair, exterior_angle, half_aperture
 from .geometry import (

@@ -97,15 +97,12 @@ class Labels(Sequence):
     __slots__ = ("data", "starts")
 
     def __init__(self, lines):
-        """From "class<TAB>text" lines, encoded once.  One newline scan
-        finds the rows, unless a line holds a "\\n" of its own (which
-        `write_dump` then refuses); then the lines' byte lengths do."""
-        lines = [*lines, ""]
-        self.data = "\n".join(lines).encode("utf-8")
-        self.starts = _row_starts(self.data)
-        if self.starts.size != len(lines):
-            sizes = [len(line.encode("utf-8")) + 1 for line in lines[:-1]]
-            self.starts = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        """From "class<TAB>text" lines, each encoded once; a row starts
+        where the lines before it end, so a line may hold a "\\n" of its
+        own (which `write_dump` then refuses)."""
+        encoded = [line.encode("utf-8") + b"\n" for line in lines]
+        self.data = b"".join(encoded)
+        self.starts = np.concatenate([[0], np.cumsum([len(b) for b in encoded], dtype=np.int64)])
 
     @classmethod
     def _of(cls, data: bytes, starts: np.ndarray) -> "Labels":
@@ -191,6 +188,9 @@ class Labels(Sequence):
             return tuple(self) == tuple(map(tuple, other))
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
     def __repr__(self) -> str:
         return f"Labels({list(self)!r})"
 
@@ -232,7 +232,7 @@ class Lorentz:
         if self.c is None or not (CURV_MIN <= self.c <= CURV_MAX):
             raise ValueError(f"lorentz curvature must lie in [{CURV_MIN}, {CURV_MAX}], got {self.c}")
 
-    def check_rows(self, rows: np.ndarray, first_row: int) -> None:
+    def check_rows(self, rows: np.ndarray) -> None:
         """Every finite row is a point: its time component is derived.
         One float64 sum screens all rows, whatever their storage type; a
         non-finite one is located only then."""
@@ -241,7 +241,7 @@ class Lorentz:
         if not np.isfinite(total):
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             if bad.size:    # else the sum overflowed on finite rows
-                raise ValueError(f"lorentz row {first_row + int(bad[0])} has a non-finite component")
+                raise ValueError(f"lorentz row {int(bad[0])} has a non-finite component")
 
     def root(self, vectors: np.ndarray, root_id: int | None = None) -> np.ndarray:
         return np.zeros(vectors.shape[1])
@@ -286,16 +286,15 @@ class Sphere:
 
     c = None    # no curvature parameter
 
-    def check_rows(self, rows: np.ndarray, first_row: int) -> None:
-        """Unit float64 norms; `first_row` numbers the first of `rows` in
-        errors, which name the row furthest off."""
+    def check_rows(self, rows: np.ndarray) -> None:
+        """Unit float64 norms; an error names the row furthest off."""
         if rows.shape[0]:
             norms = map_rows(lambda block: np.linalg.norm(block, axis=1), rows)
             off = np.abs(norms - 1.0)
             if not float(off.max()) <= SPHERE_NORM_TOL:   # NaN rows fail too
                 bad = int(np.argmax(off))
                 raise ValueError(
-                    f"sphere row {first_row + bad} has norm {norms[bad]:.8f}, "
+                    f"sphere row {bad} has norm {norms[bad]:.8f}, "
                     f"expected 1 within {SPHERE_NORM_TOL}"
                 )
 
@@ -383,7 +382,7 @@ class EmbeddingIndex:
             )
         classes = labels.class_codes()
         geom = space_of(self.space, self.curvature)
-        geom.check_rows(rows, 0)
+        geom.check_rows(rows)
         object.__setattr__(self, "geom", geom)
         object.__setattr__(self, "curvature", geom.c)
         object.__setattr__(self, "payload", rows)

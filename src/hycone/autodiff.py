@@ -436,11 +436,6 @@ class Tape:
         }
 
 
-def backward(tape: Tape, output: Node) -> dict[int, Array]:
-    """Module-level alias for :meth:`Tape.backward`."""
-    return tape.backward(output)
-
-
 # ---------------------------------------------------------------------------
 # Generic op dispatch
 # ---------------------------------------------------------------------------

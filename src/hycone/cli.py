@@ -52,8 +52,9 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Print `text`, or replace file `out` with it atomically."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        dumpio.atomic_write(Path(out), [text.encode("utf-8")])
     else:
         sys.stdout.write(text)
 

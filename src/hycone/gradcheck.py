@@ -34,10 +34,11 @@ END_TO_END_RTOL = 1e-4
 END_TO_END_ATOL = 1e-6
 PRIMITIVE_RTOL = 1e-6
 PRIMITIVE_ATOL = 1e-9
-# Shape (batch x dim rows) and central-difference step of every end-to-end point.
+# Central-difference step of every check.
+STEP = 1e-5
+# Shape (batch x dim rows) of every end-to-end point.
 END_TO_END_BATCH = 4
 END_TO_END_DIM = 8
-END_TO_END_STEP = 1e-5
 
 
 @dataclass
@@ -52,7 +53,7 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+    return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
 
 
 def _check_count(name: str, value: int) -> None:
@@ -68,13 +69,15 @@ def _trailing_axis(axis, ndim: int):
     return axis - ndim if axis >= 0 else axis
 
 
-def _primitive_numeric_gradient(prim, inputs: list[np.ndarray], params: dict) -> np.ndarray:
-    """Central differences of sum(prim(*inputs)) w.r.t. every input, flat.
+def _numeric_gradient(forward, inputs: list[np.ndarray], params: dict, h: float) -> np.ndarray:
+    """Central differences of sum(forward(*inputs, **params)) w.r.t. every
+    input, flat.
 
     The 2N perturbed points go through the forward as one stack: each
     input gets a leading 2N axis and, below it, size-1 axes up to the
-    largest input's rank, so broadcasting inputs still broadcast.  Each
-    point's value sums its output over every axis but the stack's.
+    largest input's rank, so broadcasting inputs still broadcast (the
+    objective's rows become (2N, B, n) stacks, its scalars (2N, 1, 1)).
+    Each point's value sums its output over every axis but the stack's.
     """
     ndim = max(a.ndim for a in inputs)
     if "axis" in params:
@@ -86,10 +89,10 @@ def _primitive_numeric_gradient(prim, inputs: list[np.ndarray], params: dict) ->
         for a in inputs:
             args.append(points[:, off:off + a.size].reshape((k,) + (1,) * (ndim - a.ndim) + a.shape))
             off += a.size
-        out = prim.forward(*args, **params)
+        out = forward(*args, **params)
         return np.sum(out, axis=tuple(range(1, out.ndim)))
 
-    return finite_diff_stacked(f_stack, _flatten(inputs))
+    return finite_diff_stacked(f_stack, _flatten(inputs), h=h)
 
 
 def check_primitive(name: str, points: int = 100, seed: int = 0) -> CheckResult:
@@ -108,7 +111,7 @@ def check_primitive(name: str, points: int = 100, seed: int = 0) -> CheckResult:
         out = ad.sum(ad.apply_op(name, *nodes, **params))
         grads = tape.backward(out)
         analytic = _flatten([grads[n.idx] for n in nodes])
-        rep = make_report(analytic, _primitive_numeric_gradient(prim, inputs, params))
+        rep = make_report(analytic, _numeric_gradient(prim.forward, inputs, params, STEP))
         if worst is None or rep.max_abs_err > worst.max_abs_err:
             worst = rep
         if not rep.within(PRIMITIVE_RTOL, PRIMITIVE_ATOL):
@@ -162,7 +165,7 @@ def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batc
     if tape.kink_margin() < BOUNDARY_MARGIN:
         return None
     grads = tape.backward(total)
-    return imgs, txts, scalars, run, _flat(grads[vi.idx], grads[vt.idx], [grads[v.idx] for v in vs])
+    return imgs, txts, scalars, run, _flatten([grads[v.idx] for v in (vi, vt, *vs)])
 
 
 def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
@@ -178,23 +181,11 @@ def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, ba
             yield case
 
 
-def _flat(g_imgs, g_txts, g_scalars) -> np.ndarray:
-    return np.concatenate([g_imgs.ravel(), g_txts.ravel()] + [np.atleast_1d(g) for g in g_scalars])
-
-
-def _numeric_gradient(case, h: float) -> np.ndarray:
-    """Central differences of the objective: the 2N perturbed points go
-    through `objective` as one (2N, B, n) stack."""
-    imgs, txts, scalars, run, _ = case
-    ni, nt = imgs.size, txts.size
-
-    def f_stack(points):
-        k = len(points)
-        sc = points[:, ni + nt:].T.reshape(len(scalars), k, 1, 1)
-        return run(points[:, :ni].reshape((k,) + imgs.shape),
-                   points[:, ni:ni + nt].reshape((k,) + txts.shape), sc)
-
-    return finite_diff_stacked(f_stack, np.concatenate([imgs.ravel(), txts.ravel(), scalars]), h=h)
+def _tape_report(case) -> GradReport:
+    """The tape gradient of an admissible case against central differences."""
+    imgs, txts, scalars, run, tape_grad = case
+    numeric = _numeric_gradient(lambda i, t, *sc: run(i, t, sc), [imgs, txts, *scalars], {}, STEP)
+    return make_report(tape_grad, numeric)
 
 
 def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> np.ndarray:
@@ -203,7 +194,7 @@ def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> n
         imgs, txts, *scalars, mode=mode, entail_weight=entail_weight, cone_boundary=CONE_BOUNDARY,
     )
     scalar_names = ("log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")
-    return _flat(g["img_rows"], g["txt_rows"], [g[k] for k in scalar_names])
+    return _flatten([g[k] for k in ("img_rows", "txt_rows", *scalar_names)])
 
 
 def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float) -> GradReport | None:
@@ -212,7 +203,7 @@ def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float) -> 
     case = _admissible_case(seed, mode, entail_weight, END_TO_END_BATCH, END_TO_END_DIM)
     if case is None:
         return None
-    return make_report(case[-1], _numeric_gradient(case, END_TO_END_STEP))
+    return _tape_report(case)
 
 
 def _worst(name: str, reports: list[GradReport], rtol: float, atol: float) -> CheckResult:
@@ -239,7 +230,7 @@ def check_total_loss(seeds: int = 20) -> list[CheckResult]:
                 *_, tape_grad = case
                 closed_reports.append(make_report(_closed_form_gradient(case, mode, lam), tape_grad))
                 if mode is not SimilarityMode.COSINE:
-                    tape_reports.append(make_report(tape_grad, _numeric_gradient(case, END_TO_END_STEP)))
+                    tape_reports.append(_tape_report(case))
             variant = f"{mode.value}/entail_weight={lam}"
             if tape_reports:
                 tape_results.append(_worst(f"total_loss/{variant}", tape_reports,

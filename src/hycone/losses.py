@@ -66,29 +66,25 @@ class LossParams:
         entailment.ConeParams(self.cone_boundary)
 
     @classmethod
-    def init(cls, embed_dim: int, *, tau: float = TAU_INIT, curv: float = CURV_INIT,
-             entail_weight: float = ENTAIL_WEIGHT_DEFAULT,
-             cone_boundary: float = CONE_BOUNDARY) -> "LossParams":
-        """Defaults: tau=0.07, c=1.0, per-modality scales 1/sqrt(n)."""
+    def init(cls, embed_dim: int, *, curv: float = CURV_INIT) -> "LossParams":
+        """Defaults: tau=0.07, per-modality scales 1/sqrt(n); c=1.0 unless given."""
         log_scale = float(np.log(1.0 / np.sqrt(embed_dim)))
         return cls(
-            log_inv_temp=float(np.log(1.0 / tau)),
+            log_inv_temp=float(np.log(1.0 / TAU_INIT)),
             log_curv=float(np.log(curv)),
             log_scale_img=log_scale,
             log_scale_txt=log_scale,
-            entail_weight=entail_weight,
-            cone_boundary=cone_boundary,
         )
 
     # Clamped reads (functional; stored log values stay untouched).
     def inv_temp(self) -> float:
-        return float(clamped_inv_temp(self.log_inv_temp))
+        return inv_temp_read(self.log_inv_temp)[1]
 
     def tau(self) -> float:
         return 1.0 / self.inv_temp()
 
     def curv(self) -> Curvature:
-        return Curvature(float(clamped_curv(self.log_curv)))
+        return Curvature(curv_read(self.log_curv)[1])
 
     def scale_txt(self) -> float:
         return float(np.exp(self.log_scale_txt))

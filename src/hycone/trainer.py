@@ -43,7 +43,6 @@ from .losses import (
     INV_TEMP_MAX,
     LossParams,
     SimilarityMode,
-    clamped_curv,
     curv_read,
     inv_temp_read,
     objective,  # noqa: F401  the tape oracle's step objective; bench/spec.py traces it here
@@ -457,7 +456,7 @@ def build_embedding_index(tensors: Mapping[str, np.ndarray], config: TrainConfig
     images = held_out_images(tree, per_leaf, config.seed, -(-EMBED_BLOCK // madds))
     texts = len(tree.internal)
     vectors = np.empty((texts + len(tree.leaves) * per_leaf, config.embed_dim))
-    space = space_of(config.space, float(np.asarray(clamped_curv(tensors["log_curv"]))))
+    space = space_of(config.space, curv_read(tensors["log_curv"])[1])
     txt_latents = np.stack([tree.nodes[i].latent for i in tree.internal])
     txt_rows = np.asarray(encoder_forward(tensors, txt_latents, "txt", config.hidden_dim))
     vectors[:texts] = space.lift(txt_rows, np.exp(tensors["log_scale_txt"]))

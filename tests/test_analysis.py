@@ -586,6 +586,7 @@ class TestLabelsContract:
         assert labels.lines == tuple(f"{c}\t{t}" for c, t in pairs)
         assert labels.class_codes().tolist() == [LABEL_CLASSES.index(c) for c, _ in pairs]
         assert labels == pairs and labels == list(pairs) and labels == Labels.from_pairs(pairs)
+        assert hash(labels) == hash(tuple(pairs))
         assert labels == Labels(f"{c}\t{t}" for c, t in pairs)
         assert (labels == pairs + more) == (not more)
         assert (labels == Labels.from_pairs(pairs + more)) == (not more)
@@ -934,5 +935,5 @@ class TestRowBlocks:
                 return super().sum(*args, **kwargs)
 
         rows = np.full((4, 3), 3e38, dtype=np.float32).view(Rows)
-        analysis.Lorentz(1.0).check_rows(rows, 0)
+        analysis.Lorentz(1.0).check_rows(rows)
         assert Rows.sums == [np.float64]

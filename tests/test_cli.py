@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -151,6 +152,22 @@ class TestRetrieveCommand:
         payload = json.loads(capsys.readouterr().out)
         total = sum(r["score"] for r in payload["results"])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_out_file_is_replaced_atomically(self, tmp_path, capsys, monkeypatch):
+        # A write that fails at the rename leaves the old file whole and
+        # no temp file beside it.
+        dump = run_train(tmp_path, "a", capsys=capsys) / "embeddings.hypb"
+        out = tmp_path / "r.json"
+        out.write_bytes(b"old bytes\n")
+
+        def refuse(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["retrieve", "--dump", str(dump), "--row", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot replace {out}\n"
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "r.json"]
 
 
 class TestClassifyCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -314,7 +315,7 @@ class TestWrappersEqualKernels:
 
     @pytest.mark.parametrize("mode", [SimilarityMode.NEG_LORENTZ_DISTANCE, SimilarityMode.LORENTZ_INNER])
     def test_logit_matrix(self, mode):
-        params = LossParams.init(1, tau=0.2)
+        params = dataclasses.replace(LossParams.init(1), log_inv_temp=float(np.log(1.0 / 0.2)))
         for points, sp, c in self.cases(3):
             images, texts = points[:2], points[2:]
             t = geometry.time_part(sp, c)

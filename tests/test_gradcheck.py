@@ -33,8 +33,10 @@ class TestStackedNumericGradient:
     def test_equals_per_point_loop(self, mode, lam):
         for case in gradcheck._admissible_cases(3, mode, lam, 4, 8):
             f, x = per_point_closure(case)
-            np.testing.assert_array_equal(gradcheck._numeric_gradient(case, 1e-5),
-                                          finite_diff(f, x, h=1e-5))
+            imgs, txts, scalars, run, _ = case
+            np.testing.assert_array_equal(
+                gradcheck._numeric_gradient(lambda i, t, *sc: run(i, t, sc), [imgs, txts, *scalars], {}, 1e-5),
+                finite_diff(f, x, h=1e-5))
 
     def test_nonfinite_stacked_evaluation_names_coordinate(self):
         imgs, txts, scalars, run, tape_grad = next(
@@ -46,7 +48,8 @@ class TestStackedNumericGradient:
             return np.where(txt_rows[..., 0, 0] < txts[0, 0], np.nan, total)
 
         with pytest.raises(ValueError, match=rf"coordinate \({first_txt},\)"):
-            gradcheck._numeric_gradient((imgs, txts, scalars, poisoned, tape_grad), 1e-5)
+            gradcheck._numeric_gradient(lambda i, t, *sc: poisoned(i, t, sc), [imgs, txts, *scalars], {},
+                                        1e-5)
 
 
 def point_margin(seed, mode, lam):
@@ -190,7 +193,7 @@ class TestStackedPrimitiveCheck:
             want, draws = loop_check_primitive(name, 15, seed)
             for inputs, params, numeric in draws:
                 np.testing.assert_array_equal(
-                    gradcheck._primitive_numeric_gradient(PRIMITIVES[name], inputs, params), numeric)
+                    gradcheck._numeric_gradient(PRIMITIVES[name].forward, inputs, params, 1e-5), numeric)
             assert_same_result(gradcheck.check_primitive(name, points=15, seed=seed), want)
 
     def test_draws_cover_axes_and_broadcasts(self):
@@ -210,7 +213,7 @@ class TestStackedPrimitiveCheck:
         x = np.random.default_rng(2).standard_normal((3, 4))
         params = {"axis": axis, "keepdims": keepdims}
         np.testing.assert_array_equal(
-            gradcheck._primitive_numeric_gradient(PRIMITIVES["sum"], [x], params),
+            gradcheck._numeric_gradient(PRIMITIVES["sum"].forward, [x], params, 1e-5),
             loop_numeric_gradient(PRIMITIVES["sum"], [x], params))
 
     @pytest.mark.parametrize("name, shapes", [
@@ -222,5 +225,5 @@ class TestStackedPrimitiveCheck:
         rng = np.random.default_rng(4)
         inputs = [rng.standard_normal(s) for s in shapes]
         np.testing.assert_array_equal(
-            gradcheck._primitive_numeric_gradient(PRIMITIVES[name], inputs, {}),
+            gradcheck._numeric_gradient(PRIMITIVES[name].forward, inputs, {}, 1e-5),
             loop_numeric_gradient(PRIMITIVES[name], inputs, {}))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,7 +143,7 @@ class TestTotalLoss:
     def test_zero_weight_equals_contrastive(self):
         rng = np.random.default_rng(4)
         batch = self._batch(rng)
-        params = LossParams.init(N, entail_weight=0.0)
+        params = dataclasses.replace(LossParams.init(N), entail_weight=0.0)
         out = total_loss(batch, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
         assert out.total == out.contrastive
         assert out.entailment == 0.0
@@ -161,7 +162,7 @@ class TestTotalLoss:
         # total must equal the independently composed public sub-operations
         rng = np.random.default_rng(5)
         batch = self._batch(rng, b=2)
-        params = LossParams.init(N, entail_weight=0.2)
+        params = dataclasses.replace(LossParams.init(N), entail_weight=0.2)
         out = total_loss(batch, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
 
         images, texts = lift_batch(batch, params)
@@ -215,14 +216,14 @@ class TestLossParamsDomain:
         with pytest.raises(ValueError, match="entailment weight must be finite and >= 0"):
             unit_params(entail_weight=weight)
         with pytest.raises(ValueError, match="entailment weight"):
-            LossParams.init(N, entail_weight=weight)
+            dataclasses.replace(LossParams.init(N), entail_weight=weight)
 
     @pytest.mark.parametrize("boundary", [-1.0, 0.0, math.nan, math.inf])
     def test_cone_boundary_finite_positive(self, boundary):
         with pytest.raises(ValueError, match="cone boundary constant must be finite and positive"):
             unit_params(cone_boundary=boundary)
         with pytest.raises(ValueError, match="cone boundary"):
-            LossParams.init(N, cone_boundary=boundary)
+            dataclasses.replace(LossParams.init(N), cone_boundary=boundary)
 
     def test_domain_edges_accepted(self):
         assert unit_params(entail_weight=0.0, cone_boundary=1e-300).entail_weight == 0.0

@@ -43,6 +43,9 @@ set:
 - the stdout of `embed` and of `classify --checkpoint` on copies of the
   Lorentz reference checkpoint whose config JSON holds a value of the
   wrong type: `"depth": 3.0` and `"no_entailment": 1`;
+- the files that `stats --out-summary --out-hist`, `traverse --out`,
+  `retrieve --out` and `classify --out` write on the Lorentz reference
+  dump, and those commands' stdout;
 - `gradcheck` stdout at the default flags and at `--points 3 --seeds 2`.
 
 Each output gets one line: its SHA-256 prefix and `same`, or both
@@ -238,6 +241,20 @@ def analyse(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) ->
              "--checkpoint", checkpoint)
 
 
+def write_out_files(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) -> None:
+    """The query commands that write files (`--out`, `--out-summary`,
+    `--out-hist`) on one dump, from its last row; file f is `<name>-f`."""
+    row = max(dump_count(side.work / dump) - 1, 0)
+    summary, hist, walk, hits, predictions = (
+        f"{name}-{f}" for f in ("summary.csv", "hist.csv", "traverse.csv", "retrieve.json", "classify.json"))
+    side.cli(f"{name}/stats", "stats", "--dump", dump, "--out-summary", summary, "--out-hist", hist)
+    side.cli(f"{name}/traverse", "traverse", "--dump", dump, "--row", row, "--steps", 50, "--out", walk)
+    side.cli(f"{name}/retrieve", "retrieve", "--dump", dump, "--row", row, "--k", 5, "--out", hits)
+    side.cli(f"{name}/classify", "classify", "--prompts", prompts, "--images", dump,
+             "--checkpoint", checkpoint, "--out", predictions)
+    side.files(name, [summary, hist, walk, hits, predictions])
+
+
 def run_side(side: Side, prompts: Path) -> None:
     side.check_import()
     for name, flags in TRAIN_RUNS.items():
@@ -264,6 +281,7 @@ def run_side(side: Side, prompts: Path) -> None:
         side.cli(f"{name}/embed", "embed", "--checkpoint", f"{name}.bin", "--out", f"{name}.hypb")
         side.cli(f"{name}/classify", "classify", "--prompts", prompts,
                  "--images", "ref-lorentz/embeddings.hypb", "--checkpoint", f"{name}.bin")
+    write_out_files(side, "out-files", "ref-lorentz/embeddings.hypb", "ref-lorentz/checkpoint.bin", prompts)
     for name, flags in GRADCHECK_RUNS.items():
         side.cli(name, "gradcheck", *flags)
 
