@@ -390,7 +390,15 @@ class Tape:
         Near a kink the zero subgradient and a two-sided difference
         legitimately disagree, so gradient checks skip such points.
         """
-        margin = float("inf")
+        return float(self.kink_margins(1)[0])
+
+    def kink_margins(self, points: int) -> Array:
+        """`kink_margin` of each of `points` independent forward passes
+        recorded as one stack: every clamp and relu input splits into
+        `points` equal blocks of its flat values, one per pass (so a
+        leading stack axis of that length).  A block holding NaN counts
+        as no kink, as a NaN margin never wins a `min`."""
+        margin = np.full(points, np.inf)
         for node in self.nodes:
             if node.op == "clamp":
                 bounds = (node.params["lo"], node.params["hi"])
@@ -401,7 +409,7 @@ class Tape:
             x = self.nodes[node.inputs[0]].value
             for b in bounds:
                 if b is not None and x.size:
-                    margin = min(margin, float(np.min(np.abs(x - b))))
+                    margin = np.fmin(margin, np.min(np.abs(x - b).reshape(points, -1), axis=1))
         return margin
 
     def backward(self, output: Node) -> dict[int, Array]:

@@ -66,7 +66,10 @@ def atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
     new, never a partial file.  If producing a chunk raises, the temp file
     is removed and `path` is untouched.  The temp file is created
     exclusively, under a random name, with the mode a plain write gives
-    (0o666 less the umask)."""
+    (0o666 less the umask).  A symbolic link at `path` is written
+    through: the temp file sits beside the file it resolves to and
+    replaces that file, and the link stays."""
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
     fh = open(tmp, "xb")
     try:

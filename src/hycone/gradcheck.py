@@ -3,17 +3,21 @@ finite differences, and end-to-end checks of the training objective: the
 tape's gradient against central differences, and the closed form the
 trainer runs (`losses.objective_grad`) against the tape.
 
-Central differences take one forward pass per sample point, for each
-primitive and for the objective: the 2N perturbed inputs go through the
-forward as one stack of plain arrays (`autodiff.finite_diff_stacked`),
-which gives the gradient a loop of 2N single calls would, bit for bit.
+A check runs its sample points as stacks, not one forward pass per
+point.  A primitive's points are all drawn first, in one RNG order; the
+points that share input shapes and params go through one tape and one
+backward, each point on a leading stack axis.  The objective's candidate
+points of a variant are recorded on one tape.  Central differences take
+the perturbed copies of as many points per forward as DIFF_BLOCK allows.
+The kernels are elementwise or act on their trailing axes, so each
+stacked point gets the bits it gets alone.
 
 End-to-end sample points whose forward pass runs within a margin of any
 clamp or hinge boundary are skipped (the analytic subgradient and the
 two-sided difference legitimately disagree there); replacement seeds are
-drawn from a deterministic stream.  Each point records the objective on
-one tape, which gives both the margin (`Tape.kink_margin`) and, for an
-admissible point, the tape gradient.
+drawn from a deterministic stream.  The tape that records a batch of
+candidates gives each its margin (`Tape.kink_margins`) and, for an
+admissible one, its tape gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import PRIMITIVES, GradReport, Tape, finite_diff_stacked, make_report
+from .autodiff import PRIMITIVES, GradReport, Tape, make_report
 from .autodiff import finite_diff  # noqa: F401  unused; bench/spec.py traces it here
 from .entailment import CONE_BOUNDARY  # the cone boundary of every end-to-end point
 from .losses import TAU_INIT, SimilarityMode, objective, objective_grad
@@ -36,6 +40,11 @@ PRIMITIVE_RTOL = 1e-6
 PRIMITIVE_ATOL = 1e-9
 # Central-difference step of every check.
 STEP = 1e-5
+# Float64 elements in the largest input stack of one central-difference
+# forward (one point's 2N copies if those hold more).  It bounds the
+# forward's memory: one forward over all 20 x 136 perturbed copies of the
+# objective raised the train-ref benchmark's peak RSS from 43.8 to 48.9 MB.
+DIFF_BLOCK = 8192
 # Shape (batch x dim rows) of every end-to-end point.
 END_TO_END_BATCH = 4
 END_TO_END_DIM = 8
@@ -49,11 +58,20 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Per-primitive checks
+# Stacked points
 # ---------------------------------------------------------------------------
 
-def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
+def _rows(stacks: list[np.ndarray]) -> np.ndarray:
+    """Point stacks (a leading point axis on each) as one flat row per point."""
+    return np.concatenate([a.reshape(len(a), -1) for a in stacks], axis=1)
+
+
+def _padded(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Point stacks with size-1 axes after the point axis up to the largest
+    rank, so a point's (4,) operand still broadcasts against its (3, 4)
+    one, and its scalars against its matrices."""
+    ndim = max(a.ndim for a in stacks)
+    return [a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:]) for a in stacks]
 
 
 def _check_count(name: str, value: int) -> None:
@@ -69,55 +87,101 @@ def _trailing_axis(axis, ndim: int):
     return axis - ndim if axis >= 0 else axis
 
 
+def _stacked_params(params: dict, ndim: int) -> dict:
+    """The params of a call on rank-ndim points, for the same call on a
+    stack of them: a sum's axis counted from the end."""
+    if "axis" not in params:
+        return params
+    return {**params, "axis": _trailing_axis(params["axis"], ndim)}
+
+
 def _numeric_gradient(forward, inputs: list[np.ndarray], params: dict, h: float) -> np.ndarray:
-    """Central differences of sum(forward(*inputs, **params)) w.r.t. every
-    input, flat.
+    """Central differences of sum(forward(*point, **params)) w.r.t. every
+    input at each point of the input stacks (one point per entry of their
+    leading axis): (P, N) for P points of N coordinates.
 
-    The 2N perturbed points go through the forward as one stack: each
-    input gets a leading 2N axis and, below it, size-1 axes up to the
-    largest input's rank, so broadcasting inputs still broadcast (the
-    objective's rows become (2N, B, n) stacks, its scalars (2N, 1, 1)).
-    Each point's value sums its output over every axis but the stack's.
+    The perturbed copies of as many points as DIFF_BLOCK allows go through
+    the forward as one stack, 2N per point, padded as `_padded` pads (the
+    objective's rows become (2N, B, n) stacks per point, its scalars
+    (2N, 1, 1)), with a sum's axis counted from the end.  Each copy's value
+    sums its output over every axis but the stack's.  Raises if a value is
+    non-finite, naming the first such point and coordinate.
     """
-    ndim = max(a.ndim for a in inputs)
-    if "axis" in params:
-        params = {**params, "axis": _trailing_axis(params["axis"], inputs[0].ndim)}
+    p = len(inputs[0])
+    sizes = [a.size // p for a in inputs]
+    n = sum(sizes)
+    offsets = np.cumsum([0] + sizes)
+    stacked = _stacked_params(params, inputs[0].ndim - 1)
 
-    def f_stack(points):
-        k = len(points)
-        args, off = [], 0
-        for a in inputs:
-            args.append(points[:, off:off + a.size].reshape((k,) + (1,) * (ndim - a.ndim) + a.shape))
-            off += a.size
-        out = forward(*args, **params)
-        return np.sum(out, axis=tuple(range(1, out.ndim)))
+    def perturbed(a, size, off):
+        """2N copies of each point of input stack a; copy k moves the
+        point's coordinate k by +h, copy N + k by -h."""
+        j = np.arange(size)
+        copies = np.repeat(a.reshape(len(a), 1, size), 2 * n, axis=1)
+        copies[:, off + j, j] += h
+        copies[:, n + off + j, j] -= h
+        return copies.reshape((-1,) + a.shape[1:])
 
-    return finite_diff_stacked(f_stack, _flatten(inputs), h=h)
+    per = max(1, DIFF_BLOCK // (2 * n * max(sizes)))
+    values = []
+    for first in range(0, p, per):
+        args = [perturbed(a[first:first + per], size, off) for a, size, off in zip(inputs, sizes, offsets)]
+        out = forward(*_padded(args), **stacked)
+        values.append(np.sum(out, axis=tuple(range(1, out.ndim))).reshape(-1, 2 * n))
+    values = np.concatenate(values)
+    fp, fm = values[:, :n], values[:, n:]
+    finite = np.isfinite(fp) & np.isfinite(fm)
+    if not finite.all():
+        point, coord = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        raise ValueError(f"non-finite evaluation of f at point {point}, coordinate ({coord},)")
+    return (fp - fm) / (2.0 * h)
+
+
+def _worst(name: str, stacks, rtol: float, atol: float) -> CheckResult:
+    """One check over points held in row stacks, (draw indices, analytic
+    (P, N), numeric (P, N)) each: it passes when every point is within
+    rtol/atol (`GradReport.within`'s test) and reports the first point in
+    draw order with the largest max abs error."""
+    passed, worst = True, None
+    for idx, analytic, numeric in stacks:
+        passed &= bool(np.isclose(analytic, numeric, rtol=rtol, atol=atol).all())
+        err = np.max(np.abs(analytic - numeric), axis=1)
+        r = int(np.argmax(err))
+        if worst is None or (err[r], -idx[r]) > worst[0]:
+            worst = (err[r], -idx[r]), analytic[r], numeric[r]
+    return CheckResult(name=name, passed=passed, report=make_report(worst[1], worst[2]))
+
+
+# ---------------------------------------------------------------------------
+# Per-primitive checks
+# ---------------------------------------------------------------------------
+
+def _primitive_gradients(name: str, inputs: list[np.ndarray], params: dict):
+    """Tape and central-difference gradients of sum(op(*point, **params))
+    at each point of the input stacks, (P, N) each."""
+    tape = Tape()
+    nodes = [tape.var(a) for a in _padded(inputs)]
+    out = ad.apply_op(name, *nodes, **_stacked_params(params, inputs[0].ndim - 1))
+    grads = tape.backward(ad.sum(out))
+    analytic = _rows([grads[v.idx] for v in nodes])
+    return analytic, _numeric_gradient(PRIMITIVES[name].forward, inputs, params, STEP)
 
 
 def check_primitive(name: str, points: int = 100, seed: int = 0) -> CheckResult:
-    """Check one registered primitive at `points` random sample points."""
+    """Check one registered primitive at `points` random sample points,
+    one stack per signature (input shapes and params)."""
     _check_count("points", points)
-    prim = PRIMITIVES[name]
+    sample = PRIMITIVES[name].sample
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(name.encode())]))
-    worst: GradReport | None = None
-    ok = True
-    for _ in range(points):
-        inputs, params = prim.sample(rng)
-        inputs = [np.asarray(a, dtype=np.float64) for a in inputs]
-        # analytic path: one var per input on a fresh tape
-        tape = Tape()
-        nodes = [tape.var(a) for a in inputs]
-        out = ad.sum(ad.apply_op(name, *nodes, **params))
-        grads = tape.backward(out)
-        analytic = _flatten([grads[n.idx] for n in nodes])
-        rep = make_report(analytic, _numeric_gradient(prim.forward, inputs, params, STEP))
-        if worst is None or rep.max_abs_err > worst.max_abs_err:
-            worst = rep
-        if not rep.within(PRIMITIVE_RTOL, PRIMITIVE_ATOL):
-            ok = False
-    assert worst is not None
-    return CheckResult(name=f"primitive/{name}", passed=ok, report=worst)
+    draws = [sample(rng) for _ in range(points)]
+    groups: dict[tuple, list[int]] = {}
+    for j, (inputs, params) in enumerate(draws):
+        groups.setdefault((tuple(np.shape(a) for a in inputs), tuple(sorted(params.items()))), []).append(j)
+    stacks = []
+    for idx in groups.values():
+        inputs = [np.asarray(np.stack(col), dtype=np.float64) for col in zip(*(draws[j][0] for j in idx))]
+        stacks.append((idx, *_primitive_gradients(name, inputs, draws[idx[0]][1])))
+    return _worst(f"primitive/{name}", stacks, PRIMITIVE_RTOL, PRIMITIVE_ATOL)
 
 
 def check_all_primitives(points: int = 100) -> list[CheckResult]:
@@ -143,13 +207,14 @@ def _sample_case(seed: int, batch: int, dim: int):
     return imgs, txts, scalars
 
 
-def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
-    """(imgs, txts, scalars, run, tape_grad) at a sample point, or None if
-    the forward pass runs within the boundary margin of a clamp or hinge
-    kink.  One tape records the forward: its kink margin decides, and its
-    backward gives the tape gradient w.r.t. both row matrices and the four
-    log scalars, flat."""
-    imgs, txts, scalars = _sample_case(seed, batch, dim)
+def _admissible_among(seeds, mode: SimilarityMode, entail_weight: float, batch: int, dim: int) -> list:
+    """The admissible cases among the sample points of `seeds`, in seed
+    order, each as (imgs, txts, scalars, run, tape_grad).  One tape records
+    the forward of every candidate, stacked on a leading axis ((S, B, n)
+    rows, (S, 1, 1) scalars): a candidate whose forward runs within the
+    boundary margin of a clamp or hinge kink is dropped, and one backward
+    of the summed totals gives each kept one its tape gradient w.r.t. both
+    row matrices and the four log scalars, flat."""
 
     def run(img_rows, txt_rows, sc):
         total, _, _ = objective(
@@ -158,34 +223,48 @@ def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batc
         )
         return total
 
+    imgs, txts, scalars = (np.stack(a) for a in zip(*(_sample_case(s, batch, dim) for s in seeds)))
+    k = len(imgs)
     tape = Tape()
-    vi, vt = tape.var(imgs), tape.var(txts)
-    vs = [tape.var(s) for s in scalars]
-    total = run(vi, vt, vs)
-    if tape.kink_margin() < BOUNDARY_MARGIN:
-        return None
-    grads = tape.backward(total)
-    return imgs, txts, scalars, run, _flatten([grads[v.idx] for v in (vi, vt, *vs)])
+    leaves = [tape.var(imgs), tape.var(txts), *(tape.var(s.reshape(k, 1, 1)) for s in scalars.T)]
+    total = run(leaves[0], leaves[1], leaves[2:])
+    keep = np.flatnonzero(tape.kink_margins(k) >= BOUNDARY_MARGIN)
+    if not keep.size:
+        return []
+    grads = tape.backward(ad.sum(total))
+    tape_grads = _rows([grads[v.idx] for v in leaves])
+    return [(imgs[j], txts[j], scalars[j], run, tape_grads[j]) for j in keep]
 
 
-def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
-    """The first `seeds` admissible cases of the deterministic seed stream."""
-    collected = candidate = 0
-    while collected < seeds:
-        case = _admissible_case(candidate, mode, entail_weight, batch, dim)
-        candidate += 1
-        if candidate > 50 * seeds:
+def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
+    """(imgs, txts, scalars, run, tape_grad) at a sample point, or None if
+    the forward pass runs within the boundary margin of a clamp or hinge
+    kink: `_admissible_among` of the one seed."""
+    cases = _admissible_among([seed], mode, entail_weight, batch, dim)
+    return cases[0] if cases else None
+
+
+def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int) -> list:
+    """The first `seeds` admissible cases of the deterministic seed stream,
+    in seed order.  Each batch records as many candidates as are still
+    missing; the first 50 * seeds candidates must hold enough."""
+    cases, start, cap = [], 0, 50 * seeds
+    while len(cases) < seeds:
+        if start == cap:
             raise RuntimeError("could not find enough admissible gradcheck points")
-        if case is not None:
-            collected += 1
-            yield case
+        stop = min(start + seeds - len(cases), cap)
+        cases += _admissible_among(range(start, stop), mode, entail_weight, batch, dim)
+        start = stop
+    return cases
 
 
-def _tape_report(case) -> GradReport:
-    """The tape gradient of an admissible case against central differences."""
-    imgs, txts, scalars, run, tape_grad = case
-    numeric = _numeric_gradient(lambda i, t, *sc: run(i, t, sc), [imgs, txts, *scalars], {}, STEP)
-    return make_report(tape_grad, numeric)
+def _case_differences(cases) -> np.ndarray:
+    """Central differences of the objective at admissible cases of one
+    variant, (P, N): one forward takes every case's perturbed points."""
+    imgs, txts, scalars, runs, _ = zip(*cases)
+    run = runs[0]
+    return _numeric_gradient(lambda i, t, *sc: run(i, t, sc),
+                             [np.stack(imgs), np.stack(txts), *np.stack(scalars).T], {}, STEP)
 
 
 def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> np.ndarray:
@@ -194,7 +273,7 @@ def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> n
         imgs, txts, *scalars, mode=mode, entail_weight=entail_weight, cone_boundary=CONE_BOUNDARY,
     )
     scalar_names = ("log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")
-    return _flatten([g[k] for k in ("img_rows", "txt_rows", *scalar_names)])
+    return np.concatenate([np.ravel(g[k]) for k in ("img_rows", "txt_rows", *scalar_names)])
 
 
 def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float) -> GradReport | None:
@@ -203,15 +282,7 @@ def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float) -> 
     case = _admissible_case(seed, mode, entail_weight, END_TO_END_BATCH, END_TO_END_DIM)
     if case is None:
         return None
-    return _tape_report(case)
-
-
-def _worst(name: str, reports: list[GradReport], rtol: float, atol: float) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=all(rep.within(rtol, atol) for rep in reports),
-        report=max(reports, key=lambda rep: rep.max_abs_err),
-    )
+    return make_report(case[-1], _case_differences([case])[0])
 
 
 def check_total_loss(seeds: int = 20) -> list[CheckResult]:
@@ -225,17 +296,15 @@ def check_total_loss(seeds: int = 20) -> list[CheckResult]:
     tape_results, closed_results = [], []
     for mode in SimilarityMode:
         for lam in (0.0, 0.2):
-            tape_reports, closed_reports = [], []
-            for case in _admissible_cases(seeds, mode, lam, END_TO_END_BATCH, END_TO_END_DIM):
-                *_, tape_grad = case
-                closed_reports.append(make_report(_closed_form_gradient(case, mode, lam), tape_grad))
-                if mode is not SimilarityMode.COSINE:
-                    tape_reports.append(_tape_report(case))
+            cases = _admissible_cases(seeds, mode, lam, END_TO_END_BATCH, END_TO_END_DIM)
+            points = np.arange(len(cases))
+            tape_grads = np.stack([case[-1] for case in cases])
             variant = f"{mode.value}/entail_weight={lam}"
-            if tape_reports:
-                tape_results.append(_worst(f"total_loss/{variant}", tape_reports,
+            if mode is not SimilarityMode.COSINE:
+                tape_results.append(_worst(f"total_loss/{variant}", [(points, tape_grads, _case_differences(cases))],
                                            END_TO_END_RTOL, END_TO_END_ATOL))
-            closed_results.append(_worst(f"closed_form/{variant}", closed_reports, 0.0, 0.0))
+            closed = np.stack([_closed_form_gradient(case, mode, lam) for case in cases])
+            closed_results.append(_worst(f"closed_form/{variant}", [(points, closed, tape_grads)], 0.0, 0.0))
     return tape_results + closed_results
 
 

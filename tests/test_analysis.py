@@ -569,9 +569,10 @@ class TestLabelsContract:
     texts hold: tabs, line breaks, non-ASCII."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(pairs=PAIRS, more=PAIRS, cut=st.tuples(st.integers(-12, 12), st.integers(-12, 12),
-                                                  st.sampled_from([None, 1, 2, -1, -3])))
-    def test_matches_tuple_of_pairs(self, pairs, more, cut):
+    @given(pairs=PAIRS, more=PAIRS, cuts=st.lists(st.tuples(
+        st.none() | st.integers(-12, 12), st.none() | st.integers(-12, 12),
+        st.sampled_from([None, 1, 2, 3, -1, -2, -3])), min_size=1, max_size=3))
+    def test_matches_tuple_of_pairs(self, pairs, more, cuts):
         pairs, more = tuple(pairs), tuple(more)
         labels = Labels.from_pairs(pairs)
         n = len(pairs)
@@ -580,8 +581,13 @@ class TestLabelsContract:
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 labels[i]
-        part = labels[slice(*cut)]
-        assert isinstance(part, Labels) and part == pairs[slice(*cut)]
+        for cut in (slice(*c) for c in cuts):
+            # Negative bounds, steps and empty slices; a text holding "\n"
+            # stays one row, with the bytes and row starts of the pairs' own.
+            part = labels[cut]
+            assert isinstance(part, Labels) and part == pairs[cut]
+            assert part == Labels.from_pairs(pairs[cut]) and part.starts.dtype == np.int64
+            assert part[::-2] == pairs[cut][::-2] and part[1:] + part[:1] == pairs[cut][1:] + pairs[cut][:1]
         assert tuple(labels) == pairs and list(iter(labels)) == list(pairs)
         assert labels.lines == tuple(f"{c}\t{t}" for c, t in pairs)
         assert labels.class_codes().tolist() == [LABEL_CLASSES.index(c) for c, _ in pairs]

@@ -169,6 +169,19 @@ class TestRetrieveCommand:
         assert out.read_bytes() == b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "r.json"]
 
+    def test_out_file_writes_through_symlink(self, tmp_path, capsys):
+        dump = run_train(tmp_path, "a", capsys=capsys) / "embeddings.hypb"
+        query = ["retrieve", "--dump", str(dump), "--row", "0"]
+        assert main(query) == 0
+        want = capsys.readouterr().out
+        real = tmp_path / "real.json"
+        real.write_bytes(b"old bytes\n")
+        (tmp_path / "link.json").symlink_to("real.json")
+        assert main([*query, "--out", str(tmp_path / "link.json")]) == 0
+        assert real.read_text() == want
+        assert (tmp_path / "link.json").is_symlink() and os.readlink(tmp_path / "link.json") == "real.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "link.json", "real.json"]
+
 
 class TestClassifyCommand:
     def test_predictions(self, tmp_path, capsys):

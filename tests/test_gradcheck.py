@@ -1,5 +1,6 @@
-"""The objective's and every primitive's central differences run as one
-stacked forward per sample point; these tests pin them to the per-point
+"""The objective's and every primitive's checks run as stacks: one tape,
+one backward and one central-difference forward per check and signature
+group.  These tests pin them to the single-point tapes and per-point
 loops they replace."""
 
 import zlib
@@ -35,12 +36,13 @@ class TestStackedNumericGradient:
             f, x = per_point_closure(case)
             imgs, txts, scalars, run, _ = case
             np.testing.assert_array_equal(
-                gradcheck._numeric_gradient(lambda i, t, *sc: run(i, t, sc), [imgs, txts, *scalars], {}, 1e-5),
+                gradcheck._numeric_gradient(lambda i, t, *sc: run(i, t, sc),
+                                            [imgs[None], txts[None], *scalars[:, None]], {}, 1e-5)[0],
                 finite_diff(f, x, h=1e-5))
 
     def test_nonfinite_stacked_evaluation_names_coordinate(self):
-        imgs, txts, scalars, run, tape_grad = next(
-            gradcheck._admissible_cases(1, SimilarityMode.NEG_LORENTZ_DISTANCE, 0.2, 4, 8))
+        imgs, txts, scalars, run, tape_grad = \
+            gradcheck._admissible_cases(1, SimilarityMode.NEG_LORENTZ_DISTANCE, 0.2, 4, 8)[0]
         first_txt = imgs.size     # flat coordinate of txts[0, 0]
 
         def poisoned(img_rows, txt_rows, sc):
@@ -48,8 +50,8 @@ class TestStackedNumericGradient:
             return np.where(txt_rows[..., 0, 0] < txts[0, 0], np.nan, total)
 
         with pytest.raises(ValueError, match=rf"coordinate \({first_txt},\)"):
-            gradcheck._numeric_gradient(lambda i, t, *sc: poisoned(i, t, sc), [imgs, txts, *scalars], {},
-                                        1e-5)
+            gradcheck._numeric_gradient(lambda i, t, *sc: poisoned(i, t, sc),
+                                        [imgs[None], txts[None], *scalars[:, None]], {}, 1e-5)
 
 
 def point_margin(seed, mode, lam):
@@ -192,8 +194,8 @@ class TestStackedPrimitiveCheck:
         for seed in (0, 1, 5):
             want, draws = loop_check_primitive(name, 15, seed)
             for inputs, params, numeric in draws:
-                np.testing.assert_array_equal(
-                    gradcheck._numeric_gradient(PRIMITIVES[name].forward, inputs, params, 1e-5), numeric)
+                np.testing.assert_array_equal(gradcheck._numeric_gradient(
+                    PRIMITIVES[name].forward, [a[None] for a in inputs], params, 1e-5)[0], numeric)
             assert_same_result(gradcheck.check_primitive(name, points=15, seed=seed), want)
 
     def test_draws_cover_axes_and_broadcasts(self):
@@ -213,7 +215,7 @@ class TestStackedPrimitiveCheck:
         x = np.random.default_rng(2).standard_normal((3, 4))
         params = {"axis": axis, "keepdims": keepdims}
         np.testing.assert_array_equal(
-            gradcheck._numeric_gradient(PRIMITIVES["sum"].forward, [x], params, 1e-5),
+            gradcheck._numeric_gradient(PRIMITIVES["sum"].forward, [x[None]], params, 1e-5)[0],
             loop_numeric_gradient(PRIMITIVES["sum"], [x], params))
 
     @pytest.mark.parametrize("name, shapes", [
@@ -225,5 +227,133 @@ class TestStackedPrimitiveCheck:
         rng = np.random.default_rng(4)
         inputs = [rng.standard_normal(s) for s in shapes]
         np.testing.assert_array_equal(
-            gradcheck._numeric_gradient(PRIMITIVES[name].forward, inputs, {}, 1e-5),
+            gradcheck._numeric_gradient(PRIMITIVES[name].forward, [a[None] for a in inputs], {}, 1e-5)[0],
             loop_numeric_gradient(PRIMITIVES[name], inputs, {}))
+
+    @pytest.mark.parametrize("points", [1, 15, 100])
+    @pytest.mark.parametrize("block", [gradcheck.DIFF_BLOCK, 10**9], ids=["blocks", "one-forward"])
+    def test_check_equals_loop_at_point_counts(self, monkeypatch, points, block):
+        # One point gives every signature group one point; 100 is the suite's
+        # default, where `sum` draws all six of its groups.
+        monkeypatch.setattr(gradcheck, "DIFF_BLOCK", block)
+        for name in sorted(PRIMITIVES):
+            assert_same_result(gradcheck.check_primitive(name, points=points),
+                               loop_check_primitive(name, points, 0)[0])
+
+
+VARIANTS = [(mode, lam) for mode in SimilarityMode for lam in (0.0, 0.2)]
+VARIANT_IDS = [f"{mode.value}-{lam}" for mode, lam in VARIANTS]
+
+
+def loop_admissible_cases(seeds, mode, lam):
+    """(seed, case) of the first `seeds` admissible cases, found as they were
+    before candidates were stacked: one single-point tape per seed, its
+    `kink_margin()` against BOUNDARY_MARGIN, the backward of its total."""
+    def run(img_rows, txt_rows, sc):
+        return objective(img_rows, txt_rows, *sc, mode=mode, entail_weight=lam,
+                         cone_boundary=gradcheck.CONE_BOUNDARY)[0]
+
+    found, seed = [], 0
+    while len(found) < seeds:
+        assert seed < 50 * seeds
+        imgs, txts, scalars = gradcheck._sample_case(seed, 4, 8)
+        tape = Tape()
+        leaves = [tape.var(v) for v in (imgs, txts, *scalars)]
+        total = run(leaves[0], leaves[1], leaves[2:])
+        if tape.kink_margin() >= gradcheck.BOUNDARY_MARGIN:
+            grads = tape.backward(total)
+            tape_grad = np.concatenate([grads[v.idx].ravel() for v in leaves])
+            found.append((seed, (imgs, txts, scalars, run, tape_grad)))
+        seed += 1
+    return found
+
+
+def loop_case_differences(case):
+    """A case's central differences as one stack of its 2N points."""
+    imgs, txts, scalars, run, _ = case
+
+    def f_stack(points):
+        k = len(points)
+        return run(points[:, :32].reshape(k, 4, 8), points[:, 32:64].reshape(k, 4, 8),
+                   [points[:, 64 + j].reshape(k, 1, 1) for j in range(4)])
+
+    return finite_diff_stacked(f_stack, np.concatenate([imgs.ravel(), txts.ravel(), scalars]), h=1e-5)
+
+
+def loop_worst(name, reports, rtol, atol):
+    return gradcheck.CheckResult(name=name, passed=all(r.within(rtol, atol) for r in reports),
+                                 report=max(reports, key=lambda r: r.max_abs_err))
+
+
+def loop_check_total_loss(seeds):
+    """check_total_loss as it ran per case before its tapes and differences
+    were stacked: one report per case, the worst of each variant."""
+    tape_results, closed_results = [], []
+    for mode, lam in VARIANTS:
+        tape_reports, closed_reports = [], []
+        for _, case in loop_admissible_cases(seeds, mode, lam):
+            closed_reports.append(make_report(gradcheck._closed_form_gradient(case, mode, lam), case[-1]))
+            if mode is not SimilarityMode.COSINE:
+                tape_reports.append(make_report(case[-1], loop_case_differences(case)))
+        variant = f"{mode.value}/entail_weight={lam}"
+        if tape_reports:
+            tape_results.append(loop_worst(f"total_loss/{variant}", tape_reports,
+                                           gradcheck.END_TO_END_RTOL, gradcheck.END_TO_END_ATOL))
+        closed_results.append(loop_worst(f"closed_form/{variant}", closed_reports, 0.0, 0.0))
+    return tape_results + closed_results
+
+
+def assert_same_cases(got, want):
+    assert len(got) == len(want)
+    for case, (_, old) in zip(got, want):
+        for a, b in zip(case[:3] + case[4:], old[:3] + old[4:]):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+
+
+class TestStackedTotalLoss:
+    @pytest.mark.parametrize("seeds", [1, 3, 20])
+    @pytest.mark.parametrize("block", [gradcheck.DIFF_BLOCK, 10**9], ids=["blocks", "one-forward"])
+    def test_equals_per_case_loop(self, monkeypatch, seeds, block):
+        monkeypatch.setattr(gradcheck, "DIFF_BLOCK", block)
+        got, want = gradcheck.check_total_loss(seeds), loop_check_total_loss(seeds)
+        assert len(got) == len(want) == 10
+        for g, w in zip(got, want):
+            assert_same_result(g, w)
+
+    @pytest.mark.parametrize("mode,lam", VARIANTS, ids=VARIANT_IDS)
+    def test_per_candidate_margins_equal_single_tapes(self, mode, lam):
+        seeds = range(30)
+        imgs, txts, scalars = (np.stack(a) for a in zip(*(gradcheck._sample_case(s, 4, 8) for s in seeds)))
+        tape = Tape()
+        leaves = [tape.var(v) for v in (imgs, txts, *scalars.T.reshape(4, 30, 1, 1))]
+        objective(*leaves, mode=mode, entail_weight=lam, cone_boundary=gradcheck.CONE_BOUNDARY)
+        margins = tape.kink_margins(30)
+        np.testing.assert_array_equal(margins, [point_margin(s, mode, lam) for s in seeds])
+        assert tape.kink_margin() == margins.min()
+
+    @pytest.mark.parametrize("mode,lam", VARIANTS, ids=VARIANT_IDS)
+    def test_rejections_draw_further_batches(self, monkeypatch, mode, lam):
+        # At the median single-point margin of the first 30 seeds about half
+        # the candidates are rejected, so the first batch falls short.
+        margin = float(np.median([point_margin(s, mode, lam) for s in range(30)]))
+        monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", margin)
+        batches = []
+        candidates = gradcheck._admissible_among
+
+        def counted(seeds, *args):
+            batches.append(list(seeds))
+            return candidates(seeds, *args)
+
+        monkeypatch.setattr(gradcheck, "_admissible_among", counted)
+        want = loop_admissible_cases(8, mode, lam)
+        assert_same_cases(gradcheck._admissible_cases(8, mode, lam, 4, 8), want)
+        assert len(batches) >= 2 and batches[0] == list(range(8))
+        assert sum(batches, []) == list(range(want[-1][0] + 1))
+
+    def test_rejections_keep_the_suite_equal_to_the_loop(self, monkeypatch):
+        # Above the least margin of the entailment variants, below that of
+        # the others: those variants draw further batches.
+        monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", 0.05)
+        for g, w in zip(gradcheck.check_total_loss(3), loop_check_total_loss(3)):
+            assert_same_result(g, w)

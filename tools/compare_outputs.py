@@ -46,7 +46,8 @@ set:
 - the files that `stats --out-summary --out-hist`, `traverse --out`,
   `retrieve --out` and `classify --out` write on the Lorentz reference
   dump, and those commands' stdout;
-- `gradcheck` stdout at the default flags and at `--points 3 --seeds 2`.
+- `gradcheck` stdout at the default flags, at `--points 3 --seeds 2`,
+  `--points 1 --seeds 1` and `--points 150 --seeds 30`.
 
 Each output gets one line: its SHA-256 prefix and `same`, or both
 digests and `DIFFERS` (`MISSING` when a side wrote no such file).  The
@@ -101,7 +102,12 @@ DAMAGED_ROW = 100_003
 # Copies of the Lorentz reference checkpoint with one config value of
 # the wrong type: (key, value) per copy.
 MALFORMED = {"config-depth-float": ("depth", 3.0), "config-switch-int": ("no_entailment", 1)}
-GRADCHECK_RUNS = {"gradcheck": [], "gradcheck-small": ["--points", "3", "--seeds", "2"]}
+# `gradcheck-one` stacks one point per primitive signature group and one
+# candidate per objective tape; `gradcheck-large` stacks more of both
+# than the defaults do.
+GRADCHECK_RUNS = {"gradcheck": [], "gradcheck-small": ["--points", "3", "--seeds", "2"],
+                  "gradcheck-one": ["--points", "1", "--seeds", "1"],
+                  "gradcheck-large": ["--points", "150", "--seeds", "30"]}
 JSON_COMMANDS = ("retrieve", "classify")
 DUMP_HEADER = struct.Struct("<4sIBIQd")     # magic, version, space, dim, count, curvature
 PROMPT_CLASSES, PROMPTS_PER_CLASS, PROMPT_DIM = 3, 4, 16
