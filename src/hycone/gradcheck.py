@@ -8,9 +8,9 @@ point.  A primitive's points are all drawn first, in one RNG order; the
 points that share input shapes and params go through one tape and one
 backward, each point on a leading stack axis.  The objective's candidate
 points of a variant are recorded on one tape.  Central differences take
-the perturbed copies of as many points per forward as DIFF_BLOCK allows.
-The kernels are elementwise or act on their trailing axes, so each
-stacked point gets the bits it gets alone.
+as many points per forward as `autodiff.FD_BLOCK` allows.  The kernels
+are elementwise or act on their trailing axes, so each stacked point
+gets the bits it gets alone.
 
 End-to-end sample points whose forward pass runs within a margin of any
 clamp or hinge boundary are skipped (the analytic subgradient and the
@@ -22,13 +22,14 @@ admissible one, its tape gradient.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import PRIMITIVES, GradReport, Tape, make_report
+from .autodiff import PRIMITIVES, GradReport, Tape, finite_diff_stacked, make_report
 from .autodiff import finite_diff  # noqa: F401  unused; bench/spec.py traces it here
 from .entailment import CONE_BOUNDARY  # the cone boundary of every end-to-end point
 from .losses import TAU_INIT, SimilarityMode, objective, objective_grad
@@ -40,11 +41,6 @@ PRIMITIVE_RTOL = 1e-6
 PRIMITIVE_ATOL = 1e-9
 # Central-difference step of every check.
 STEP = 1e-5
-# Float64 elements in the largest input stack of one central-difference
-# forward (one point's 2N copies if those hold more).  It bounds the
-# forward's memory: one forward over all 20 x 136 perturbed copies of the
-# objective raised the train-ref benchmark's peak RSS from 43.8 to 48.9 MB.
-DIFF_BLOCK = 8192
 # Shape (batch x dim rows) of every end-to-end point.
 END_TO_END_BATCH = 4
 END_TO_END_DIM = 8
@@ -97,44 +93,28 @@ def _stacked_params(params: dict, ndim: int) -> dict:
 
 def _numeric_gradient(forward, inputs: list[np.ndarray], params: dict, h: float) -> np.ndarray:
     """Central differences of sum(forward(*point, **params)) w.r.t. every
-    input at each point of the input stacks (one point per entry of their
-    leading axis): (P, N) for P points of N coordinates.
+    input at each point of the input stacks (a leading point axis on
+    each), (P, N) for P points of N coordinates.
 
-    The perturbed copies of as many points as DIFF_BLOCK allows go through
-    the forward as one stack, 2N per point, padded as `_padded` pads (the
-    objective's rows become (2N, B, n) stacks per point, its scalars
-    (2N, 1, 1)), with a sum's axis counted from the end.  Each copy's value
-    sums its output over every axis but the stack's.  Raises if a value is
-    non-finite, naming the first such point and coordinate.
+    Each point's 2N perturbed copies go through the forward in a stack
+    (`autodiff.finite_diff_stacked` over the points' flat rows, as many
+    points per forward as `autodiff.FD_BLOCK` allows), padded as
+    `_padded` pads (the objective's rows become (2N, B, n) stacks per
+    point, its scalars (2N, 1, 1)), with a sum's axis counted from the
+    end.  Each copy's value sums its output over every axis but the
+    stack's.
     """
-    p = len(inputs[0])
-    sizes = [a.size // p for a in inputs]
-    n = sum(sizes)
-    offsets = np.cumsum([0] + sizes)
+    shapes = [a.shape[1:] for a in inputs]
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
     stacked = _stacked_params(params, inputs[0].ndim - 1)
 
-    def perturbed(a, size, off):
-        """2N copies of each point of input stack a; copy k moves the
-        point's coordinate k by +h, copy N + k by -h."""
-        j = np.arange(size)
-        copies = np.repeat(a.reshape(len(a), 1, size), 2 * n, axis=1)
-        copies[:, off + j, j] += h
-        copies[:, n + off + j, j] -= h
-        return copies.reshape((-1,) + a.shape[1:])
-
-    per = max(1, DIFF_BLOCK // (2 * n * max(sizes)))
-    values = []
-    for first in range(0, p, per):
-        args = [perturbed(a[first:first + per], size, off) for a, size, off in zip(inputs, sizes, offsets)]
+    def f_stack(copies):
+        args = [copies[:, lo:hi].reshape((len(copies),) + shape)
+                for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
         out = forward(*_padded(args), **stacked)
-        values.append(np.sum(out, axis=tuple(range(1, out.ndim))).reshape(-1, 2 * n))
-    values = np.concatenate(values)
-    fp, fm = values[:, :n], values[:, n:]
-    finite = np.isfinite(fp) & np.isfinite(fm)
-    if not finite.all():
-        point, coord = np.unravel_index(int(np.argmin(finite)), finite.shape)
-        raise ValueError(f"non-finite evaluation of f at point {point}, coordinate ({coord},)")
-    return (fp - fm) / (2.0 * h)
+        return np.sum(out, axis=tuple(range(1, out.ndim)))
+
+    return finite_diff_stacked(f_stack, _rows(inputs), h=h)
 
 
 def _worst(name: str, stacks, rtol: float, atol: float) -> CheckResult:
@@ -260,7 +240,8 @@ def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, ba
 
 def _case_differences(cases) -> np.ndarray:
     """Central differences of the objective at admissible cases of one
-    variant, (P, N): one forward takes every case's perturbed points."""
+    variant, (P, N).  A forward takes as many cases as FD_BLOCK allows,
+    which is one: a case's 136 perturbed copies hold 136 x 68 values."""
     imgs, txts, scalars, runs, _ = zip(*cases)
     run = runs[0]
     return _numeric_gradient(lambda i, t, *sc: run(i, t, sc),

@@ -1,7 +1,8 @@
-"""The objective's and every primitive's checks run as stacks: one tape,
-one backward and one central-difference forward per check and signature
-group.  These tests pin them to the single-point tapes and per-point
-loops they replace."""
+"""The objective's and every primitive's checks run as stacks: one tape
+and one backward per primitive signature group and per batch of
+objective candidates, one central-difference forward per signature group
+and per objective case.  These tests pin them to the single-point tapes
+and per-point loops they replace."""
 
 import zlib
 
@@ -104,7 +105,7 @@ class TestFiniteDiffStacked:
             seen.append(points.copy())
             return np.sum(np.sin(points), axis=(1, 2))
 
-        grad = finite_diff_stacked(f_stack, x)
+        grad = finite_diff_stacked(f_stack, x[None])[0]
         np.testing.assert_allclose(grad, np.cos(x), atol=1e-9)
         (points,) = seen
         assert points.shape == (12, 2, 3)
@@ -119,7 +120,34 @@ class TestFiniteDiffStacked:
         x = np.ones((2, 3))
         x[1, 2] = 1e-20
         with pytest.raises(ValueError, match=r"coordinate \(1, 2\)"):
-            finite_diff_stacked(f_stack, x)
+            finite_diff_stacked(f_stack, x[None])
+
+    @pytest.mark.parametrize("block,calls", [(ad.FD_BLOCK, [48]), (150, [24, 24]), (100, [12] * 4)])
+    def test_points_equal_single_points(self, monkeypatch, block, calls):
+        # A point's 12 copies of 6 values hold 72; 150 takes two points a call.
+        monkeypatch.setattr(ad, "FD_BLOCK", block)
+        xs = np.random.default_rng(5).standard_normal((4, 2, 3))
+        seen = []
+
+        def f_stack(points):
+            seen.append(len(points))
+            return np.sum(np.sin(points) * points, axis=(1, 2))
+
+        grads = finite_diff_stacked(f_stack, xs)
+        assert seen == calls
+        for x, grad in zip(xs, grads):
+            np.testing.assert_array_equal(grad, finite_diff_stacked(f_stack, x[None])[0])
+            np.testing.assert_array_equal(grad, finite_diff(lambda z: float(np.sum(np.sin(z) * z)), x))
+
+    def test_nonfinite_names_point_and_coordinate(self):
+        def f_stack(pts):
+            with np.errstate(invalid="ignore"):
+                return np.log(pts[:, 1])
+
+        xs = np.ones((3, 2))
+        xs[2, 1] = 1e-20
+        with pytest.raises(ValueError, match=r"at point 2, coordinate \(1,\)"):
+            finite_diff_stacked(f_stack, xs)
 
 
 class TestStackedObjective:
@@ -231,11 +259,11 @@ class TestStackedPrimitiveCheck:
             loop_numeric_gradient(PRIMITIVES[name], inputs, {}))
 
     @pytest.mark.parametrize("points", [1, 15, 100])
-    @pytest.mark.parametrize("block", [gradcheck.DIFF_BLOCK, 10**9], ids=["blocks", "one-forward"])
+    @pytest.mark.parametrize("block", [ad.FD_BLOCK, 10**9], ids=["blocks", "one-forward"])
     def test_check_equals_loop_at_point_counts(self, monkeypatch, points, block):
         # One point gives every signature group one point; 100 is the suite's
         # default, where `sum` draws all six of its groups.
-        monkeypatch.setattr(gradcheck, "DIFF_BLOCK", block)
+        monkeypatch.setattr(ad, "FD_BLOCK", block)
         for name in sorted(PRIMITIVES):
             assert_same_result(gradcheck.check_primitive(name, points=points),
                                loop_check_primitive(name, points, 0)[0])
@@ -277,7 +305,7 @@ def loop_case_differences(case):
         return run(points[:, :32].reshape(k, 4, 8), points[:, 32:64].reshape(k, 4, 8),
                    [points[:, 64 + j].reshape(k, 1, 1) for j in range(4)])
 
-    return finite_diff_stacked(f_stack, np.concatenate([imgs.ravel(), txts.ravel(), scalars]), h=1e-5)
+    return finite_diff_stacked(f_stack, np.concatenate([imgs.ravel(), txts.ravel(), scalars])[None], h=1e-5)[0]
 
 
 def loop_worst(name, reports, rtol, atol):
@@ -313,9 +341,9 @@ def assert_same_cases(got, want):
 
 class TestStackedTotalLoss:
     @pytest.mark.parametrize("seeds", [1, 3, 20])
-    @pytest.mark.parametrize("block", [gradcheck.DIFF_BLOCK, 10**9], ids=["blocks", "one-forward"])
+    @pytest.mark.parametrize("block", [ad.FD_BLOCK, 10**9], ids=["blocks", "one-forward"])
     def test_equals_per_case_loop(self, monkeypatch, seeds, block):
-        monkeypatch.setattr(gradcheck, "DIFF_BLOCK", block)
+        monkeypatch.setattr(ad, "FD_BLOCK", block)
         got, want = gradcheck.check_total_loss(seeds), loop_check_total_loss(seeds)
         assert len(got) == len(want) == 10
         for g, w in zip(got, want):
@@ -355,5 +383,7 @@ class TestStackedTotalLoss:
         # Above the least margin of the entailment variants, below that of
         # the others: those variants draw further batches.
         monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", 0.05)
-        for g, w in zip(gradcheck.check_total_loss(3), loop_check_total_loss(3)):
+        got, want = gradcheck.check_total_loss(3), loop_check_total_loss(3)
+        assert len(got) == len(want) == 10
+        for g, w in zip(got, want):
             assert_same_result(g, w)
