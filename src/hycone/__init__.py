@@ -23,9 +23,8 @@ from .analysis import (
 )
 from .autodiff import GradReport, Node, Tape, finite_diff
 from .dumpio import DumpFormatError, read_dump, write_dump
-from .entailment import ConeParams, entailment_loss_pair, exterior_angle, half_aperture
+from .entailment import ConeParams, exterior_angle, half_aperture
 from .geometry import (
-    AmbientVector,
     Curvature,
     HyperbolicPoint,
     TangentVector,
@@ -36,19 +35,14 @@ from .geometry import (
     lorentz_inner,
     origin,
     poincare_to_lorentz,
-    tangent_project,
-    time_component,
 )
 from .hierarchy import ConceptTree, PairSampler, generate_tree, held_out_images
 from .losses import (
     BatchEmbeddings,
-    LossBreakdown,
     LossParams,
     SimilarityMode,
-    contrastive_loss,
     lift_batch,
     logit_matrix,
-    total_loss,
 )
 from .trainer import (
     Checkpoint,

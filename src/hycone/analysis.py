@@ -631,9 +631,11 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
     """Top-k index rows for a query embedding.
 
     lorentz ranks by Lorentzian inner product (descending; equivalently
-    ascending distance); sphere ranks by cosine.  calibrated=True returns
-    softmax(-distance / tau) scores instead of raw similarities (lorentz
-    only).  Ties break toward the lower row index; k=0 yields [].
+    ascending distance); sphere ranks by cosine.  The query is checked as
+    the index's rows are: finite on lorentz, a unit vector on the sphere.
+    calibrated=True returns softmax(-distance / tau) scores instead of raw
+    similarities (lorentz only).  Ties break toward the lower row index;
+    k=0 yields [].
     """
     if k < 0 or k > index.count:
         raise ValueError(f"k must be in [0, {index.count}]")
@@ -644,6 +646,10 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
     # A query too long to lift overflows: one error, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         query = np.asarray(query, dtype=np.float64)
+        try:
+            index.geom.check_rows(query[None])
+        except ValueError as exc:
+            raise ValueError(f"query is not a {index.space} point: {exc}") from None
         scores = map_rows(lambda rows: index.geom.inner(rows, query), index.payload)
         if calibrated:
             z = -index.geom.distance(scores) / tau
@@ -706,6 +712,9 @@ def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
         if mat.ndim != 2:
             raise ValueError(f"class {name!r} prompts must be a list of vectors")
         means.append(mat.mean(axis=0))
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[-1] != means[0].shape[0]:
+        raise ValueError(f"prompts have dim {means[0].shape[0]}, images have dim {images.shape[-1]}")
     if curvature is None:
         space = Sphere()
     else:
@@ -718,7 +727,7 @@ def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
     # rather than as numpy warnings and NaN scores.
     with np.errstate(over="ignore", invalid="ignore"):
         classes = space.lift(np.stack(means), params.scale_txt())
-        scores = space.inner(np.asarray(images, dtype=np.float64), classes)
+        scores = space.inner(images, classes)
     if not np.isfinite(scores).all():
         i, k = np.argwhere(~np.isfinite(scores))[0]
         raise ValueError(f"image row {i} scores non-finite against class {names[k]!r}")

@@ -616,15 +616,3 @@ def make_report(analytic: Array, numeric: Array) -> GradReport:
         max_abs_err=float(abs_err.max()) if abs_err.size else 0.0,
         max_rel_err=float(rel_err.max()) if rel_err.size else 0.0,
     )
-
-
-def grad_report(f: Callable, x0, h: float = 1e-5) -> GradReport:
-    """Compare tape and finite-difference gradients of a generic scalar
-    function (one accepting either a Node vector or a plain array)."""
-    x0 = _as_f64(x0)
-    tape = Tape()
-    xv = tape.var(x0)
-    out = f(xv)
-    analytic = tape.backward(out)[xv.idx]
-    numeric = finite_diff(lambda z: float(np.asarray(value_of(f(z)))), x0, h=h)
-    return make_report(analytic, numeric)

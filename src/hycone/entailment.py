@@ -107,11 +107,3 @@ def exterior_angle(x: HyperbolicPoint, y: HyperbolicPoint) -> float:
         x.space, np.array([x.time]), y.space, np.array([y.time]), c
     )
     return float(np.asarray(out).item())
-
-
-def entailment_loss_pair(x_text: HyperbolicPoint, y_image: HyperbolicPoint, params: ConeParams) -> float:
-    """Hinge penalty max(0, ext(x, y) - aper(x)); zero when y is inside
-    the cone projected by x."""
-    ext = exterior_angle(x_text, y_image)
-    aper = half_aperture(x_text, params)
-    return max(0.0, ext - aper)

@@ -95,26 +95,12 @@ class TangentVector:
         return float(np.linalg.norm(self.space))
 
 
-@dataclass(frozen=True)
-class AmbientVector:
-    """General element of R^{n+1}, split as [space, time]."""
-
-    space: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "space", _vector(self.space, "space"))
-        object.__setattr__(self, "time", float(self.time))
-
-
 def _as_space_time(x) -> tuple[np.ndarray, float]:
-    if isinstance(x, AmbientVector):
-        return x.space, x.time
     if isinstance(x, HyperbolicPoint):
         return x.space, x.time
     if isinstance(x, TangentVector):
         return x.space, 0.0
-    raise TypeError(f"expected an ambient/hyperbolic/tangent vector, got {type(x)!r}")
+    raise TypeError(f"expected a HyperbolicPoint or TangentVector, got {type(x)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +182,8 @@ def log_space(x_space, c):
 def lorentz_inner(x, y) -> float:
     """Lorentzian inner product <x,y>_L = <x_s, y_s> - x_t * y_t.
 
-    Accepts any mix of AmbientVector / HyperbolicPoint / TangentVector.
+    Accepts any mix of HyperbolicPoint / TangentVector (whose time
+    component is 0).
     Symmetric in its arguments.
     """
     xs, xt = _as_space_time(x)
@@ -204,11 +191,6 @@ def lorentz_inner(x, y) -> float:
     if xs.shape != ys.shape:
         raise ValueError(f"dimension mismatch: {xs.shape[0]} vs {ys.shape[0]}")
     return pair_inner(xs, xt, ys, yt).item()
-
-
-def time_component(space, curv: Curvature) -> float:
-    """Time component sqrt(1/c + ||space||^2) for given space components."""
-    return time_part(_vector(space, "space"), curv.c).item()
 
 
 def lift(space, curv: Curvature) -> HyperbolicPoint:
@@ -258,19 +240,6 @@ def exp_map_origin(v, curv: Curvature) -> HyperbolicPoint:
 def log_map_origin(x: HyperbolicPoint) -> TangentVector:
     """Logarithmic map at the origin; exact inverse of `exp_map_origin`."""
     return TangentVector(space=np.asarray(log_space(x.space, x.curv.c)))
-
-
-def tangent_project(z: HyperbolicPoint, u: AmbientVector) -> AmbientVector:
-    """Orthogonal projection u + c z <z,u>_L onto the tangent space at z."""
-    us, ut = _as_space_time(u)
-    if us.shape[0] != z.dim:
-        raise ValueError(f"dimension mismatch: {us.shape[0]} vs {z.dim}")
-    c = z.curv.c
-    inner = lorentz_inner(z, u)
-    return AmbientVector(
-        space=us + c * inner * z.space,
-        time=ut + c * inner * z.time,
-    )
 
 
 def poincare_to_lorentz(xb, curv: Curvature) -> HyperbolicPoint:

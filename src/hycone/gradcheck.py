@@ -216,14 +216,6 @@ def _admissible_among(seeds, mode: SimilarityMode, entail_weight: float, batch: 
     return [(imgs[j], txts[j], scalars[j], run, tape_grads[j]) for j in keep]
 
 
-def _admissible_case(seed: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int):
-    """(imgs, txts, scalars, run, tape_grad) at a sample point, or None if
-    the forward pass runs within the boundary margin of a clamp or hinge
-    kink: `_admissible_among` of the one seed."""
-    cases = _admissible_among([seed], mode, entail_weight, batch, dim)
-    return cases[0] if cases else None
-
-
 def _admissible_cases(seeds: int, mode: SimilarityMode, entail_weight: float, batch: int, dim: int) -> list:
     """The first `seeds` admissible cases of the deterministic seed stream,
     in seed order.  Each batch records as many candidates as are still
@@ -255,15 +247,6 @@ def _closed_form_gradient(case, mode: SimilarityMode, entail_weight: float) -> n
     )
     scalar_names = ("log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")
     return np.concatenate([np.ravel(g[k]) for k in ("img_rows", "txt_rows", *scalar_names)])
-
-
-def total_loss_report(seed: int, mode: SimilarityMode, entail_weight: float) -> GradReport | None:
-    """Gradient report of the objective w.r.t. encoder outputs and the four
-    log scalars; None if the point lies within the boundary margin."""
-    case = _admissible_case(seed, mode, entail_weight, END_TO_END_BATCH, END_TO_END_DIM)
-    if case is None:
-        return None
-    return make_report(case[-1], _case_differences([case])[0])
 
 
 def check_total_loss(seeds: int = 20) -> list[CheckResult]:

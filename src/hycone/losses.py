@@ -80,9 +80,6 @@ class LossParams:
     def inv_temp(self) -> float:
         return inv_temp_read(self.log_inv_temp)[1]
 
-    def tau(self) -> float:
-        return 1.0 / self.inv_temp()
-
     def curv(self) -> Curvature:
         return Curvature(curv_read(self.log_curv)[1])
 
@@ -108,13 +105,6 @@ class BatchEmbeddings:
             )
         if self.images.shape[0] < 2:
             raise ValueError("batch size must be >= 2")
-
-
-@dataclass
-class LossBreakdown:
-    contrastive: float
-    entailment: float
-    total: float
 
 
 # ---------------------------------------------------------------------------
@@ -540,35 +530,3 @@ def logit_matrix(images, texts, params: LossParams, mode: SimilarityMode) -> np.
     if mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
         logits[geometry.coincident(img_sp[:, None, :], txt_sp[None, :, :])] = 0.0
     return logits
-
-
-def contrastive_loss(logits: np.ndarray) -> float:
-    """Two-direction softmax cross-entropy of a square logit matrix."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
-        raise ValueError(f"logits must be square, got shape {logits.shape}")
-    if logits.shape[0] < 2:
-        raise ValueError("batch size must be >= 2")
-    return float(contrastive_from_logits(logits))
-
-
-def total_loss(batch: BatchEmbeddings, params: LossParams, mode: SimilarityMode) -> LossBreakdown:
-    """Contrastive term plus entail_weight times the mean pair hinge, the
-    text embedding acting as cone apex for its paired image (no hinge
-    under COSINE)."""
-    total, cont, ent = objective(
-        batch.images,
-        batch.texts,
-        params.log_inv_temp,
-        params.log_curv,
-        params.log_scale_img,
-        params.log_scale_txt,
-        mode=mode,
-        entail_weight=params.entail_weight,
-        cone_boundary=params.cone_boundary,
-    )
-    return LossBreakdown(
-        contrastive=float(np.asarray(cont)),
-        entailment=float(np.asarray(ent)),
-        total=float(np.asarray(total)),
-    )

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hycone import autodiff as ad
-from hycone.autodiff import PRIMITIVES, Tape, finite_diff, grad_report
-from hycone.gradcheck import check_primitive, total_loss_report
-from hycone.losses import SimilarityMode
+from hycone.autodiff import PRIMITIVES, Tape, finite_diff
+from hycone.gradcheck import check_primitive
 
 
 class TestTapeBasics:
@@ -165,22 +164,3 @@ class TestKinkMargin:
         x = tape.var(np.array([0.5, 2.0]))
         ad.relu(ad.clamp(x, lo=0.3) - 1.97)
         assert tape.kink_margin() == pytest.approx(0.03)
-
-
-class TestEndToEnd:
-    @pytest.mark.parametrize("mode", [SimilarityMode.NEG_LORENTZ_DISTANCE, SimilarityMode.LORENTZ_INNER])
-    @pytest.mark.parametrize("lam", [0.0, 0.2])
-    def test_total_loss_gradients(self, mode, lam):
-        count = 0
-        seed = 0
-        while count < 3:
-            rep = total_loss_report(seed, mode, lam)
-            seed += 1
-            if rep is None:
-                continue
-            assert rep.within(1e-4, 1e-6), (mode, lam, rep.max_abs_err, rep.max_rel_err)
-            count += 1
-
-    def test_grad_report_helper(self):
-        rep = grad_report(lambda x: ad.sum(ad.sinh(x) * x), np.array([0.3, -0.7]))
-        assert rep.within(1e-6, 1e-9)

@@ -224,6 +224,22 @@ class TestClassifyCommand:
         assert code == 1
         assert "against class 'beta'" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("space", ["lorentz", "sphere"])
+    def test_prompts_of_another_dimension_are_one_line_error(self, tmp_path, capsys, space):
+        # numpy's matmul error named neither dump
+        rng = np.random.default_rng(3)
+        images = rng.standard_normal((3, 8))
+        images /= np.linalg.norm(images, axis=1, keepdims=True)
+        curvature = 1.0 if space == "lorentz" else None
+        write_dump(EmbeddingIndex(space=space, curvature=curvature, vectors=images,
+                                  labels=tuple(("image", f"i{k}") for k in range(3))),
+                   tmp_path / "img.hypb")
+        write_dump(EmbeddingIndex(space="lorentz", curvature=1.0, vectors=rng.standard_normal((2, 16)),
+                                  labels=(("text", "alpha"), ("text", "beta"))), tmp_path / "p.hypb")
+        code = main(["classify", "--prompts", str(tmp_path / "p.hypb"), "--images", str(tmp_path / "img.hypb")])
+        assert code == 1
+        assert one_error_line(capsys) == "error: prompts have dim 16, images have dim 8\n"
+
 
 class TestClassifyCurvature:
     def image_dump(self, tmp_path, out, c):
@@ -603,6 +619,34 @@ class TestQueryValidation:
     def test_row_and_vector_are_exclusive(self, dump, capsys, command):
         assert main([command, "--dump", dump, "--row", "1", "--vector=0.1,0.2,0.3"]) == 1
         assert one_error_line(capsys) == "error: give --row or --vector, not both\n"
+
+    @pytest.fixture
+    def sphere_dump(self, tmp_path):
+        vecs = np.random.default_rng(6).standard_normal((6, 3))
+        idx = EmbeddingIndex(space="sphere", curvature=None,
+                             vectors=vecs / np.linalg.norm(vecs, axis=1, keepdims=True),
+                             labels=tuple(("text", f"t{i}") for i in range(6)))
+        write_dump(idx, tmp_path / "s.hypb")
+        return str(tmp_path / "s.hypb")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("vector, norm", [
+        ("0,0,0", "0.00000000"), ("0.6,0.8,0.003", "1.00000450"), ("2,0,0", "2.00000000"),
+        ("1e200,1e200,0", "inf"),
+    ])
+    def test_sphere_vector_must_be_a_unit_vector(self, sphere_dump, capsys, vector, norm):
+        # scores were raw dot products; a zero query exited 0 with rows 0..k-1
+        assert main(["retrieve", "--dump", sphere_dump, f"--vector={vector}"]) == 1
+        assert one_error_line(capsys) == (
+            f"error: query is not a sphere point: sphere row 0 has norm {norm}, expected 1 within 1e-06\n"
+        )
+
+    def test_sphere_unit_vector_and_row_queries_pass(self, sphere_dump, capsys):
+        assert main(["retrieve", "--dump", sphere_dump, "--vector=0.6,0.8,0", "--k", "6"]) == 0
+        by_vector = json.loads(capsys.readouterr().out)["results"]
+        assert sorted(r["row"] for r in by_vector) == list(range(6))
+        assert main(["retrieve", "--dump", sphere_dump, "--row", "2", "--k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["row"] == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("command", [["retrieve", "--row", "0"], ["stats"]])

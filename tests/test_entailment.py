@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hycone.entailment import ConeParams, entailment_loss_pair, exterior_angle, half_aperture
+from hycone.entailment import ConeParams, exterior_angle, half_aperture, hinge_rows
 from hycone.geometry import Curvature, TangentVector, exp_map_origin, lift, lorentz_distance, origin
 
 C1 = Curvature(1.0)
@@ -15,6 +15,12 @@ CLAMP_TOL = 2e-4
 
 def on_ray(radius, c=1.0):
     return exp_map_origin(TangentVector([radius, 0.0]), Curvature(c))
+
+
+def hinge(x, y):
+    """The objective's hinge kernel on one pair, x the cone apex."""
+    out = hinge_rows(x.space, np.array([x.time]), y.space, np.array([y.time]), x.curv.c, CONES.boundary)
+    return float(np.asarray(out).item())
 
 
 class TestHalfAperture:
@@ -96,13 +102,15 @@ def _unit(rng):
 
 
 class TestEntailmentLossPair:
+    """The hinge max(0, ext - aper) of one pair, through `hinge_rows`."""
+
     def test_collinear_deeper_point_in_cone(self):
-        assert entailment_loss_pair(on_ray(1.0), on_ray(2.0), CONES) == 0.0
+        assert hinge(on_ray(1.0), on_ray(2.0)) == 0.0
 
     def test_opposite_ray_penalty(self):
         x = on_ray(1.0)
         aper = math.asin(2 * 0.1 / math.sinh(1.0))
-        loss = entailment_loss_pair(x, on_ray(-1.0), CONES)
+        loss = hinge(x, on_ray(-1.0))
         assert loss == pytest.approx(math.pi - aper, abs=CLAMP_TOL)
 
     def test_nonnegative(self):
@@ -114,7 +122,7 @@ class TestEntailmentLossPair:
             y = exp_map_origin(TangentVector(rng.standard_normal(3)), curv)
             if np.linalg.norm(x.space) == 0.0:
                 continue
-            assert entailment_loss_pair(x, y, CONES) >= 0.0
+            assert hinge(x, y) >= 0.0
 
     def test_membership_dichotomy(self):
         rng = np.random.default_rng(3)
@@ -130,7 +138,7 @@ class TestEntailmentLossPair:
             else:
                 y_vec = rng.uniform(0.2, 2.5) * _unit(rng)
             y = exp_map_origin(TangentVector(y_vec), curv)
-            loss = entailment_loss_pair(x, y, CONES)
+            loss = hinge(x, y)
             ext, aper = exterior_angle(x, y), half_aperture(x, CONES)
             if ext <= aper:
                 assert loss == 0.0
@@ -149,9 +157,7 @@ class TestEntailmentLossPair:
             xr, yr = lift(q @ x_sp, C1), lift(q @ y_sp, C1)
             assert half_aperture(xr, CONES) == pytest.approx(half_aperture(x, CONES), abs=1e-9)
             assert exterior_angle(xr, yr) == pytest.approx(exterior_angle(x, y), abs=1e-9)
-            assert entailment_loss_pair(xr, yr, CONES) == pytest.approx(
-                entailment_loss_pair(x, y, CONES), abs=1e-9
-            )
+            assert hinge(xr, yr) == pytest.approx(hinge(x, y), abs=1e-9)
 
 
 class TestChartChecks:

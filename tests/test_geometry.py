@@ -6,7 +6,6 @@ import pytest
 
 from hycone import geometry
 from hycone.geometry import (
-    AmbientVector,
     Curvature,
     HyperbolicPoint,
     TangentVector,
@@ -17,8 +16,6 @@ from hycone.geometry import (
     lorentz_inner,
     origin,
     poincare_to_lorentz,
-    tangent_project,
-    time_component,
 )
 from hycone.losses import LossParams, SimilarityMode, logit_matrix, lorentz_logits
 
@@ -71,22 +68,24 @@ class TestLorentzInner:
     def test_symmetric(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            x = AmbientVector(rng.standard_normal(3), rng.standard_normal())
-            y = AmbientVector(rng.standard_normal(3), rng.standard_normal())
-            assert lorentz_inner(x, y) == lorentz_inner(y, x)
+            c = Curvature(float(rng.uniform(0.1, 10.0)))
+            p, q = lift(rng.standard_normal(3), c), lift(rng.standard_normal(3), c)
+            v = TangentVector(rng.standard_normal(3))
+            for x, y in ((p, q), (p, v), (v, v)):
+                assert lorentz_inner(x, y) == lorentz_inner(y, x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            lorentz_inner(AmbientVector([1.0, 0.0], 1.0), AmbientVector([1.0, 0.0, 0.0], 1.0))
+            lorentz_inner(lift([1.0, 0.0], C1), TangentVector([1.0, 0.0, 0.0]))
 
 
 class TestTimeComponentAndLift:
     def test_zero_space(self):
-        assert time_component(np.zeros(3), C1) == 1.0
-        assert time_component(np.zeros(3), Curvature(0.25)) == 2.0
+        assert lift(np.zeros(3), C1).time == 1.0
+        assert lift(np.zeros(3), Curvature(0.25)).time == 2.0
 
     def test_three_four_five(self):
-        assert time_component([3.0, 4.0], C1) == pytest.approx(math.sqrt(26), abs=1e-12)
+        assert lift([3.0, 4.0], C1).time == pytest.approx(math.sqrt(26), abs=1e-12)
 
     def test_lift_origin(self):
         p = lift(np.zeros(2), C1)
@@ -207,36 +206,6 @@ class TestLogMap:
             np.testing.assert_allclose(back.space, v, atol=1e-8)
 
 
-class TestTangentProject:
-    def test_origin_onto_itself_vanishes(self):
-        o = origin(2, C1)
-        w = tangent_project(o, AmbientVector(np.zeros(2), 1.0))
-        np.testing.assert_array_equal(w.space, np.zeros(2))
-        assert w.time == 0.0
-
-    def test_tangent_fixed_point(self):
-        o = origin(2, C1)
-        u = AmbientVector([0.7, -0.3], 0.0)
-        w = tangent_project(o, u)
-        np.testing.assert_array_equal(w.space, u.space)
-        assert w.time == 0.0
-
-    def test_kills_time_component_at_origin(self):
-        o = origin(2, C1)
-        w = tangent_project(o, AmbientVector([0.5, 0.25], 3.0))
-        np.testing.assert_array_equal(w.space, [0.5, 0.25])
-        assert w.time == 0.0
-
-    def test_projection_is_tangent(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            c = float(rng.uniform(0.1, 10.0))
-            z = random_point(rng, 3, c)
-            u = AmbientVector(rng.standard_normal(3), rng.standard_normal())
-            w = tangent_project(z, u)
-            assert abs(lorentz_inner(z, w)) < 1e-9
-
-
 class TestPoincareMap:
     def test_center_to_origin(self):
         p = poincare_to_lorentz(np.zeros(3), C1)
@@ -294,7 +263,6 @@ class TestWrappersEqualKernels:
             t = geometry.time_part(sp, c)
             for i, p in enumerate(points):
                 assert p.time == t[i, 0]
-                assert time_component(p.space, p.curv) == t[i, 0]
 
     def test_inner(self):
         for points, sp, c in self.cases(1):

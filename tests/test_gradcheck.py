@@ -72,21 +72,21 @@ class TestBoundaryRejection:
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     def test_margin_above_every_point_rejects_all(self, monkeypatch, mode, lam):
         monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", np.inf)
-        assert gradcheck.total_loss_report(0, mode, lam) is None
+        assert gradcheck._admissible_among([0], mode, lam, 4, 8) == []
         with pytest.raises(RuntimeError, match="admissible"):
-            next(gradcheck._admissible_cases(1, mode, lam, 4, 8))
+            gradcheck._admissible_cases(1, mode, lam, 4, 8)
 
     def test_point_at_the_margin_is_admissible(self, monkeypatch):
         mode, lam = SimilarityMode.NEG_LORENTZ_DISTANCE, 0.2
         margin = point_margin(0, mode, lam)
         monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", np.nextafter(margin, np.inf))
-        assert gradcheck._admissible_case(0, mode, lam, 4, 8) is None
+        assert gradcheck._admissible_among([0], mode, lam, 4, 8) == []
         monkeypatch.setattr(gradcheck, "BOUNDARY_MARGIN", margin)
-        assert gradcheck._admissible_case(0, mode, lam, 4, 8) is not None
+        assert len(gradcheck._admissible_among([0], mode, lam, 4, 8)) == 1
 
     def test_tape_gradient_of_admissible_point(self):
         mode, lam = SimilarityMode.NEG_LORENTZ_DISTANCE, 0.2
-        imgs, txts, scalars, run, tape_grad = gradcheck._admissible_case(0, mode, lam, 4, 8)
+        [(imgs, txts, scalars, run, tape_grad)] = gradcheck._admissible_among([0], mode, lam, 4, 8)
         tape = Tape()
         vi, vt = tape.var(imgs), tape.var(txts)
         vs = [tape.var(s) for s in scalars]

@@ -1,22 +1,31 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from hycone.entailment import ConeParams, entailment_loss_pair
+from hycone.entailment import CONE_BOUNDARY, ConeParams, exterior_angle, half_aperture
 from hycone.geometry import Curvature, TangentVector, exp_map_origin, lorentz_distance, lorentz_inner
 from hycone.losses import (
     BatchEmbeddings,
     LossParams,
     SimilarityMode,
-    contrastive_loss,
+    contrastive_from_logits,
     lift_batch,
     logit_matrix,
-    total_loss,
+    objective,
 )
 
 N = 4
+# The objective in the hyperbolic mode the trainer defaults to, on plain
+# arrays: (images, texts, log_inv_temp, log_curv, log_scale_img,
+# log_scale_txt, entail_weight=...) -> (total, contrastive, entailment).
+neg_distance_objective = functools.partial(
+    objective, mode=SimilarityMode.NEG_LORENTZ_DISTANCE, cone_boundary=CONE_BOUNDARY
+)
+# log_inv_temp, log_curv, log_scale_img, log_scale_txt of LossParams.init(N)
+INIT = dataclasses.astuple(LossParams.init(N))[:4]
 
 
 def unit_params(**kw):
@@ -99,13 +108,15 @@ class TestLogitMatrix:
 
 
 class TestContrastiveLoss:
+    """The two-direction contrastive term, `contrastive_from_logits`."""
+
     def test_uniform_logits(self):
-        assert contrastive_loss(np.zeros((4, 4))) == pytest.approx(math.log(4), abs=1e-12)
-        assert contrastive_loss(np.full((7, 7), 3.3)) == pytest.approx(math.log(7), abs=1e-12)
+        assert contrastive_from_logits(np.zeros((4, 4))) == pytest.approx(math.log(4), abs=1e-12)
+        assert contrastive_from_logits(np.full((7, 7), 3.3)) == pytest.approx(math.log(7), abs=1e-12)
 
     def test_two_class_closed_form(self):
         logits = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        assert contrastive_loss(logits) == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-12)
+        assert contrastive_from_logits(logits) == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-12)
 
     def test_row_shift_invariance(self):
         rng = np.random.default_rng(2)
@@ -122,94 +133,81 @@ class TestContrastiveLoss:
 
     def test_goes_to_zero_with_confident_diagonal(self):
         logits = np.full((4, 4), -1.0) + 60.0 * np.eye(4)
-        assert contrastive_loss(logits) < 1e-12
+        assert contrastive_from_logits(logits) < 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            assert contrastive_loss(rng.standard_normal((4, 4))) >= 0.0
-
-    def test_square_required(self):
-        with pytest.raises(ValueError):
-            contrastive_loss(np.zeros((3, 4)))
+            assert contrastive_from_logits(rng.standard_normal((4, 4))) >= 0.0
 
 
 class TestTotalLoss:
-    def _batch(self, rng, b=4):
-        return BatchEmbeddings(
-            images=rng.standard_normal((b, N)), texts=rng.standard_normal((b, N))
-        )
+    """The objective's (total, contrastive, entailment) on plain arrays."""
+
+    def _rows(self, rng, b=4):
+        return rng.standard_normal((b, N)), rng.standard_normal((b, N))
 
     def test_zero_weight_equals_contrastive(self):
         rng = np.random.default_rng(4)
-        batch = self._batch(rng)
-        params = dataclasses.replace(LossParams.init(N), entail_weight=0.0)
-        out = total_loss(batch, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
-        assert out.total == out.contrastive
-        assert out.entailment == 0.0
+        total, cont, ent = neg_distance_objective(*self._rows(rng), *INIT, entail_weight=0.0)
+        assert total == cont
+        assert ent == 0.0
 
     def test_images_inside_cones_give_zero_term(self):
         # same direction, image deeper than text: cones satisfied
-        params = unit_params(entail_weight=0.2)
         texts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         images = 1.8 * texts
-        out = total_loss(BatchEmbeddings(images=images, texts=texts), params,
-                         SimilarityMode.NEG_LORENTZ_DISTANCE)
-        assert out.entailment == 0.0
-        assert out.total == out.contrastive
+        total, cont, ent = neg_distance_objective(images, texts, 0.0, 0.0, 0.0, 0.0, entail_weight=0.2)
+        assert ent == 0.0
+        assert total == cont
 
     def test_compositional_oracle(self):
-        # total must equal the independently composed public sub-operations
+        # the objective must equal the independently composed typed operations
         rng = np.random.default_rng(5)
-        batch = self._batch(rng, b=2)
+        imgs, txts = self._rows(rng, b=2)
         params = dataclasses.replace(LossParams.init(N), entail_weight=0.2)
-        out = total_loss(batch, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
+        total, cont_obj, ent = neg_distance_objective(imgs, txts, *INIT, entail_weight=0.2)
 
-        images, texts = lift_batch(batch, params)
-        cont = contrastive_loss(
+        images, texts = lift_batch(BatchEmbeddings(images=imgs, texts=txts), params)
+        cont = contrastive_from_logits(
             logit_matrix(images, texts, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
         )
         cones = ConeParams(boundary=params.cone_boundary)
         pair_losses = [
-            entailment_loss_pair(t, i, cones) for t, i in zip(texts, images)
+            max(0.0, exterior_angle(t, i) - half_aperture(t, cones)) for t, i in zip(texts, images)
         ]
-        assert out.contrastive == pytest.approx(cont, abs=1e-12)
-        assert out.entailment == pytest.approx(np.mean(pair_losses), abs=1e-12)
-        assert out.total == pytest.approx(cont + 0.2 * np.mean(pair_losses), abs=1e-12)
+        assert cont_obj == pytest.approx(cont, abs=1e-12)
+        assert ent == pytest.approx(np.mean(pair_losses), abs=1e-12)
+        assert total == pytest.approx(cont + 0.2 * np.mean(pair_losses), abs=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(6)
-        batch = self._batch(rng, b=6)
-        params = LossParams.init(N)
+        imgs, txts = self._rows(rng, b=6)
         perm = rng.permutation(6)
-        permuted = BatchEmbeddings(images=batch.images[perm], texts=batch.texts[perm])
-        a = total_loss(batch, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
-        b = total_loss(permuted, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
-        assert a.total == pytest.approx(b.total, abs=1e-12)
+        a, _, _ = neg_distance_objective(imgs, txts, *INIT, entail_weight=0.2)
+        b, _, _ = neg_distance_objective(imgs[perm], txts[perm], *INIT, entail_weight=0.2)
+        assert a == pytest.approx(b, abs=1e-12)
 
     def test_temperature_clamp_binds_exactly(self):
         rng = np.random.default_rng(7)
-        batch = self._batch(rng)
-        tiny_tau = unit_params()
-        tiny_tau.log_inv_temp = math.log(1.0 / 0.005)  # below the floor
-        at_floor = unit_params()
-        at_floor.log_inv_temp = math.log(100.0)
-        assert tiny_tau.tau() == 0.01
-        a = total_loss(batch, tiny_tau, SimilarityMode.NEG_LORENTZ_DISTANCE)
-        b = total_loss(batch, at_floor, SimilarityMode.NEG_LORENTZ_DISTANCE)
-        assert a.total == b.total
+        rows = self._rows(rng)
+        below_floor = math.log(1.0 / 0.005)     # tau below its 0.01 floor
+        assert dataclasses.replace(unit_params(), log_inv_temp=below_floor).inv_temp() == 100.0
+        a, _, _ = neg_distance_objective(*rows, below_floor, 0.0, 0.0, 0.0, entail_weight=0.2)
+        b, _, _ = neg_distance_objective(*rows, math.log(100.0), 0.0, 0.0, 0.0, entail_weight=0.2)
+        assert a == b
 
     def test_sphere_mode(self):
         rng = np.random.default_rng(8)
-        batch = self._batch(rng)
-        out = total_loss(batch, LossParams.init(N), SimilarityMode.COSINE)
-        assert out.entailment == 0.0
-        assert out.total == out.contrastive
+        total, cont, ent = objective(*self._rows(rng), *INIT, mode=SimilarityMode.COSINE,
+                                     entail_weight=0.2, cone_boundary=CONE_BOUNDARY)
+        assert ent == 0.0
+        assert total == cont
 
 
 class TestLossParamsDomain:
     """The domain TrainConfig checks for the entailment weight and the cone
-    boundary; outside it, total_loss returned NaN or inf."""
+    boundary; outside it, the objective returned NaN or inf."""
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
     def test_entail_weight_finite_non_negative(self, weight):

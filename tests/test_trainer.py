@@ -13,7 +13,7 @@ from hycone.hierarchy import (
     generate_tree, tree_node_count,
 )
 from hycone.losses import (
-    BatchEmbeddings, LossParams, SimilarityMode, clamped_curv, logit_matrix, total_loss,
+    LossParams, SimilarityMode, clamped_curv, logit_matrix, objective,
 )
 from hycone.trainer import (
     AdamState,
@@ -297,12 +297,13 @@ class TestTraining:
         for c in (chk, loaded):
             params = c.loss_params()
             assert params.entail_weight == 0.0
-            rows = BatchEmbeddings(
-                images=encoder_forward(c.tensors, batch.image_latents, "img", cfg.hidden_dim),
-                texts=encoder_forward(c.tensors, batch.text_latents, "txt", cfg.hidden_dim),
+            total, cont, _ = objective(
+                encoder_forward(c.tensors, batch.image_latents, "img", cfg.hidden_dim),
+                encoder_forward(c.tensors, batch.text_latents, "txt", cfg.hidden_dim),
+                params.log_inv_temp, params.log_curv, params.log_scale_img, params.log_scale_txt,
+                mode=cfg.mode(), entail_weight=params.entail_weight, cone_boundary=params.cone_boundary,
             )
-            out = total_loss(rows, params, cfg.mode())
-            assert out.total == out.contrastive
+            assert total == cont
 
     def test_fixed_curvature_flag(self):
         cfg = TrainConfig(seed=11, fixed_curvature=True, **TINY)
