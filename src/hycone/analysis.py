@@ -553,6 +553,20 @@ class TraversalResult:
     unique: tuple[str, ...]
 
 
+def _check_query(query, index: EmbeddingIndex) -> np.ndarray:
+    """The query as float64, checked as the index's rows are: one vector
+    of the index's dimension, finite on lorentz, a unit vector on the
+    sphere."""
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (index.dim,):
+        raise ValueError(f"query has shape {query.shape}, index has dim {index.dim}")
+    try:
+        index.geom.check_rows(query[None])
+    except ValueError as exc:
+        raise ValueError(f"query is not a {index.space} point: {exc}") from None
+    return query
+
+
 def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float = 0.0,
              cone_boundary: float = entailment.CONE_BOUNDARY) -> TraversalResult:
     """Walk an embedding to [ROOT], retrieving the best text at each step.
@@ -564,7 +578,8 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
     origin, where the cone formula is undefined; on the sphere, every
     text.  Scoring is by the space's inner product.  Ties prefer [ROOT],
     then the lowest row index.  The walk is scored in blocks of steps of at most
-    TRAVERSE_BLOCK elements of steps x candidates x dim.  A cone slack
+    TRAVERSE_BLOCK elements of steps x candidates x dim.  The query is
+    checked as `retrieve` checks it.  A cone slack
     below 0 or NaN, or a cone boundary that is not finite and positive,
     is a ValueError; an infinite slack keeps every text.
     """
@@ -581,7 +596,7 @@ def traverse(y, text_index: EmbeddingIndex, steps: int = 50, cone_slack: float =
     best = []
     # A query too long to lift overflows: one error, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        walk = interpolate_steps(y, text_index, steps=steps)
+        walk = interpolate_steps(_check_query(y, text_index), text_index, steps=steps)
         # The root row's vector, or else the walk's last step: the space's root exactly.
         root = walk[-1] if root_id is None else text_index.rows(root_id)
         vectors = np.vstack([root, text_index.rows(texts)])
@@ -632,7 +647,8 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
 
     lorentz ranks by Lorentzian inner product (descending; equivalently
     ascending distance); sphere ranks by cosine.  The query is checked as
-    the index's rows are: finite on lorentz, a unit vector on the sphere.
+    the index's rows are: one vector of the index's dimension, finite on
+    lorentz, a unit vector on the sphere.
     calibrated=True returns softmax(-distance / tau) scores instead of raw
     similarities (lorentz only).  Ties break toward the lower row index;
     k=0 yields [].
@@ -645,11 +661,7 @@ def retrieve(query, index: EmbeddingIndex, k: int, calibrated: bool = False,
         raise ValueError(f"tau must be a finite positive number, got {tau}")
     # A query too long to lift overflows: one error, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        query = np.asarray(query, dtype=np.float64)
-        try:
-            index.geom.check_rows(query[None])
-        except ValueError as exc:
-            raise ValueError(f"query is not a {index.space} point: {exc}") from None
+        query = _check_query(query, index)
         scores = map_rows(lambda rows: index.geom.inner(rows, query), index.payload)
         if calibrated:
             z = -index.geom.distance(scores) / tau

@@ -69,6 +69,21 @@ def dsinhc_kernel(t: Array) -> Array:
     return np.where(small, t / 3.0, (safe * np.cosh(safe) - np.sinh(safe)) / (safe * safe))
 
 
+def sinhc_pair(t: Array) -> tuple[Array, Array]:
+    """(sinhc_kernel(t), dsinhc_kernel(t)), the same bits from one mask,
+    one sinh and one cosh; the Taylor branches are selected only when
+    some entry lies below SINHC_TAYLOR."""
+    t = _as_f64(t)
+    small = np.abs(t) < SINHC_TAYLOR
+    patch = small.any()
+    safe = np.where(small, 1.0, t) if patch else t
+    sh = np.sinh(safe)
+    k, dk = sh / safe, (safe * np.cosh(safe) - sh) / (safe * safe)
+    if patch:
+        k, dk = np.where(small, 1.0 + t * t / 6.0, k), np.where(small, t / 3.0, dk)
+    return k, dk
+
+
 def _logsumexp_rows_kernel(m: Array) -> Array:
     mx = np.max(m, axis=-1, keepdims=True)
     return np.log(np.sum(np.exp(m - mx), axis=-1)) + mx[..., 0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import entailment, geometry
-from .autodiff import ACOSH_EPS, NORM_FLOOR, dsinhc_kernel, sinhc_kernel
+from .autodiff import ACOSH_EPS, NORM_FLOOR, sinhc_pair
 from .entailment import ANGLE_EPS, CONE_BOUNDARY, SQRT_FLOOR
 from .geometry import CURV_MAX, CURV_MIN, Curvature, HyperbolicPoint
 
@@ -214,6 +214,24 @@ def objective(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_sca
 # (B, n) adjoint that may arrive transposed is not updated in place: a new
 # array takes its layout from its operands, and the layout decides the
 # order of a later row or column sum.
+#
+# Row blocks: the matrix products (img.sp @ txt.sp.T, g @ txt.sp,
+# img.sp.T @ g and the time parts') stay whole, so BLAS sees the operands
+# the tape gives it and adds in its order.  The elementwise passes between
+# them (the forward from `inner` to the logits, both softmaxes and the
+# backward chain) run one block of rows at a time, while the block sits in
+# cache, and keep three B x B matrices (`inner`, `acosh`, the logits that
+# become their adjoint); sim and -(inner * c) are recomputed per block by
+# the op that made them.  Row sums and row or column maxima are exact
+# whatever the blocks.  A column sum is carried: the column softmax's sum
+# of exps and the three sums to a scalar of g * sim, g * acosh / c and
+# g * inner each keep running sums, which `_carry` puts in row 0 of the
+# block buffer, so one reduce over axis 0 adds each column row by row, as
+# it adds a whole matrix's.
+
+# The most float64 elements a row block holds: 64 rows at batch 1,024,
+# the whole matrix at batch 256 and below.
+OBJECTIVE_BLOCK = 2**16
 
 
 def inv_temp_read(log_inv_temp) -> tuple[float, float]:
@@ -256,7 +274,7 @@ class _Lift:
         self.v = rows * self.scale
         self.norm, self.unclamped = _safe_norm(self.v)
         self.t = sqrt_c * self.norm
-        self.k = sinhc_kernel(self.t)
+        self.k, self.dk = sinhc_pair(self.t)
         self.sp = self.k * self.v
         self.time = np.sqrt(np.add.reduce(self.sp * self.sp, axis=-1, keepdims=True) + 1.0 / c)
 
@@ -268,7 +286,7 @@ class _Lift:
         g_c_inv = -_total(g_u) / (c * c)
         q = g_u * self.sp
         g_sp = (g_sp + q) + q
-        g_t = np.add.reduce(g_sp * self.v, axis=-1, keepdims=True) * dsinhc_kernel(self.t)
+        g_t = np.add.reduce(g_sp * self.v, axis=-1, keepdims=True) * self.dk
         g_c_sqrt = _total(g_t * self.norm) * 0.5 / sqrt_c
         q = _norm_adjoint(g_t * sqrt_c, self.norm, self.unclamped) * self.v
         g_v = (g_sp * self.k + q) + q
@@ -322,38 +340,6 @@ class _Hinge:
         return g_x_sp, g_x_t, g_ip * self.x_sp, g_y_t, [g_c_sqrt, _total(g_cip * self.ip)]
 
 
-def _contrastive_grad(logits, work):
-    """`contrastive_from_logits` and its gradient w.r.t. the logits, which
-    is written over `logits`; `work` is a B x B buffer it overwrites.
-
-    The text->image direction reduces the same contiguous matrix over
-    axis 0, which gives the tape's numbers without a transposed operand.
-    Each direction's softmax is exp(logits - logsumexp), as the tape's
-    adjoint computes it: dividing the loss's exp(logits - max) by its sum
-    instead differs in the last bit, which a long run can amplify.
-    """
-    b = logits.shape[0]
-    w = 0.5 / b
-    mx_r = np.maximum.reduce(logits, axis=1, keepdims=True)
-    mx_c = np.maximum.reduce(logits, axis=0, keepdims=True)
-    g_r = np.exp(np.subtract(logits, mx_r, out=work), out=work)
-    lse_r = np.log(np.add.reduce(g_r, axis=1)) + mx_r[:, 0]
-    np.exp(np.subtract(logits, mx_c, out=g_r), out=g_r)
-    lse_c = np.log(np.add.reduce(g_r, axis=0)) + mx_c[0]
-    diag = np.diagonal(logits)
-    cont = 0.5 * (np.add.reduce(lse_r - diag) / b + np.add.reduce(lse_c - diag) / b)
-    g_r = np.exp(np.subtract(logits, lse_r[:, None], out=g_r), out=g_r)
-    g_r *= w
-    g = np.exp(np.subtract(logits, lse_c, out=logits), out=logits)
-    g *= w
-    # The diagonal's adjoint is ((g - w) - w) + g_r, as the tape adds it.
-    g_diag = g.reshape(-1, copy=False)[::b + 1]
-    g_diag -= w
-    g_diag -= w
-    g += g_r
-    return float(cont), g
-
-
 def _normalize_grad(g_n, rows, norm, unclamped):
     """Gradient w.r.t. rows of rows / safe_norm(rows)."""
     g_norm = np.add.reduce(-g_n * rows / (norm * norm), axis=-1, keepdims=True)
@@ -361,10 +347,115 @@ def _normalize_grad(g_n, rows, norm, unclamped):
     return (g_n / norm + q) + q
 
 
+def _block_rows(batch_size: int) -> int:
+    """R: the rows of OBJECTIVE_BLOCK elements, at least one, at most B."""
+    return min(batch_size, max(1, OBJECTIVE_BLOCK // batch_size))
+
+
 def objective_workspace(batch_size: int) -> np.ndarray:
     """Uninitialised scratch for `objective_grad` at this batch size: one
-    B x B float64 slot per intermediate it holds at once."""
-    return np.empty((6, batch_size, batch_size))
+    (3B + R + 1) x B float64 array, carved into three B x B matrices and
+    the R + 1 rows of the row-block buffer (R = `_block_rows(B)`)."""
+    return np.empty((3 * batch_size + _block_rows(batch_size) + 1, batch_size))
+
+
+def _carry(head, running):
+    """Column sums of the block in rows 1.. of `head`, added to `running`
+    (None at the first block) through row 0, so that one reduce over axis
+    0 adds each column row by row, in the whole matrix's order."""
+    if running is None:
+        return np.add.reduce(head[1:], axis=0)
+    head[0] = running
+    return np.add.reduce(head, axis=0, out=running)
+
+
+def _similarity_grad(inner, acosh, logits, buf, times, c, inv_temp):
+    """The B x B part of the objective, one row block at a time: the
+    forward from `inner` to the logits, the contrastive loss, and its
+    adjoint back to `inner`, which is written over `logits`.
+
+    `inner` holds the space products (or cosines) on entry; the outer
+    product of `times`, (image times (B, 1), text times (1, B)) on the
+    hyperboloid and None on the sphere, is subtracted here.  `c` is the
+    curvature in the distance mode, else None; `acosh` is written only
+    then.  `buf` is the (R + 1) x B block buffer.  Returns (contrastive,
+    d/d inv_temp, [d c through sim, in the tape's order]).
+
+    Each direction's softmax is exp(logits - logsumexp), as the tape's
+    adjoint computes it: dividing the loss's exp(logits - max) by its sum
+    instead differs in the last bit, which a long run can amplify.  The
+    text->image direction reduces the same rows over axis 0, which gives
+    the tape's numbers without a transposed operand.
+    """
+    b, rows = logits.shape[0], buf.shape[0] - 1
+    # Per block: its rows s:e, the buffer rows 0..e-s (row 0 carries) and its views.
+    blocks = []
+    for s in range(0, b, rows):
+        e = min(s + rows, b)
+        head = buf[:e - s + 1]
+        blocks.append((s, e, head, head[1:], inner[s:e], logits[s:e]))
+    sqrt_c = None if c is None else math.sqrt(c)
+    lse_r, mx_c = np.empty((b, 1)), None
+    for s, e, _, blk, sim, lg in blocks:
+        if times is not None:
+            # times as an outer product: one rounding per entry, as the tape's (B, 1) @ (1, B)
+            sim -= np.multiply(times[0][s:e], times[1], out=blk)
+        if c is not None:
+            # Negations folded into the constants: -(x * c) == x * -c, as rounding is sign-symmetric.
+            ac = acosh[s:e]
+            np.arccosh(np.maximum(np.multiply(sim, -c, out=blk), 1.0, out=ac), out=ac)
+            sim = np.divide(ac, -sqrt_c, out=blk)
+        np.multiply(sim, inv_temp, out=lg)
+        m = np.maximum.reduce(lg, axis=0)
+        mx_c = m if mx_c is None else np.maximum(mx_c, m, out=mx_c)
+        mx_r = np.maximum.reduce(lg, axis=1, keepdims=True)
+        np.exp(np.subtract(lg, mx_r, out=blk), out=blk)
+        np.add(np.log(np.add.reduce(blk, axis=1, keepdims=True)), mx_r, out=lse_r[s:e])
+    col = None
+    for _, _, head, blk, _, lg in blocks:
+        np.exp(np.subtract(lg, mx_c, out=blk), out=blk)
+        col = _carry(head, col)
+    lse_c = np.log(col) + mx_c
+    diag = np.diagonal(logits)
+    cont = 0.5 * (np.add.reduce(lse_r[:, 0] - diag) / b + np.add.reduce(lse_c - diag) / b)
+
+    w = 0.5 / b
+    sum_sim = sum_acosh = sum_inner = None
+    for s, e, head, blk, inn, g in blocks:
+        np.exp(np.subtract(g, lse_r[s:e], out=blk), out=blk)
+        blk *= w
+        np.exp(np.subtract(g, lse_c, out=g), out=g)
+        g *= w
+        # The diagonal's adjoint is ((g - w) - w) + g_r, as the tape adds it.
+        g_diag = g.reshape(-1, copy=False)[s::b + 1]
+        g_diag -= w
+        g_diag -= w
+        g += blk
+        sim = inn if c is None else np.divide(acosh[s:e], -sqrt_c, out=blk)
+        np.multiply(g, sim, out=blk)
+        sum_sim = _carry(head, sum_sim)
+        g *= inv_temp
+        if c is not None:
+            # sim = -acosh(max(-(inner * c), 1)) / sqrt(c)
+            np.multiply(g, acosh[s:e], out=blk)
+            blk /= sqrt_c * sqrt_c
+            sum_acosh = _carry(head, sum_acosh)
+            # The tape divides by -sqrt(c) and negates after the mask; both
+            # negations cancel to the bit.
+            g /= sqrt_c
+            live = np.multiply(inn, -c, out=blk) > 1.0
+            # max(max(x, 1), 1 + ACOSH_EPS) == max(x, 1 + ACOSH_EPS)
+            np.maximum(blk, 1.0 + ACOSH_EPS, out=blk)
+            np.square(blk, out=blk)
+            blk -= 1.0
+            g /= np.sqrt(blk, out=blk)
+            g *= live
+            np.multiply(g, inn, out=blk)
+            sum_inner = _carry(head, sum_inner)
+            g *= c
+    sim_c = [] if c is None else [np.add.reduce(sum_acosh, axis=0) * 0.5 / sqrt_c,
+                                  np.add.reduce(sum_inner, axis=0)]
+    return float(cont), np.add.reduce(sum_sim, axis=0), sim_c
 
 
 def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, log_scale_txt,
@@ -382,18 +473,19 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
     the closed form, adding them in the same order, gives the same residue.
 
     `workspace` is `objective_workspace(B)`: every B x B intermediate
-    (inner products, logits, softmax, their adjoints) is written into it,
-    so a caller that holds one across calls, as the trainer does for a
-    run, allocates no B x B matrix per call.  Without one, the call
-    allocates its own.  Its contents are scratch before and after a call;
-    nothing returned aliases it, and the results are the same bits either
-    way.
+    (inner products, acosh, logits and their adjoint) and the row-block
+    buffer are written into it, so a caller that holds one across calls,
+    as the trainer does for a run, allocates no B x B matrix per call.
+    Without one, the call allocates its own.  Its contents are scratch
+    before and after a call; nothing returned aliases it, and the results
+    are the same bits either way.
     """
     img_rows = np.asarray(img_rows, dtype=np.float64)
     txt_rows = np.asarray(txt_rows, dtype=np.float64)
+    b = img_rows.shape[0]
     if workspace is None:
-        workspace = objective_workspace(img_rows.shape[0])
-    inner, neg_ic, acosh, sim, logits, tmp = workspace
+        workspace = objective_workspace(b)
+    inner, acosh, g, buf = workspace[:b], workspace[b:2 * b], workspace[2 * b:3 * b], workspace[3 * b:]
     e_it, inv_temp = inv_temp_read(log_inv_temp)
     grads = dict.fromkeys(("log_curv", "log_scale_img", "log_scale_txt"), 0.0)
 
@@ -401,56 +493,29 @@ def objective_grad(img_rows, txt_rows, log_inv_temp, log_curv, log_scale_img, lo
         img_norm, img_unclamped = _safe_norm(img_rows)
         txt_norm, txt_unclamped = _safe_norm(txt_rows)
         img_n, txt_n = img_rows / img_norm, txt_rows / txt_norm
-        np.matmul(img_n, txt_n.T, out=sim)
-        cont, g = _contrastive_grad(np.multiply(sim, inv_temp, out=logits), tmp)
-        grads["log_inv_temp"] = _total(np.multiply(g, sim, out=tmp)) * (e_it < INV_TEMP_MAX) * e_it
-        g *= inv_temp
+        np.matmul(img_n, txt_n.T, out=inner)
+        cont, g_inv_temp, _ = _similarity_grad(inner, acosh, g, buf, None, None, inv_temp)
+        grads["log_inv_temp"] = g_inv_temp * (e_it < INV_TEMP_MAX) * e_it
         grads["img_rows"] = _normalize_grad(g @ txt_n, img_rows, img_norm, img_unclamped)
         grads["txt_rows"] = _normalize_grad((img_n.T @ g).T, txt_rows, txt_norm, txt_unclamped)
         return cont, cont, 0.0, grads
+    if mode not in (SimilarityMode.NEG_LORENTZ_DISTANCE, SimilarityMode.LORENTZ_INNER):
+        raise ValueError(f"mode {mode} is not a similarity mode")
 
     e_c, c = curv_read(log_curv)
     sqrt_c = math.sqrt(c)
     img, txt = _Lift(img_rows, log_scale_img, c, sqrt_c), _Lift(txt_rows, log_scale_txt, c, sqrt_c)
-    # times as an outer product: one rounding per entry, as the tape's (B, 1) @ (1, B)
     np.matmul(img.sp, txt.sp.T, out=inner)
-    inner -= np.multiply(img.time, txt.time.T, out=tmp)
-    if mode is SimilarityMode.LORENTZ_INNER:
-        sim = inner
-    elif mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
-        # Negations folded into the constants: -(x * c) == x * -c, as rounding is sign-symmetric.
-        np.multiply(inner, -c, out=neg_ic)
-        np.arccosh(np.maximum(neg_ic, 1.0, out=acosh), out=acosh)
-        np.divide(acosh, -sqrt_c, out=sim)
-    else:
-        raise ValueError(f"mode {mode} is not a similarity mode")
-    cont, g = _contrastive_grad(np.multiply(sim, inv_temp, out=logits), tmp)
-    g_inv_temp = _total(np.multiply(g, sim, out=tmp))
-    g *= inv_temp
-    sim_c = []
-    if mode is SimilarityMode.NEG_LORENTZ_DISTANCE:
-        # sim = -acosh(max(-(inner * c), 1)) / sqrt(c)
-        np.multiply(g, acosh, out=tmp)
-        tmp /= sqrt_c * sqrt_c
-        sim_c.append(_total(tmp) * 0.5 / sqrt_c)
-        # The tape divides by -sqrt(c) and negates after the mask; both
-        # negations cancel to the bit.
-        g /= sqrt_c
-        # max(max(x, 1), 1 + ACOSH_EPS) == max(x, 1 + ACOSH_EPS)
-        np.maximum(neg_ic, 1.0 + ACOSH_EPS, out=tmp)
-        np.square(tmp, out=tmp)
-        tmp -= 1.0
-        g /= np.sqrt(tmp, out=tmp)
-        g *= neg_ic > 1.0
-        sim_c.append(_total(np.multiply(g, inner, out=tmp)))
-        g *= c
+    cont, g_inv_temp, sim_c = _similarity_grad(
+        inner, acosh, g, buf, (img.time, txt.time.T),
+        c if mode is SimilarityMode.NEG_LORENTZ_DISTANCE else None, inv_temp,
+    )
     # The times enter `inner` negated; -(g @ t) == (-g) @ t, as rounding is sign-symmetric.
     g_img_sp, g_img_t = g @ txt.sp, -(g @ txt.time)
     g_txt_sp, g_txt_t = (img.sp.T @ g).T, -(img.time.T @ g).T
 
     total, ent, hinge_c = cont, 0.0, []
     if entail_weight != 0.0:
-        b = img_rows.shape[0]
         hinge = _Hinge(txt.sp, txt.time, img.sp, img.time, c, sqrt_c, cone_boundary)
         ent = float(hinge.total / b)
         total = cont + entail_weight * ent

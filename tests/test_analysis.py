@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -694,6 +695,26 @@ def random_walk_index(space, seed, texts=12, dim=3, rooted=True):
     labels = [("text", f"t{i}") for i in range(texts)] + [("image", f"i{i}") for i in range(8)]
     idx = EmbeddingIndex(space=space, curvature=geom.c, vectors=geom.lift(pre, 1.0), labels=labels)
     return with_root(idx) if rooted else idx
+
+
+@pytest.mark.parametrize("space", ["lorentz", "sphere"])
+@pytest.mark.parametrize("query", [np.full(2, 0.6), np.full(4, 0.5), np.ones((1, 3)) / math.sqrt(3)],
+                         ids=["dim-2", "dim-4", "one-row-matrix"])
+def test_query_of_another_shape_names_both(space, query):
+    # numpy's matmul and broadcast errors named neither the query nor the index
+    idx = random_walk_index(space, 3)
+    msg = f"^query has shape {re.escape(str(query.shape))}, index has dim 3$"
+    with pytest.raises(ValueError, match=msg):
+        retrieve(query, idx, k=1)
+    with pytest.raises(ValueError, match=msg):
+        traverse(query, idx)
+
+
+def test_sphere_traverse_query_must_be_a_unit_vector():
+    idx = random_walk_index("sphere", 3)
+    with pytest.raises(ValueError, match="^query is not a sphere point: sphere row 0 has norm 2.0"):
+        traverse(np.array([2.0, 0.0, 0.0]), idx)
+    assert traverse(np.array([1.0, 0.0, 0.0]), idx).steps[0][0] == 0
 
 
 class TestOneArrayWalk:

@@ -104,6 +104,26 @@ class TestFiniteDiff:
             finite_diff(f, np.array([1.0, 1e-20, 1.0]), h=1e-5)
 
 
+class TestSinhcPair:
+    """The closed form's one-pass sinh(t)/t and derivative against the tape's kernels."""
+
+    T = ad.SINHC_TAYLOR
+
+    @pytest.mark.parametrize("t", [
+        [[0.0], [0.5], [-2.0]],                                   # t = 0 among others
+        [[T / 2], [-T / 3], [np.nextafter(T, 0.0)], [T], [3.0]],  # |t| below and at the switch
+        [[np.nextafter(T, 1.0)], [1e-3], [7.0], [40.0], [800.0]], # no small entry
+        [0.0, -T, T * 0.999, 1e-5],
+    ], ids=["zero", "around-taylor", "no-small", "flat"])
+    def test_same_bits_as_the_kernels(self, t):
+        t = np.asarray(t)
+        with np.errstate(over="ignore", invalid="ignore"):     # sinh(800) overflows
+            k, dk = ad.sinhc_pair(t)
+            assert k.tobytes() == ad.sinhc_kernel(t).tobytes()
+            assert dk.tobytes() == ad.dsinhc_kernel(t).tobytes()
+        assert k.shape == dk.shape == t.shape
+
+
 class TestPrimitiveRegistry:
     def test_every_primitive_sampled(self):
         # each registered op must carry a usable sampler and adjoint

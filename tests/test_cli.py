@@ -568,6 +568,13 @@ class TestCheckpointReader:
         assert not (tmp_path / "e.hypb").exists() and not (tmp_path / "e.labels").exists()
 
 
+# Sphere --vector queries that are not unit vectors, with the norm the error names.
+NON_UNIT_VECTORS = [
+    ("0,0,0", "0.00000000"), ("0.6,0.8,0.003", "1.00000450"), ("2,0,0", "2.00000000"),
+    ("1e200,1e200,0", "inf"),
+]
+
+
 class TestQueryValidation:
     @pytest.fixture
     def dump(self, tmp_path):
@@ -630,13 +637,19 @@ class TestQueryValidation:
         return str(tmp_path / "s.hypb")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("vector, norm", [
-        ("0,0,0", "0.00000000"), ("0.6,0.8,0.003", "1.00000450"), ("2,0,0", "2.00000000"),
-        ("1e200,1e200,0", "inf"),
-    ])
+    @pytest.mark.parametrize("vector, norm", NON_UNIT_VECTORS)
     def test_sphere_vector_must_be_a_unit_vector(self, sphere_dump, capsys, vector, norm):
         # scores were raw dot products; a zero query exited 0 with rows 0..k-1
         assert main(["retrieve", "--dump", sphere_dump, f"--vector={vector}"]) == 1
+        assert one_error_line(capsys) == (
+            f"error: query is not a sphere point: sphere row 0 has norm {norm}, expected 1 within 1e-06\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("vector, norm", NON_UNIT_VECTORS)
+    def test_sphere_traverse_vector_must_be_a_unit_vector(self, sphere_dump, capsys, vector, norm):
+        # the walk started from the raw vector, weighted toward the root by its norm
+        assert main(["traverse", "--dump", sphere_dump, f"--vector={vector}"]) == 1
         assert one_error_line(capsys) == (
             f"error: query is not a sphere point: sphere row 0 has norm {norm}, expected 1 within 1e-06\n"
         )
@@ -647,6 +660,9 @@ class TestQueryValidation:
         assert sorted(r["row"] for r in by_vector) == list(range(6))
         assert main(["retrieve", "--dump", sphere_dump, "--row", "2", "--k", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["results"][0]["row"] == 2
+        assert main(["traverse", "--dump", sphere_dump, "--vector=0.6,0.8,0", "--steps", "3"]) == 0
+        assert main(["traverse", "--dump", sphere_dump, "--row", "2", "--steps", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "step,0,t2"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("command", [["retrieve", "--row", "0"], ["stats"]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hycone import autodiff as ad
-from hycone import trainer
+from hycone import losses, trainer
 from hycone.autodiff import Tape
 from hycone.geometry import CURV_MAX, CURV_MIN
 from hycone.hierarchy import PairSampler, generate_tree
@@ -181,6 +181,18 @@ CLAMP_EDGES = {
 }
 
 
+def tape_objective(inputs, kw):
+    """((total, contrastive, entailment), grads by argument name) of
+    `objective` on tape nodes."""
+    tape = Tape()
+    tvars = [tape.var(np.asarray(x, dtype=np.float64)) for x in inputs]
+    terms = objective(*tvars, **kw)
+    by_id = tape.backward(terms[0])
+    names = ("img_rows", "txt_rows", "log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")
+    return ([float(np.asarray(ad.value_of(t))) for t in terms],
+            {k: by_id[v.idx] for k, v in zip(names, tvars)})
+
+
 @pytest.mark.parametrize("edge", list(CLAMP_EDGES))
 @pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
 def test_clamp_edges_equal_tape(mode, edge):
@@ -192,16 +204,12 @@ def test_clamp_edges_equal_tape(mode, edge):
     inputs = objective_inputs(mode, 8, seed=4)
     inputs[2 + ("log_inv_temp", "log_curv").index(name)] = np.asarray(value)
     kw = dict(mode=mode, entail_weight=0.2, cone_boundary=0.1)
-    tape = Tape()
-    tvars = [tape.var(np.asarray(x, dtype=np.float64)) for x in inputs]
-    terms = objective(*tvars, **kw)
-    by_id = tape.backward(terms[0])
+    tape_terms, tape_grads = tape_objective(inputs, kw)
     total, cont, ent, grads = objective_grad(*inputs, **kw)
 
-    assert [total, cont, ent] == [float(np.asarray(ad.value_of(t))) for t in terms]
-    names = ("img_rows", "txt_rows", "log_inv_temp", "log_curv", "log_scale_img", "log_scale_txt")
-    for k, v in zip(names, tvars):
-        np.testing.assert_array_equal(grads[k], by_id[v.idx], err_msg=k)
+    assert [total, cont, ent] == tape_terms
+    for k, g in tape_grads.items():
+        np.testing.assert_array_equal(grads[k], g, err_msg=k)
     e = float(np.exp(value))
     if name == "log_inv_temp":
         assert (grads[name] == 0.0) == (e > INV_TEMP_MAX)
@@ -209,7 +217,32 @@ def test_clamp_edges_equal_tape(mode, edge):
         assert (grads[name] == 0.0) == (not CURV_MIN < e < CURV_MAX)
 
 
-@pytest.mark.parametrize("batch_size", [4, 64])
+@pytest.mark.parametrize("rows", [128, None], ids=["3-blocks", "default-blocks"])
+@pytest.mark.parametrize("lam", [0.0, 0.2])
+@pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
+def test_row_blocks_equal_tape(monkeypatch, mode, lam, rows):
+    # 300 rows in blocks of 128, 128 and 44 (or 218 and 82 by default):
+    # the column sums carried across blocks and the diagonal of each block
+    # must give the tape's whole-matrix bits.
+    b = 300
+    if rows is not None:
+        monkeypatch.setattr(losses, "OBJECTIVE_BLOCK", rows * b)
+    assert losses._block_rows(b) == (rows or losses.OBJECTIVE_BLOCK // b) < b
+    inputs = objective_inputs(mode, b, seed=6)
+    kw = dict(mode=mode, entail_weight=lam, cone_boundary=0.1)
+    tape_terms, tape_grads = tape_objective(inputs, kw)
+    total, cont, ent, grads = objective_grad(*inputs, **kw)
+    assert [total, cont, ent] == tape_terms
+    for k, g in tape_grads.items():
+        np.testing.assert_array_equal(grads[k], g, err_msg=k)
+
+
+def test_workspace_holds_three_bxb_matrices():
+    b = 1024
+    assert objective_workspace(b).nbytes < 3.1 * b * b * 8
+
+
+@pytest.mark.parametrize("batch_size", [4, 64, 300])
 @pytest.mark.parametrize("lam", [0.0, 0.2])
 @pytest.mark.parametrize("mode", list(MODE_CONFIG), ids=lambda m: m.value)
 def test_workspace_gives_same_bits(mode, lam, batch_size):

@@ -14,9 +14,12 @@ set:
   `--inner-product-logits`, `--space sphere --hidden-dim 8` (the cosine
   closed form under a hidden layer), `--batch-size 3` (row and column
   sums shorter than numpy's 8-element unrolled reduction), the
-  benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6) and
-  a depth-8, branching-4 run, whose 21,845 texts make a traversal score
-  its walk in several blocks;
+  benchmark's wide run (batch 1024, hidden 64, depth 4, branching 6) in
+  all three similarity modes (distance, `--space sphere` and
+  `--inner-product-logits`), `--batch-size 300` (200 steps; the
+  objective's row blocks of 218 rows end in a shorter one of 82) and a
+  depth-8, branching-4 run, whose 21,845 texts make a traversal score its
+  walk in several blocks;
 - each of those checkpoints' bytes after its config JSON, as
   `<run>/checkpoint.tensors`: its tensors and metadata, so a change to the
   config JSON alone reads `checkpoint.bin DIFFERS` beside
@@ -74,6 +77,9 @@ from pathlib import Path
 import numpy as np
 
 SEED = 7
+# The benchmark's wide run: 16 row blocks of the objective per step.
+WIDE = ["--batch-size", "1024", "--hidden-dim", "64", "--depth", "4", "--branching", "6",
+        "--steps", "40", "--warmup", "4"]
 TRAIN_RUNS = {
     "ref-lorentz": [],
     "ref-sphere": ["--space", "sphere"],
@@ -83,8 +89,10 @@ TRAIN_RUNS = {
     "inner-product": ["--inner-product-logits"],
     "sphere-hidden-8": ["--space", "sphere", "--hidden-dim", "8"],
     "batch-3": ["--batch-size", "3"],
-    "wide": ["--batch-size", "1024", "--hidden-dim", "64", "--depth", "4", "--branching", "6",
-             "--steps", "40", "--warmup", "4"],
+    "wide": WIDE,
+    "wide-sphere": [*WIDE, "--space", "sphere"],
+    "wide-inner-product": [*WIDE, "--inner-product-logits"],
+    "batch-300": ["--batch-size", "300", "--steps", "200", "--warmup", "20"],
     "deep": ["--depth", "8", "--branching", "4", "--steps", "20", "--warmup", "2",
              "--held-out-per-leaf", "1"],
 }
