@@ -67,8 +67,9 @@ MAX_TREE_NODES = 100_000
 MAX_HELD_OUT_IMAGES = 500_000
 # The other sizes a run or a query allocates by, each checked before
 # anything is built (TrainConfig, root_distance_stats, interpolate_steps):
-# - batch size: the objective's B x B workspace is 805 MB at 4,096
-#   (the benchmark's widest batch is 1,024);
+# - batch size: the objective's workspace (three B x B float64 matrices
+#   and a row-block buffer) is 403 MB at 4,096 (the benchmark's widest
+#   batch is 1,024);
 # - steps: the loss curve is 56 MB at 1,000,000;
 # - latent, embedding and hidden widths: a 500,000-row index at width
 #   256 is about 1 GB of float64 (the widest run uses 64), while
