@@ -49,10 +49,6 @@ from .losses import LossParams
 LABEL_CLASSES = ("text", "image", "root")
 ROOT_LABEL = "[ROOT]"
 SPHERE_NORM_TOL = 1e-6
-# Relative gap tolerated between an image curvature and the clamped
-# curvature of LossParams, which stores c in log space: exp(log(c)) can
-# miss c by an ulp or two.
-CURV_RTOL = 1e-12
 
 # Rows an index reads (as float64) or a dump writes (as float32) at a
 # time; a module constant, not a flag.  OpenBLAS scores rows in groups of
@@ -80,55 +76,47 @@ class LabelClassError(ValueError):
         self.line = line
 
 
-def _row_starts(data: bytes) -> np.ndarray:
-    """Offsets of the rows of "\\n"-ended lines, then the byte length."""
-    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    return np.concatenate([[0], ends + 1])
-
-
 class Labels(Sequence):
     """(class, text) per row, held as the label sidecar's bytes: one UTF-8
     "class<TAB>text\\n" line per row, back to back, plus the int64 offset
-    at which each row starts (and, last, the byte length).  A row is
+    at which each row starts (and, last, the byte length), which those
+    bytes' line ends give: labels with equal bytes are equal.  A row is
     decoded and split only when it is accessed, and the class codes come
     from whole-buffer numpy work, so reading a dump builds no per-row
     object."""
 
     __slots__ = ("data", "starts")
 
-    def __init__(self, lines):
-        """From "class<TAB>text" lines, each encoded once; a row starts
-        where the lines before it end, so a line may hold a "\\n" of its
-        own (which `write_dump` then refuses)."""
-        encoded = [line.encode("utf-8") + b"\n" for line in lines]
-        self.data = b"".join(encoded)
-        self.starts = np.concatenate([[0], np.cumsum([len(b) for b in encoded], dtype=np.int64)])
-
-    @classmethod
-    def _of(cls, data: bytes, starts: np.ndarray) -> "Labels":
-        out = cls.__new__(cls)
-        out.data, out.starts = data, starts
-        return out
-
-    @classmethod
-    def from_sidecar(cls, data: bytes) -> "Labels":
-        """Rows of UTF-8 sidecar bytes with "\\n" line ends; a last line
-        without its "\\n" is a row too."""
+    def __init__(self, data: bytes):
+        """From sidecar bytes, which must be UTF-8.  "\\r\\n" and "\\r" end
+        a line as "\\n" does, as in a text-mode read, and a last line
+        without its line end is a row too; `data` holds them as "\\n"."""
+        data.decode("utf-8")    # validation only: a row is decoded when accessed
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if data and not data.endswith(b"\n"):
             data += b"\n"
-        return cls._of(data, _row_starts(data))
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        self.data = data
+        self.starts = np.concatenate([[0], ends + 1])
 
     @classmethod
     def from_pairs(cls, pairs) -> "Labels":
         """From (class, text) pairs, in one pass that keeps no pair: held
         as 200,000 tuples, they cost the cyclic GC more than the
-        formatting."""
+        formatting.  A text holding "\\n" or "\\r" is refused, since no
+        sidecar row can hold it."""
         lines = []
         for row, (c, t) in enumerate(pairs):
             if c not in _CLASS_CODES:
                 raise LabelClassError(row, f"{c}\t{t}")
-            lines.append(f"{c}\t{t}")
-        return cls(lines)
+            lines.append(f"{c}\t{t}\n")
+        data = "".join(lines).encode("utf-8")
+        if data.count(b"\n") != len(lines) or b"\r" in data:
+            row = next(row for row, line in enumerate(lines) if "\r" in line or line.count("\n") > 1)
+            text = lines[row][:-1].partition("\t")[2]
+            raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
+        return cls(data)
 
     def class_codes(self) -> np.ndarray:
         """Per-row index into LABEL_CLASSES, from the first byte of each
@@ -157,39 +145,26 @@ class Labels(Sequence):
         i = range(len(self))[i]
         return self.data[self.starts[i]:self.starts[i + 1] - 1].decode("utf-8")
 
-    @property
-    def lines(self) -> tuple[str, ...]:
-        """Every row's line, decoded."""
-        bounds = self.starts.tolist()
-        return tuple(self.data[a:b - 1].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
-
     def __len__(self) -> int:
         return len(self.starts) - 1
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            # The selected rows' byte ranges, gathered: no row is decoded.
-            r = range(len(self))[i]
-            rows = np.arange(r.start, r.stop, r.step)
-            begin, end = self.starts[rows], self.starts[rows + 1]
-            starts = np.concatenate([[0], np.cumsum(end - begin)])
-            at = np.repeat(begin - starts[:-1], end - begin) + np.arange(starts[-1])
-            return Labels._of(np.frombuffer(self.data, dtype=np.uint8)[at].tobytes(), starts)
+    def __getitem__(self, i: int) -> tuple[str, str]:
         cls, _, text = self.line(i).partition("\t")
         return cls, text
 
     def __iter__(self):
-        for cls, _, text in map(str.partition, self.lines, repeat("\t")):
+        lines = self.data.decode("utf-8").split("\n")
+        lines.pop()     # the empty string after the last line end
+        for cls, _, text in map(str.partition, lines, repeat("\t")):
             yield cls, text
 
     def __add__(self, other) -> "Labels":
         other = other if isinstance(other, Labels) else Labels.from_pairs(other)
-        return Labels._of(self.data + other.data,
-                          np.concatenate([self.starts, other.starts[1:] + len(self.data)]))
+        return Labels(self.data + other.data)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Labels):
-            return self.data == other.data and np.array_equal(self.starts, other.starts)
+            return self.data == other.data
         if isinstance(other, (tuple, list)):
             return tuple(self) == tuple(map(tuple, other))
         return NotImplemented
@@ -700,17 +675,15 @@ class ClassScores:
         return [self.names[k] for k in np.argmax(self.scores, axis=1)]
 
 
-def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
-                 curvature: float | None = None) -> ClassScores:
+def class_scores(images, prompt_sets: dict[str, list], space: Lorentz | Sphere,
+                 text_scale: float) -> ClassScores:
     """Zero-shot classification with prompt ensembling, for I images at once.
 
     Each class embeds as the arithmetic mean of its pre-lift prompt
-    vectors.  With a curvature, `images` are hyperboloid space components
-    at that curvature (it must match the clamped curvature of `params`):
-    each mean is scaled by the text scale, lifted once, and all I x K
-    pairs are scored by Lorentzian inner product in one matrix product.
-    Without one, `images` are unit vectors (sphere): the means are
-    re-normalized and scored by cosine.
+    vectors, lifted once into the images' `space` (an index's `geom`) at
+    `text_scale`; all I x K pairs are then scored in one matrix product:
+    Lorentzian inner products of hyperboloid space components, or cosines
+    of unit vectors on the sphere.
     """
     if not prompt_sets:
         raise ValueError("need at least one class")
@@ -727,18 +700,10 @@ def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
     images = np.asarray(images, dtype=np.float64)
     if images.shape[-1] != means[0].shape[0]:
         raise ValueError(f"prompts have dim {means[0].shape[0]}, images have dim {images.shape[-1]}")
-    if curvature is None:
-        space = Sphere()
-    else:
-        space = Lorentz(params.curv().c)
-        if not math.isclose(curvature, space.c, rel_tol=CURV_RTOL):
-            raise ValueError(
-                f"image embedding curvature {curvature} differs from params curvature {space.c}"
-            )
     # A prompt mean too long to lift overflows; report it as one error
     # rather than as numpy warnings and NaN scores.
     with np.errstate(over="ignore", invalid="ignore"):
-        classes = space.lift(np.stack(means), params.scale_txt())
+        classes = space.lift(np.stack(means), text_scale)
         scores = space.inner(images, classes)
     if not np.isfinite(scores).all():
         i, k = np.argwhere(~np.isfinite(scores))[0]
@@ -748,14 +713,18 @@ def class_scores(images, prompt_sets: dict[str, list], params: LossParams,
 
 def classify(image_embedding, prompt_sets: dict[str, list], params: LossParams) -> Classification:
     """Zero-shot classification of one image: :func:`class_scores` for a
-    :class:`HyperbolicPoint` (Lorentzian inner product at its curvature)
-    or a unit vector (cosine).  Ties predict the first class in sorted
-    name order.
+    :class:`HyperbolicPoint` (Lorentzian inner product at its curvature,
+    which must be that of `params`) or a unit vector (cosine).  Ties
+    predict the first class in sorted name order.
     """
     if isinstance(image_embedding, HyperbolicPoint):
-        row, curvature = image_embedding.space, image_embedding.curv.c
+        space = Lorentz(params.curv().c)
+        if image_embedding.curv.c != space.c:
+            raise ValueError(f"image embedding curvature {image_embedding.curv.c} "
+                             f"differs from params curvature {space.c}")
+        row = image_embedding.space
     else:
-        row, curvature = np.asarray(image_embedding, dtype=np.float64), None
-    res = class_scores(row[None, :], prompt_sets, params, curvature)
+        space, row = Sphere(), np.asarray(image_embedding, dtype=np.float64)
+    res = class_scores(row[None, :], prompt_sets, space, params.scale_txt())
     return Classification(scores=dict(zip(res.names, res.scores[0].tolist())),
                           predicted=res.predicted()[0])

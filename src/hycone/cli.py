@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, dumpio, gradcheck, trainer
 from .entailment import CONE_BOUNDARY
-from .losses import CURV_INIT, LossParams
+from .losses import LossParams
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -71,8 +71,6 @@ def _query_vector(args: argparse.Namespace, index: analysis.EmbeddingIndex) -> n
     vec = np.array([float(v) for v in args.vector.split(",")])
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"query vector has a non-finite component: {args.vector}")
-    if vec.shape[0] != index.dim:
-        raise ValueError(f"query has dim {vec.shape[0]}, index has {index.dim}")
     return vec
 
 
@@ -161,24 +159,26 @@ def cmd_retrieve(args) -> int:
 def cmd_classify(args) -> int:
     prompts = dumpio.read_dump(args.prompts)
     images = dumpio.read_dump(args.images)
-    # Image rows are scored at the curvature they were dumped at; a
-    # checkpoint from the other space, or at another curvature (rejected by
-    # class_scores), does not fit them.  The sphere has no curvature, and
-    # scoring there reads none.
+    # Image rows are scored in their own space, at the curvature they were
+    # dumped at; a checkpoint from the other space, or at another
+    # curvature, does not fit them.
     if args.checkpoint:
         chk = trainer.load_checkpoint(args.checkpoint)
         if chk.config.space != images.space:
             raise ValueError(f"checkpoint is a {chk.config.space} run, images are a {images.space} dump")
         params = chk.loss_params()
+        if analysis.space_of(images.space, params.curv().c) != images.geom:
+            raise ValueError(f"image embedding curvature {images.curvature} "
+                             f"differs from checkpoint curvature {params.curv().c}")
     else:
-        params = LossParams.init(prompts.dim, curv=images.curvature or CURV_INIT)
+        params = LossParams.init(prompts.dim)
     prompt_sets: dict[str, list] = {}
     for (cls, label), row in zip(prompts.labels, prompts.vectors):
         if cls != "text":
             raise ValueError(f"prompt dump rows must have class 'text', got {cls!r}")
         prompt_sets.setdefault(label, []).append(row)
 
-    res = analysis.class_scores(images.vectors, prompt_sets, params, images.curvature)
+    res = analysis.class_scores(images.vectors, prompt_sets, images.geom, params.scale_txt())
     results = [
         {"image": label, "predicted": predicted, "scores": dict(zip(res.names, scores))}
         for (_, label), predicted, scores in zip(images.labels, res.predicted(), res.scores.tolist())

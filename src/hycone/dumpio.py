@@ -13,18 +13,17 @@ Layout (all little-endian):
 The sidecar shares the dump's basename with a ".labels" extension; one
 UTF-8 "class<TAB>text" line per row, class in {text, image, root}.  Lines
 end in "\n" ("\r\n" and "\r" count as "\n" too, as in a text-mode
-read); the text may hold tabs and any other character, and the writer
-refuses labels holding "\n" or "\r", which could not be read back.  The
-reader keeps the sidecar as bytes (:class:`Labels`): it decodes them once
-only to check that they are UTF-8, finds the rows with one newline scan
-and the class codes with whole-buffer numpy work, and a row's text is
-decoded when it is accessed.  The writer writes those bytes back as they
-are.  Dumps are interchange artifacts: storage is 32-bit.  The index
-that `read_dump` returns keeps the float32 payload in place, as a view
-of a read-only map of the file, and every query promotes it to 64-bit
-one block of `analysis.ROW_BLOCK` rows at a time, so no float64 copy of
-the whole set is made.  The writer replaces a file by renaming a new one
-over it, so an index keeps the bytes it mapped.
+read); the text may hold tabs and any other character but "\n" and
+"\r", which are refused where labels are made
+(:meth:`Labels.from_pairs`), so every label can be written and read
+back.  The sidecar's format is :class:`Labels`'s: the reader hands the
+bytes to it, and the writer writes its bytes as they are.  Dumps are
+interchange artifacts: storage is 32-bit.  The index that `read_dump`
+returns keeps the float32 payload in place, as a view of a read-only map
+of the file, and every query promotes it to 64-bit one block of
+`analysis.ROW_BLOCK` rows at a time, so no float64 copy of the whole set
+is made.  The writer replaces a file by renaming a new one over it, so
+an index keeps the bytes it mapped.
 
 Writes are atomic (temp file + rename) and streamed: `write_dump`
 converts, checks and writes the payload in those same blocks.  A
@@ -101,15 +100,10 @@ def write_dump(index: EmbeddingIndex, path) -> tuple[Path, Path]:
     header = _HEADER.pack(
         MAGIC, VERSION, SPACE_CODES[index.space], index.dim, index.count, index.curvature or 0.0
     )
-    sidecar = index.labels.data
-    if sidecar.count(b"\n") != index.count or b"\r" in sidecar:
-        row, text = next((i, text) for i, (_, text) in enumerate(index.labels)
-                         if "\n" in text or "\r" in text)
-        raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
     atomic_write(path, itertools.chain([header], _float32_blocks(index.payload)))
 
     lpath = labels_path(path)
-    atomic_write(lpath, [sidecar])
+    atomic_write(lpath, [index.labels.data])
     return path, lpath
 
 
@@ -145,10 +139,7 @@ def read_dump(path) -> EmbeddingIndex:
         data = lpath.read_bytes()
     except FileNotFoundError as exc:
         raise DumpFormatError(f"missing label sidecar {lpath}") from exc
-    data.decode("utf-8")    # validation only: a row is decoded when accessed
-    if b"\r" in data:       # universal newlines, as a text-mode read has them
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    labels = Labels.from_sidecar(data)
+    labels = Labels(data)
     if len(labels) != count:
         raise DumpFormatError(
             f"label count mismatch: dump has {count} rows, sidecar has {len(labels)}"

@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import entailment, geometry
 from .autodiff import ACOSH_EPS, NORM_FLOOR, sinhc_pair
-from .entailment import ANGLE_EPS, CONE_BOUNDARY, SQRT_FLOOR
+from .entailment import ANGLE_EPS, SQRT_FLOOR
 from .geometry import CURV_MAX, CURV_MIN, Curvature, HyperbolicPoint
 
 # tau is clamped to >= 0.01, i.e. 1/tau <= 100.
@@ -55,23 +55,14 @@ class LossParams:
     log_curv: float
     log_scale_img: float
     log_scale_txt: float
-    entail_weight: float = ENTAIL_WEIGHT_DEFAULT
-    cone_boundary: float = CONE_BOUNDARY
-
-    def __post_init__(self):
-        """The domain TrainConfig checks: a finite weight >= 0, a finite
-        positive cone boundary."""
-        if not (np.isfinite(self.entail_weight) and self.entail_weight >= 0.0):
-            raise ValueError(f"entailment weight must be finite and >= 0, got {self.entail_weight!r}")
-        entailment.ConeParams(self.cone_boundary)
 
     @classmethod
-    def init(cls, embed_dim: int, *, curv: float = CURV_INIT) -> "LossParams":
-        """Defaults: tau=0.07, per-modality scales 1/sqrt(n); c=1.0 unless given."""
+    def init(cls, embed_dim: int) -> "LossParams":
+        """Defaults: tau=0.07, c=1.0, per-modality scales 1/sqrt(n)."""
         log_scale = float(np.log(1.0 / np.sqrt(embed_dim)))
         return cls(
             log_inv_temp=float(np.log(1.0 / TAU_INIT)),
-            log_curv=float(np.log(curv)),
+            log_curv=float(np.log(CURV_INIT)),
             log_scale_img=log_scale,
             log_scale_txt=log_scale,
         )

@@ -350,8 +350,6 @@ class Checkpoint:
             log_curv=float(t["log_curv"]),
             log_scale_img=float(t["log_scale_img"]),
             log_scale_txt=float(t["log_scale_txt"]),
-            entail_weight=self.config.trained_entail_weight,
-            cone_boundary=self.config.cone_boundary,
         )
 
 
@@ -474,7 +472,7 @@ def build_embedding_index(tensors: Mapping[str, np.ndarray], config: TrainConfig
         space=config.space,
         curvature=space.c,
         vectors=vectors,
-        labels=Labels.from_sidecar(sidecar.encode("utf-8")),
+        labels=Labels(sidecar.encode("utf-8")),
     )
 
 

@@ -275,8 +275,9 @@ class TestClassifyCurvature:
         images = read_dump(tmp_path / "img.hypb")
         prompts = read_dump(tmp_path / "p.hypb")
         sets = {"p": list(prompts.vectors[:2]), "q": [prompts.vectors[2]], "r": [prompts.vectors[3]]}
-        params = LossParams.init(prompts.dim, curv=0.9454)
-        want = analysis.class_scores(images.vectors, sets, params, 0.9454)
+        assert images.curvature == 0.9454
+        want = analysis.class_scores(images.vectors, sets, analysis.Lorentz(0.9454),
+                                     LossParams.init(prompts.dim).scale_txt())
         assert [p["predicted"] for p in payload["predictions"]] == want.predicted()
         got = [list(p["scores"].values()) for p in payload["predictions"]]
         np.testing.assert_array_equal(got, want.scores)
@@ -626,6 +627,13 @@ class TestQueryValidation:
     def test_row_and_vector_are_exclusive(self, dump, capsys, command):
         assert main([command, "--dump", dump, "--row", "1", "--vector=0.1,0.2,0.3"]) == 1
         assert one_error_line(capsys) == "error: give --row or --vector, not both\n"
+
+    @pytest.mark.parametrize("command", ["retrieve", "traverse"])
+    @pytest.mark.parametrize("vector", ["0.1,0.2", "0.1,0.2,0.3,0.4"])
+    def test_vector_of_another_dimension_names_both(self, dump, capsys, command, vector):
+        assert main([command, "--dump", dump, f"--vector={vector}"]) == 1
+        dim = vector.count(",") + 1
+        assert one_error_line(capsys) == f"error: query has shape ({dim},), index has dim 3\n"
 
     @pytest.fixture
     def sphere_dump(self, tmp_path):

@@ -52,8 +52,9 @@ class TestHalfAperture:
             half_aperture(origin(2, C1), CONES)
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            ConeParams(boundary=0.0)
+        for boundary in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cone boundary constant must be finite and positive"):
+                ConeParams(boundary=boundary)
 
 
 class TestExteriorAngle:

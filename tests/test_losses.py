@@ -25,12 +25,12 @@ neg_distance_objective = functools.partial(
     objective, mode=SimilarityMode.NEG_LORENTZ_DISTANCE, cone_boundary=CONE_BOUNDARY
 )
 # log_inv_temp, log_curv, log_scale_img, log_scale_txt of LossParams.init(N)
-INIT = dataclasses.astuple(LossParams.init(N))[:4]
+INIT = dataclasses.astuple(LossParams.init(N))
 
 
-def unit_params(**kw):
+def unit_params():
     # tau = 1, c = 1, scales = 1
-    return LossParams(log_inv_temp=0.0, log_curv=0.0, log_scale_img=0.0, log_scale_txt=0.0, **kw)
+    return LossParams(log_inv_temp=0.0, log_curv=0.0, log_scale_img=0.0, log_scale_txt=0.0)
 
 
 class TestLiftBatch:
@@ -165,14 +165,14 @@ class TestTotalLoss:
         # the objective must equal the independently composed typed operations
         rng = np.random.default_rng(5)
         imgs, txts = self._rows(rng, b=2)
-        params = dataclasses.replace(LossParams.init(N), entail_weight=0.2)
+        params = LossParams.init(N)
         total, cont_obj, ent = neg_distance_objective(imgs, txts, *INIT, entail_weight=0.2)
 
         images, texts = lift_batch(BatchEmbeddings(images=imgs, texts=txts), params)
         cont = contrastive_from_logits(
             logit_matrix(images, texts, params, SimilarityMode.NEG_LORENTZ_DISTANCE)
         )
-        cones = ConeParams(boundary=params.cone_boundary)
+        cones = ConeParams(boundary=CONE_BOUNDARY)
         pair_losses = [
             max(0.0, exterior_angle(t, i) - half_aperture(t, cones)) for t, i in zip(texts, images)
         ]
@@ -203,28 +203,6 @@ class TestTotalLoss:
                                      entail_weight=0.2, cone_boundary=CONE_BOUNDARY)
         assert ent == 0.0
         assert total == cont
-
-
-class TestLossParamsDomain:
-    """The domain TrainConfig checks for the entailment weight and the cone
-    boundary; outside it, the objective returned NaN or inf."""
-
-    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
-    def test_entail_weight_finite_non_negative(self, weight):
-        with pytest.raises(ValueError, match="entailment weight must be finite and >= 0"):
-            unit_params(entail_weight=weight)
-        with pytest.raises(ValueError, match="entailment weight"):
-            dataclasses.replace(LossParams.init(N), entail_weight=weight)
-
-    @pytest.mark.parametrize("boundary", [-1.0, 0.0, math.nan, math.inf])
-    def test_cone_boundary_finite_positive(self, boundary):
-        with pytest.raises(ValueError, match="cone boundary constant must be finite and positive"):
-            unit_params(cone_boundary=boundary)
-        with pytest.raises(ValueError, match="cone boundary"):
-            dataclasses.replace(LossParams.init(N), cone_boundary=boundary)
-
-    def test_domain_edges_accepted(self):
-        assert unit_params(entail_weight=0.0, cone_boundary=1e-300).entail_weight == 0.0
 
 
 class TestRankingEquivalence:

@@ -296,12 +296,13 @@ class TestTraining:
         batch = PairSampler(tree, cfg.seed).next_batch(cfg.batch_size)
         for c in (chk, loaded):
             params = c.loss_params()
-            assert params.entail_weight == 0.0
+            assert c.config.trained_entail_weight == 0.0
             total, cont, _ = objective(
                 encoder_forward(c.tensors, batch.image_latents, "img", cfg.hidden_dim),
                 encoder_forward(c.tensors, batch.text_latents, "txt", cfg.hidden_dim),
                 params.log_inv_temp, params.log_curv, params.log_scale_img, params.log_scale_txt,
-                mode=cfg.mode(), entail_weight=params.entail_weight, cone_boundary=params.cone_boundary,
+                mode=cfg.mode(), entail_weight=c.config.trained_entail_weight,
+                cone_boundary=c.config.cone_boundary,
             )
             assert total == cont
 
@@ -480,7 +481,7 @@ class TestCheckpointIO:
         chk = train(cfg)
         loaded = load_checkpoint(save_checkpoint(chk, tmp_path / "c.bin"))
         want, got = chk.loss_params(), loaded.loss_params()
-        assert (want.entail_weight, want.cone_boundary) == (0.35, 0.25)
+        assert (loaded.config.trained_entail_weight, loaded.config.cone_boundary) == (0.35, 0.25)
         for f in dataclasses.fields(LossParams):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
 

@@ -37,7 +37,8 @@ set:
   `--cone-slack inf`, where texts below the root concept qualify, and
   from the first text row), `retrieve` (raw and `--calibrated`) and
   `classify` (against a fixed random prompt set, with the dump's own
-  checkpoint);
+  checkpoint, and without a checkpoint, which scores at the curvature
+  in the dump's header);
 - the stdout of `stats` and `retrieve` on damaged copies of the Lorentz
   and sphere 200,021-row dumps, one with a NaN in row DAMAGED_ROW and, for
   the sphere, one with that row off the unit norm: the row is past the
@@ -253,6 +254,7 @@ def analyse(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) ->
              "--calibrated", "--tau", 0.07)
     side.cli(f"{name}/classify", "classify", "--prompts", prompts, "--images", dump,
              "--checkpoint", checkpoint)
+    side.cli(f"{name}/classify-no-checkpoint", "classify", "--prompts", prompts, "--images", dump)
 
 
 def write_out_files(side: Side, name: str, dump: str, checkpoint: str, prompts: Path) -> None:
