@@ -12,13 +12,16 @@ Indexes are immutable after load; every query here is read-only.  An
 index keeps its rows as stored: a dump's float32 payload is read in
 place.  Rows are validated when the index is built, and queries read
 them ROW_BLOCK rows at a time, each block promoted to float64
-(:func:`row_blocks`), so no float64 copy of the whole set is made.
+(:func:`row_blocks`), so no float64 copy of the whole set is made.  The
+rows' sums of squares (Lorentz time components and root proxies, sphere
+norms) are one np.vecdot per block; the writers (`lift`, the walk's
+exponential map) keep the tape's `geometry` kernels.
 
 Labels are kept as the sidecar's UTF-8 bytes plus row offsets
 (:class:`Labels`); a row is decoded and split into (class, text) only
 when it is accessed (a retrieve's top k, traverse's texts, classify's
-rows), and the per-row class is one code array, read from the first byte
-of each row, that class lookups and statistics share.
+rows), and the per-row class is one code array, read from the first 8
+bytes of each row as one word, that class lookups and statistics share.
 
 A traversal is one array: :func:`interpolate_steps` gives the walk as
 one (steps, n) array, and :func:`traverse` scores it in blocks of steps,
@@ -61,10 +64,14 @@ ROW_BLOCK = 8192
 
 _CLASS_CODES = {cls: code for code, cls in enumerate(LABEL_CLASSES)}
 _ROOT_CODE = _CLASS_CODES["root"]
-_LINE_PREFIXES = tuple(f"{cls}\t".encode("ascii") for cls in LABEL_CLASSES)
-# A valid line's first byte names its class: the classes' initials differ.
-_CODE_OF_INITIAL = np.full(256, -1, dtype=np.int8)
-_CODE_OF_INITIAL[[prefix[0] for prefix in _LINE_PREFIXES]] = range(len(LABEL_CLASSES))
+# Each class's line prefix "class<TAB>" as a little-endian word and the
+# mask of its bytes: a row's first 8 bytes, read as one word, hold it.
+# No prefix is longer than 8 bytes or holds "\n", and no two share a
+# first byte, so a row matches at most one.
+_PREFIX_WORDS = tuple(
+    (np.uint64(int.from_bytes(prefix, "little")), np.uint64((1 << 8 * len(prefix)) - 1))
+    for prefix in (f"{cls}\t".encode("ascii") for cls in LABEL_CLASSES)
+)
 
 
 class LabelClassError(ValueError):
@@ -105,36 +112,47 @@ class Labels(Sequence):
         """From (class, text) pairs, in one pass that keeps no pair: held
         as 200,000 tuples, they cost the cyclic GC more than the
         formatting.  A text holding "\\n" or "\\r" is refused, since no
-        sidecar row can hold it."""
+        sidecar row can hold it, and so is one that UTF-8 cannot encode (a
+        lone surrogate); the error names the first such row."""
         lines = []
         for row, (c, t) in enumerate(pairs):
             if c not in _CLASS_CODES:
                 raise LabelClassError(row, f"{c}\t{t}")
             lines.append(f"{c}\t{t}\n")
-        data = "".join(lines).encode("utf-8")
+        try:
+            data = "".join(lines).encode("utf-8")
+        except UnicodeEncodeError:
+            data = b""      # the row is named below
         if data.count(b"\n") != len(lines) or b"\r" in data:
-            row = next(row for row, line in enumerate(lines) if "\r" in line or line.count("\n") > 1)
-            text = lines[row][:-1].partition("\t")[2]
-            raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
+            for row, line in enumerate(lines):
+                text = line[:-1].partition("\t")[2]
+                if "\r" in line or line.count("\n") > 1:
+                    raise ValueError(f"label of row {row} holds a line break and cannot be read back: {text!r}")
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError(f"label of row {row} cannot be encoded as UTF-8 "
+                                     f"({exc.reason}): {text!r}") from None
         return cls(data)
 
     def class_codes(self) -> np.ndarray:
-        """Per-row index into LABEL_CLASSES, from the first byte of each
-        row; the rest of each class prefix is checked one byte column at a
-        time.  Raises LabelClassError at the first bad row."""
-        buf = np.frombuffer(self.data, dtype=np.uint8)
-        heads = self.starts[:-1]
-        codes = _CODE_OF_INITIAL[buf[heads]]
+        """Per-row index into LABEL_CLASSES.  Each row's first 8 bytes are
+        read as one little-endian word, in one gather, and each class
+        prefix "class<TAB>" is compared under its own byte mask.  A row
+        shorter than its prefix misses at its "\\n"; the last rows of the
+        buffer, with fewer than 8 bytes left, read as words zero-padded
+        past its end.  Raises LabelClassError at the first bad row."""
+        data, heads = self.data, self.starts[:-1]
+        full = int(np.searchsorted(heads, len(data) - 7))    # rows with 8 bytes left
+        words = np.empty(heads.size, dtype="<u8")
+        if full:
+            at_every_byte = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+            words[:full] = at_every_byte[heads[:full]]
+        words[full:] = [int.from_bytes(data[h:h + 8], "little") for h in heads[full:].tolist()]
+        codes = np.full(heads.size, -1, dtype=np.int8)
+        for code, (word, mask) in enumerate(_PREFIX_WORDS):
+            codes[(words & mask) == word] = code
         bad = codes < 0
-        for code, prefix in enumerate(_LINE_PREFIXES):
-            rows = codes == code
-            at = heads[rows]
-            miss = np.zeros(at.size, dtype=bool)
-            # A row shorter than its prefix misses at its "\n"; the bound
-            # keeps a short last row's reads inside the buffer.
-            for j in range(1, len(prefix)):
-                miss |= buf[np.minimum(at + j, buf.size - 1)] != prefix[j]
-            bad[rows] = miss
         if bad.any():
             row = int(np.argmax(bad))
             raise LabelClassError(row, self.line(row))
@@ -227,8 +245,14 @@ class Lorentz:
     def root(self, vectors: np.ndarray, root_id: int | None = None) -> np.ndarray:
         return np.zeros(vectors.shape[1])
 
+    def time(self, rows: np.ndarray) -> np.ndarray:
+        """Time components sqrt(||x||^2 + 1/c) of rows (..., n) of space
+        components, (...,).  Each row's sum of squares is one np.vecdot,
+        whose bits do not depend on the block that holds the row."""
+        return np.sqrt(np.vecdot(rows, rows) + 1.0 / self.c)
+
     def root_proxy(self, rows: np.ndarray, root: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(rows, axis=-1)
+        return np.sqrt(np.vecdot(rows, rows))
 
     def interpolate(self, y: np.ndarray, root: np.ndarray, ts: np.ndarray) -> np.ndarray:
         v = np.asarray(geometry.log_space(y, self.c))
@@ -236,10 +260,7 @@ class Lorentz:
 
     def inner(self, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
         """Scores of N rows against one vector (N,) or K rows (N x K)."""
-        rows_t = np.asarray(geometry.time_part(rows, self.c))
-        other_t = np.asarray(geometry.time_part(other, self.c))
-        prod = rows @ other.T
-        return prod - (rows_t * other_t.T).reshape(prod.shape)
+        return rows @ other.T - np.multiply.outer(self.time(rows), self.time(other))
 
     def distance(self, inner: np.ndarray) -> np.ndarray:
         return np.asarray(geometry.dist_from_inner(inner, self.c))
@@ -252,10 +273,8 @@ class Lorentz:
         """(steps, apexes) mask: whether each apex's cone holds each step
         (hinge <= slack).  A step at the origin, where the cone formula is
         undefined, is in no cone."""
-        apex_t = np.asarray(geometry.time_part(apexes, self.c))
-        steps_t = np.asarray(geometry.time_part(steps, self.c))
-        hinge = entailment.hinge_rows(apexes, apex_t, steps[:, None], steps_t[:, None],
-                                      self.c, boundary)
+        hinge = entailment.hinge_rows(apexes, self.time(apexes)[:, None], steps[:, None],
+                                      self.time(steps)[:, None, None], self.c, boundary)
         return (np.asarray(hinge)[..., 0] <= slack) & (np.vecdot(steps, steps) != 0.0)[:, None]
 
 
@@ -270,7 +289,7 @@ class Sphere:
     def check_rows(self, rows: np.ndarray) -> None:
         """Unit float64 norms; an error names the row furthest off."""
         if rows.shape[0]:
-            norms = map_rows(lambda block: np.linalg.norm(block, axis=1), rows)
+            norms = map_rows(lambda block: np.sqrt(np.vecdot(block, block)), rows)
             off = np.abs(norms - 1.0)
             if not float(off.max()) <= SPHERE_NORM_TOL:   # NaN rows fail too
                 bad = int(np.argmax(off))

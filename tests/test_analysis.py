@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hycone import analysis, entailment, geometry
@@ -563,9 +563,25 @@ class TestLabels:
         assert labels.data == b"text\ta\nimage\tb\n" and labels.starts.tolist() == [0, 7, 15]
 
 
-PAIRS = st.lists(st.tuples(st.sampled_from(LABEL_CLASSES),
-                           st.text(st.characters(exclude_characters="\n\r"), max_size=6)),
-                 max_size=10)
+# Texts that a sidecar row can hold: no line break, and no lone
+# surrogate (category Cs), which UTF-8 cannot encode.
+TEXTS = st.text(st.characters(exclude_characters="\n\r", exclude_categories=("Cs",)), max_size=6)
+PAIRS = st.lists(st.tuples(st.sampled_from(LABEL_CLASSES), TEXTS), max_size=10)
+
+
+@st.composite
+def sidecars(draw):
+    """Sidecar bytes whose lines start with a class prefix, a near miss or
+    anything else, end in "\\n", "\\r\\n" or "\\r", and may lack the last
+    line end."""
+    heads = st.sampled_from([*(f"{cls}\t" for cls in LABEL_CLASSES), *LABEL_CLASSES,
+                             "", "t", "imag", "image ", "Text\t", "rooT\t", "é", "ïmage\t"])
+    lines = draw(st.lists(st.tuples(heads, TEXTS).map("".join), max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    body = "".join(map(str.__add__, lines, ends))
+    if lines and draw(st.booleans()):
+        body = body[:-len(ends[-1])]
+    return body.encode("utf-8")
 
 
 class TestLabelsContract:
@@ -604,6 +620,40 @@ class TestLabelsContract:
         with pytest.raises(ValueError, match=re.escape(
                 f"label of row {row} holds a line break and cannot be read back: {text!r}")):
             Labels.from_pairs([*pairs[:row], (cls, text), *pairs[row:], ("text", "\n")])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pairs=PAIRS, text=st.tuples(TEXTS, st.characters(categories=("Cs",)), TEXTS).map("".join),
+           data=st.data())
+    def test_text_holding_a_lone_surrogate_is_refused(self, pairs, text, data):
+        # The first such row is named, with its text, ahead of a later
+        # line break.
+        row = data.draw(st.integers(0, len(pairs)))
+        cls = data.draw(st.sampled_from(LABEL_CLASSES))
+        with pytest.raises(ValueError, match=re.escape(
+                f"label of row {row} cannot be encoded as UTF-8 (surrogates not allowed): {text!r}")):
+            Labels.from_pairs([*pairs[:row], (cls, text), *pairs[row:], ("text", "\n")])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=sidecars())
+    @example(data=b"text\tab\ntext")          # a bad last row shorter than 8 bytes
+    @example(data=b"root\t")                   # one row, a buffer shorter than 8 bytes
+    @example(data=b"image\t\nimage\ntext\tb")   # "image" with no tab
+    @example(data="é\tx\ntext\t\u00e9".encode())  # a multi-byte first character
+    @example(data=b"text\ta\rimage\tb\r\nroot\t\r")
+    def test_class_codes_match_a_per_line_oracle(self, data):
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        if text and not text.endswith("\n"):
+            text += "\n"
+        lines = text.split("\n")[:-1]
+        codes = [next((k for k, cls in enumerate(LABEL_CLASSES) if line.startswith(f"{cls}\t")), -1)
+                 for line in lines]
+        labels = Labels(data)
+        if -1 in codes:
+            with pytest.raises(analysis.LabelClassError) as err:
+                labels.class_codes()
+            assert (err.value.row, err.value.line) == (codes.index(-1), lines[codes.index(-1)])
+        else:
+            assert labels.class_codes().tolist() == codes
 
     def test_same_bytes_same_rows(self):
         one = Labels.from_pairs([("text", "a"), ("text", "b")])
@@ -843,6 +893,26 @@ class TestSpaces:
         for k in range(4):
             np.testing.assert_allclose(space.inner(rows, others[k]), full[:, k],
                                        rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 17])
+    def test_lorentz_row_norms_keep_their_bits_in_any_block(self, dim):
+        # A row's time component and root proxy have the same bits alone,
+        # inside a block, and read from a copy at an 8-byte offset.
+        geom = analysis.Lorentz(0.7)
+        rows = np.random.default_rng(dim).standard_normal((61, dim)) * 3.0
+        raw = np.empty(rows.size + 2)
+        shift = 1 if raw.ctypes.data % 16 == 0 else 2    # 8 bytes past a 16-byte boundary
+        shifted = raw[shift:shift + rows.size].reshape(rows.shape)
+        shifted[...] = rows
+        assert shifted.ctypes.data % 16 == 8
+        for norms in (geom.time, lambda r: geom.root_proxy(r, None)):
+            alone = np.array([norms(row) for row in rows])
+            assert alone.tobytes() == norms(rows).tobytes() == norms(shifted).tobytes()
+            assert norms(rows[5:13]).tobytes() == alone[5:13].tobytes()
+        # The tape's kernel sums the squares in another order: a sum of dim
+        # non-negative terms differs by at most about dim ulps.
+        np.testing.assert_allclose(geom.time(rows), geometry.time_part(rows, geom.c)[:, 0],
+                                   rtol=dim * np.finfo(float).eps, atol=0)
 
 
 # A small ROW_BLOCK for the tests below: a multiple of 4 rows, as ROW_BLOCK is.

@@ -59,8 +59,11 @@ exit code and stderr of each command are part of its stdout output's
 digest.  A `retrieve` or `classify` stdout gets a second line,
 `<name>.value`: the digest of the JSON value it prints, written as
 `json.dumps` writes it on one line, so a change to the layout alone
-reads `DIFFERS` on the first line and `same` on the second.  Exits 1 on
-any difference or missing file.  Uses numpy and the standard library
+reads `DIFFERS` on the first line and `same` on the second.  Under each
+`retrieve` or `classify` output that differs, stdout or `--out` file, one
+more line says whether both sides give the same rows (`retrieve`) or
+predictions (`classify`), and the largest relative difference between
+their scores.  Exits 1 on any difference or missing file.  Uses numpy and the standard library
 only.
 """
 
@@ -135,6 +138,7 @@ class Side:
         self.work.mkdir()
         self.env = dict(os.environ, PYTHONPATH=str(self.src), PYTHONHASHSEED="0")
         self.outputs: dict[str, str] = {}
+        self.values: dict[str, object] = {}    # the JSON each retrieve or classify printed or wrote
 
     def check_import(self) -> None:
         proc = subprocess.run([sys.executable, "-c", "import hycone; print(hycone.__file__)"],
@@ -150,10 +154,9 @@ class Side:
         head, tail = b"exit %d\n" % proc.returncode, b"\nstderr\n" + proc.stderr
         self.outputs[name] = digest(head + proc.stdout + tail)
         if argv[0] in JSON_COMMANDS:
-            try:
-                value = json.dumps(json.loads(proc.stdout)).encode("utf-8")
-            except ValueError:      # no JSON (a failed command): its stdout as it is
-                value = proc.stdout
+            self.values[name] = json_value(proc.stdout)
+            # No JSON (a failed command): its stdout as it is.
+            value = proc.stdout if self.values[name] is None else json.dumps(self.values[name]).encode("utf-8")
             self.outputs[f"{name}.value"] = digest(head + value + tail)
 
     def files(self, prefix: str, paths) -> None:
@@ -162,6 +165,8 @@ class Side:
             self.outputs[f"{prefix}/{path.name}"] = (
                 digest(path.read_bytes()) if path.exists() else "missing"
             )
+            if path.suffix == ".json" and path.exists():
+                self.values[f"{prefix}/{path.name}"] = json_value(path.read_bytes())
 
     def checkpoint_tensors(self, name: str) -> None:
         """The digest of a checkpoint's bytes after its config JSON (magic,
@@ -171,6 +176,34 @@ class Side:
         self.outputs[f"{name}/checkpoint.tensors"] = (
             digest(raw[12 + struct.unpack_from("<I", raw, 8)[0]:]) if len(raw) >= 12 else "missing"
         )
+
+
+def json_value(raw: bytes):
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return None
+
+
+def agreement(a, b) -> str:
+    """Whether two `retrieve` or `classify` JSON values rank the same rows
+    or predict the same classes, and the largest relative difference
+    between their scores, position by position."""
+    try:
+        if "results" in a and "results" in b:
+            what = "rows"
+            keys = [[r["row"] for r in v["results"]] for v in (a, b)]
+            scores = [[r["score"] for r in v["results"]] for v in (a, b)]
+        else:
+            what = "predictions"
+            keys = [[(p["image"], p["predicted"]) for p in v["predictions"]] for v in (a, b)]
+            scores = [[s for p in v["predictions"] for s in p["scores"].values()] for v in (a, b)]
+    except (KeyError, TypeError):
+        return "not a retrieve or classify result on both sides"
+    if keys[0] != keys[1]:
+        return f"{what} DIFFER"
+    largest = max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(*scores) if x != y), default=0.0)
+    return f"{what} same, largest relative score difference {largest:.2g}"
 
 
 def write_prompts(path: Path) -> None:
@@ -326,6 +359,8 @@ def main(argv: list[str]) -> int:
         else:
             differs += 1
             print(f"{name:<{width}}  {a[name]} -> {b[name]}  {status}")
+            if status == "DIFFERS" and name in sides[0].values:
+                print(f"{'':<{width}}  {agreement(sides[0].values[name], sides[1].values.get(name))}")
     print(f"{len(a) - differs} same, {differs} differ or are missing")
     return 1 if differs else 0
 
